@@ -33,12 +33,10 @@ from .data import (
 )
 from .linalg import (
     KernelMatrix,
-    LanczosFactors,
     NumericalError,
     SymmetricApprox,
     cosine_kernel,
     dirichlet_log_expectation,
-    lanczos,
     lowrank_posterior,
     pg_mean,
 )
@@ -78,11 +76,9 @@ __all__ = [
     "feature_lf_correlation",
     "pearson_r",
     "KernelMatrix",
-    "LanczosFactors",
     "NumericalError",
     "SymmetricApprox",
     "cosine_kernel",
-    "lanczos",
     "lowrank_posterior",
     "pg_mean",
     "dirichlet_log_expectation",

@@ -49,6 +49,7 @@ class RunRecord:
     metric_value: float | None
     n_iters: int
     converged: bool | None
+    gp_rank: int | None
     wall_time_ms: float
 
     def write(self, path) -> None:
@@ -130,6 +131,7 @@ def cmd_aggregate(args) -> int:
         metric_value=metric_value,
         n_iters=posterior.n_iters,
         converged=posterior.diagnostics.get("converged"),
+        gp_rank=posterior.diagnostics.get("gp_rank"),
         wall_time_ms=wall_ms,
     )
     record.write(args.record or f"{args.out}.run.json")
@@ -217,7 +219,8 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iters", type=int, default=None, help="sweep budget")
     parser.add_argument("--tol", type=float, default=None, help="q(z) convergence tolerance")
     parser.add_argument("--subtypes", type=int, default=3, help="mixture components per class")
-    parser.add_argument("--lanczos-rank", type=int, default=None, help="Krylov dimension of GP solves")
+    parser.add_argument("--lanczos-rank", type=int, default=None,
+                        help="max rank of the GP kernel factor; wider features are SVD-truncated")
 
 
 def build_parser() -> argparse.ArgumentParser:

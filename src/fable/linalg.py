@@ -1,32 +1,32 @@
-"""Kernel construction and low-rank Gaussian posterior solves.
+"""Kernel construction and exact Gaussian posterior solves.
 
 The GP step of the label model needs, for every class/subtype pair, the
-posterior covariance ``(Sigma^-1 + diag(omega))^-1`` together with its
-action on a vector and its diagonal.  Inverting ``Sigma`` directly is
-unstable and O(N^3), so everything is routed through the algebraically
-equivalent form
+posterior covariance ``(K^-1 + diag(omega))^-1`` together with its
+action on a vector and its diagonal.  Every kernel here is kept as a
+factor plus a diagonal, ``K = F F^T + diag(s)`` with F of shape (N, r),
+and for that form the Woodbury identity gives the posterior exactly
+through one r x r core per pair:
 
-    Sigma - Sigma D^1/2 (I + D^1/2 Sigma D^1/2)^-1 D^1/2 Sigma,
+    Sigma_hat = diag(s t) + G C^-1 G^T,
+    t = 1 / (1 + s omega),  G = diag(t) F,  C = I + F^T diag(omega t) F.
 
-with the inner inverse approximated in the Krylov subspace of a Lanczos
-run.  ``Sigma`` stays factored whenever it comes from cosine similarity
-of features, so no N x N matrix is materialised for large N.
+C has eigenvalues >= 1, so the core stays well conditioned even when s
+is only the jitter, and no N x N matrix is formed or inverted.  Factors
+wider than a requested rank are cut to their leading singular
+directions first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.special import psi
 
 __all__ = [
     "NumericalError",
     "KernelMatrix",
     "cosine_kernel",
-    "LanczosFactors",
-    "lanczos",
     "SymmetricApprox",
     "lowrank_posterior",
     "pg_mean",
@@ -35,9 +35,6 @@ __all__ = [
 
 # relative tilt below which the PG mean switches to its c -> 0 limit b/4
 _PG_SMALL_TILT = 1e-8
-
-# relative residual at which a truncated posterior solve stops early
-_SOLVE_STOP_TOL = 1e-10
 
 
 class NumericalError(RuntimeError):
@@ -53,23 +50,20 @@ def _diag_mul(d: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric PSD matrix ``base + jitter * I`` with a cheap matvec.
+    """Symmetric PSD matrix ``factor @ factor.T + diag(diag_boost) + jitter * I``.
 
-    ``base`` is either an explicit dense matrix or the implicit Gram
-    matrix ``factor @ factor.T + diag(diag_boost)``.  The factored form
-    keeps similarity kernels of D-dimensional features at O(N * D)
-    storage and matvec cost; nothing is materialised unless ``values``
-    is asked for.
+    ``factor`` has shape (N, r), so storage and matvec cost O(N * r);
+    nothing N x N is materialised unless ``values`` is asked for.
     """
 
     n: int
     jitter: float
-    factor: np.ndarray | None = None
-    diag_boost: np.ndarray | None = None
-    dense: np.ndarray | None = None
+    factor: np.ndarray
+    diag_boost: np.ndarray
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, jitter: float = 0.0) -> "KernelMatrix":
+        """Factor a dense symmetric matrix once by ``eigh``, clipping negative eigenvalues to 0."""
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("kernel matrix must be square")
@@ -79,41 +73,48 @@ class KernelMatrix:
             raise ValueError("kernel matrix must be symmetric")
         if jitter < 0:
             raise ValueError("jitter must be nonnegative")
-        return cls(n=m.shape[0], jitter=float(jitter), dense=0.5 * (m + m.T))
+        evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
+        return cls(
+            n=m.shape[0],
+            jitter=float(jitter),
+            factor=evecs * np.sqrt(np.maximum(evals, 0.0)),
+            diag_boost=np.zeros(m.shape[0]),
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
 
+    @property
+    def noise(self) -> np.ndarray:
+        """The diagonal part s = diag_boost + jitter."""
+        return self.diag_boost + self.jitter
+
+    def truncated(self, rank: int) -> "KernelMatrix":
+        """This kernel with its factor cut to the leading ``rank`` singular directions.
+
+        A factor with at most ``rank`` columns is kept as it is, so the
+        kernel stays exact.
+        """
+        if rank < 1:
+            raise ValueError("rank must be at least 1")
+        if self.factor.shape[1] <= rank:
+            return self
+        u, sv, _ = np.linalg.svd(self.factor, full_matrices=False)
+        return replace(self, factor=u[:, :rank] * sv[:rank])
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if self.dense is not None:
-            out = self.dense @ v
-        else:
-            out = self.factor @ (self.factor.T @ v)
-            if self.diag_boost is not None:
-                out += _diag_mul(self.diag_boost, v)
-        return out + self.jitter * v
+        return self.factor @ (self.factor.T @ v) + _diag_mul(self.noise, v)
 
     def diagonal(self) -> np.ndarray:
-        if self.dense is not None:
-            base = np.diag(self.dense).copy()
-        else:
-            base = np.einsum("ij,ij->i", self.factor, self.factor)
-            if self.diag_boost is not None:
-                base = base + self.diag_boost
-        return base + self.jitter
+        return np.einsum("ij,ij->i", self.factor, self.factor) + self.noise
 
     @property
     def values(self) -> np.ndarray:
         """Materialised dense matrix; only sensible for small N."""
-        if self.dense is not None:
-            base = self.dense.copy()
-        else:
-            base = self.factor @ self.factor.T
-            if self.diag_boost is not None:
-                base[np.diag_indices(self.n)] += self.diag_boost
-        base[np.diag_indices(self.n)] += self.jitter
+        base = self.factor @ self.factor.T
+        base[np.diag_indices(self.n)] += self.noise
         return base
 
     def weighted_square_rowsum(self, weights: np.ndarray) -> np.ndarray:
@@ -121,17 +122,13 @@ class KernelMatrix:
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.n,):
             raise ValueError("weights must have one entry per row")
-        if self.dense is not None:
-            return (self.values ** 2) @ w
         f = self.factor
         second_moment = f.T @ _diag_mul(w, f)
         core = np.einsum("id,de,ie->i", f, second_moment, f)
         # off-diagonal entries are plain inner products; the diagonal also
-        # carries jitter and the zero-row boost, so patch those terms in.
+        # carries the noise term, so patch that in.
         inner_diag = np.einsum("ij,ij->i", f, f)
-        extra = self.jitter + (self.diag_boost if self.diag_boost is not None else 0.0)
-        full_diag = inner_diag + extra
-        return core + w * (full_diag ** 2 - inner_diag ** 2)
+        return core + w * ((inner_diag + self.noise) ** 2 - inner_diag ** 2)
 
 
 def cosine_kernel(features: np.ndarray, jitter: float = 1e-4) -> KernelMatrix:
@@ -159,192 +156,88 @@ def cosine_kernel(features: np.ndarray, jitter: float = 1e-4) -> KernelMatrix:
     )
 
 
-@dataclass(frozen=True)
-class LanczosFactors:
-    """Orthonormal basis ``q`` and tridiagonal ``t`` with A ~ q @ t @ q.T."""
-
-    q: np.ndarray
-    t: np.ndarray
-    rank: int
-
-
-def _solve_residual(alphas: np.ndarray, betas: np.ndarray, j: int, beta: float) -> float:
-    """Relative residual of the Krylov solve of ``A y = probe`` after j+1 steps.
-
-    With T the leading tridiagonal block, the residual norm equals
-    ``beta * |last component of T^-1 e_1|`` times the probe norm, so the
-    probe norm cancels from the relative criterion.
-    """
-    m = j + 1
-    bands = np.zeros((3, m))
-    bands[1] = alphas[:m]
-    if m > 1:
-        bands[0, 1:] = betas[: m - 1]
-        bands[2, :-1] = betas[: m - 1]
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    try:
-        y = solve_banded((1, 1), bands, e1)
-    except np.linalg.LinAlgError:
-        return np.inf
-    return float(beta * abs(y[-1]))
-
-
-def lanczos(
-    matvec,
-    probe: np.ndarray,
-    k: int,
-    stop_tol: float | None = None,
-) -> LanczosFactors:
-    """Run up to k Lanczos steps with full reorthogonalization.
-
-    ``matvec`` must realise a symmetric linear operator on R^N.  The
-    iteration stops early when the residual norm underflows, i.e. the
-    Krylov subspace became invariant; the returned ``rank`` reports how
-    many basis vectors were actually built.
-
-    When ``stop_tol`` is given, the iteration additionally stops once the
-    relative residual of the tridiagonal solve of ``A y = probe`` falls
-    below it, the classical conjugate-gradient criterion.  Spectra made of
-    a few spikes plus a tight cluster then finish in a handful of steps
-    instead of all k.
-    """
-    b = np.asarray(probe, dtype=float)
-    if b.ndim != 1 or b.size == 0:
-        raise ValueError("probe must be a nonempty vector")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("probe must be finite")
-    norm = np.linalg.norm(b)
-    if norm == 0.0:
-        raise ValueError("probe must be nonzero")
-    n = b.size
-    k = int(min(k, n))
-    if k < 1:
-        raise ValueError("rank must be at least 1")
-
-    q = np.zeros((n, k))
-    alphas = np.zeros(k)
-    betas = np.zeros(max(k - 1, 0))
-    q[:, 0] = b / norm
-    rank = k
-    for j in range(k):
-        w = matvec(q[:, j])
-        w = np.asarray(w, dtype=float)
-        if not np.all(np.isfinite(w)):
-            raise NumericalError("operator produced non-finite values")
-        alphas[j] = q[:, j] @ w
-        w = w - alphas[j] * q[:, j]
-        if j > 0:
-            w = w - betas[j - 1] * q[:, j - 1]
-        # full reorthogonalization against every basis vector built so far
-        w = w - q[:, : j + 1] @ (q[:, : j + 1].T @ w)
-        if j == k - 1:
-            break
-        beta = np.linalg.norm(w)
-        scale = max(1.0, float(np.max(np.abs(alphas[: j + 1]))))
-        if j > 0:
-            scale = max(scale, float(np.max(betas[:j])))
-        if beta <= 100.0 * n * np.finfo(float).eps * scale:
-            rank = j + 1
-            break
-        if stop_tol is not None and _solve_residual(alphas, betas, j, beta) <= stop_tol:
-            rank = j + 1
-            break
-        betas[j] = beta
-        q[:, j + 1] = w / beta
-
-    q = q[:, :rank]
-    t = np.diag(alphas[:rank])
-    if rank > 1:
-        off = betas[: rank - 1]
-        t += np.diag(off, 1) + np.diag(off, -1)
-    return LanczosFactors(q=q, t=t, rank=rank)
+def _quadratic_table(factor: np.ndarray) -> np.ndarray:
+    """Row-wise outer products F_i F_i^T, flattened to shape (N, r * r)."""
+    n, r = factor.shape
+    return (factor[:, :, None] * factor[:, None, :]).reshape(n, r * r)
 
 
 @dataclass(frozen=True)
 class SymmetricApprox:
-    """Low-rank form of the posterior covariance (Sigma^-1 + diag(omega))^-1.
+    """Posterior covariances (K^-1 + diag(omega_p))^-1, one per column p of omega.
 
-    ``apply`` realises matrix-vector products and ``diagonal`` the
-    materialised diagonal.  The inner inverse is completed with the
-    identity outside the Krylov subspace, which is exact at full rank and
-    keeps the approximation positive semidefinite when truncated.
+    ``scale`` holds t = 1 / (1 + s omega) in the shape of omega and
+    ``core_inv`` the inverted r x r cores, shape (P, r, r).  ``apply``
+    and ``diagonal`` work column by column and keep that shape, so a
+    1-D omega gives 1-D results.  ``rank`` is r, the factor width used.
     """
 
     prior: KernelMatrix
-    omega: np.ndarray
-    sqrt_omega: np.ndarray
-    basis: np.ndarray
-    inner_delta: np.ndarray
+    scale: np.ndarray
+    core_inv: np.ndarray
     rank: int
-    _diag: list = field(default_factory=list, repr=False)
-
-    def _inner_inverse(self, v: np.ndarray) -> np.ndarray:
-        return v + self.basis @ (self.inner_delta @ (self.basis.T @ v))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         v = np.asarray(vec, dtype=float)
-        if v.shape != (self.prior.n,):
-            raise ValueError("vector length must match the kernel size")
-        u = self.prior.matvec(v)
-        w = self._inner_inverse(self.sqrt_omega * u)
-        return u - self.prior.matvec(self.sqrt_omega * w)
+        if v.shape != self.scale.shape:
+            raise ValueError("vector shape must match omega")
+        f = self.prior.factor
+        t = self.scale.reshape(self.prior.n, -1)
+        tv = t * v.reshape(t.shape)
+        inner = np.matmul(self.core_inv, (f.T @ tv).T[:, :, None])[:, :, 0]
+        out = self.prior.noise[:, None] * tv + t * (f @ inner.T)
+        return out.reshape(v.shape)
 
     def diagonal(self) -> np.ndarray:
-        if not self._diag:
-            term_identity = self.prior.weighted_square_rowsum(self.omega)
-            scaled = _diag_mul(self.sqrt_omega, self.basis)
-            g = self.prior.matvec(scaled)
-            term_krylov = np.einsum("ij,jl,il->i", g, self.inner_delta, g)
-            diag = self.prior.diagonal() - term_identity - term_krylov
-            self._diag.append(np.maximum(diag, 0.0))
-        return self._diag[0].copy()
+        f = self.prior.factor
+        n, r = f.shape
+        t = self.scale.reshape(n, -1)
+        p = t.shape[1]
+        if r <= p:
+            quad = _quadratic_table(f) @ self.core_inv.reshape(p, r * r).T
+        else:
+            quad = np.einsum("pnr,nr->np", f @ self.core_inv, f)
+        diag = self.prior.noise[:, None] * t + t * t * quad
+        return np.maximum(diag, 0.0).reshape(self.scale.shape)
 
 
 def lowrank_posterior(
     prior: KernelMatrix,
-    omega_diag: np.ndarray,
+    omega: np.ndarray,
     rank: int | None = None,
-    probe_seed: int = 0,
 ) -> SymmetricApprox:
-    """Approximate (Sigma^-1 + diag(omega))^-1 without inverting Sigma.
+    """Exact (K^-1 + diag(omega))^-1 for every column of omega, without inverting K.
 
-    The inner solve runs Lanczos on I + D^1/2 Sigma D^1/2 (eigenvalues
-    >= 1, so the tridiagonal factor is always invertible).  The probe is
-    the all-ones vector with a tiny seeded perturbation so that no exact
-    symmetry can hide an eigendirection from the Krylov space.  Truncated
-    runs (rank < N) stop as soon as the Krylov solve residual drops below
-    ``_SOLVE_STOP_TOL``; full-rank runs always build the whole basis so
-    they reproduce the dense inverse exactly.
+    ``omega`` has shape (N,) for one solve or (N, P) for P solves that
+    share the prior.  ``rank`` caps the factor width r first (see
+    ``KernelMatrix.truncated``); None keeps the whole factor.  Cost is
+    O(N * r^2) per column, and no temporary exceeds O(N * r) per column.
     """
-    omega = np.asarray(omega_diag, dtype=float)
-    n = prior.n
-    if omega.shape != (n,):
-        raise ValueError("omega_diag must have one entry per item")
-    if not np.all(np.isfinite(omega)) or np.any(omega < 0):
-        raise ValueError("omega_diag must be finite and nonnegative")
-    k = min(n, 100) if rank is None else int(min(rank, n))
-    if k < 1:
-        raise ValueError("rank must be at least 1")
-
-    d = np.sqrt(omega)
-
-    def shifted(v: np.ndarray) -> np.ndarray:
-        return v + d * prior.matvec(d * v)
-
-    rng = np.random.default_rng(probe_seed)
-    probe = np.ones(n) + 1e-3 * rng.standard_normal(n)
-    factors = lanczos(shifted, probe, k, stop_tol=_SOLVE_STOP_TOL if k < n else None)
-    evals, evecs = np.linalg.eigh(factors.t)
-    evals = np.maximum(evals, 1e-12)
-    inner_delta = (evecs * (1.0 / evals - 1.0)) @ evecs.T
+    w = np.asarray(omega, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[0] != prior.n:
+        raise ValueError("omega must have one row per item")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("omega must be finite and nonnegative")
+    if rank is not None:
+        prior = prior.truncated(rank)
+    f = prior.factor
+    n, r = f.shape
+    cols = w.reshape(n, -1)
+    p = cols.shape[1]
+    t = 1.0 / (1.0 + prior.noise[:, None] * cols)
+    weights = cols * t
+    # the outer-product table costs N * r^2 memory and the scaled factor
+    # copies P * N * r: build whichever is smaller
+    if r <= p:
+        core = (weights.T @ _quadratic_table(f)).reshape(p, r, r)
+    else:
+        core = f.T @ (weights.T[:, :, None] * f)
+    core += np.eye(r)
     return SymmetricApprox(
         prior=prior,
-        omega=omega,
-        sqrt_omega=d,
-        basis=factors.q,
-        inner_delta=inner_delta,
-        rank=factors.rank,
+        scale=t.reshape(w.shape),
+        core_inv=np.linalg.inv(core),
+        rank=r,
     )
 
 

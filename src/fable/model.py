@@ -7,9 +7,9 @@ sum_jn sigmoid(f_ijn).  Three augmentations restore conjugacy: an
 exponential integral identity for the normaliser (lambda_i), a Poisson
 count on top of it (upsilon_ikm), and a Polya-Gamma completion of the
 sigmoids (omega_ikm).  Mean-field coordinate ascent then gives closed
-forms for every block; the Gaussian block is solved through the
-low-rank posterior in :mod:`fable.linalg` so the kernel is never
-inverted.
+forms for every block.  The Gaussian block solves all class/subtype
+pairs at once with the exact factor-plus-diagonal posterior in
+:mod:`fable.linalg`, so the kernel is never formed or inverted.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ __all__ = [
     "fable_fit",
 ]
 
-# every Lanczos probe inside a fit uses this fixed stream
-_PROBE_SEED = 0
-
-
 def logistic_softmax(f: np.ndarray) -> np.ndarray:
     """sigmoid(f) normalised over the trailing class/subtype plane.
 
@@ -75,9 +71,11 @@ class FableConfig:
 
     ``confusion_scale`` is the C in the diagonal confusion prior
     beta_kk = N * M * C; ``beta_diag`` overrides that product when set.
-    ``lanczos_rank`` caps the Krylov dimension of each GP solve (the
-    effective rank is min(rank, N)); ``xi_floor`` keeps the Gamma rate of
-    q(pi) positive when the GP mean drifts above 2 log 2.
+    ``lanczos_rank`` caps the rank r of the kernel factor behind the GP
+    solve: features with more than r dimensions are replaced once per fit
+    by their thin SVD truncated to r, and with at most r dimensions the
+    solve is exact.  ``xi_floor`` keeps the Gamma rate of q(pi) positive
+    when the GP mean drifts above 2 log 2.
     """
 
     subtypes: int = 3
@@ -132,10 +130,11 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     """Majority-vote warm start plus uninformative draws for the GP block.
 
     rho is the MV posterior spread over subtypes by a per-item Dirichlet
-    draw; the GP covariance starts at the cosine kernel itself; m_hat and
-    a are Uniform(0, 1); b is the augmented cell count K * M.  The class
-    prior alpha takes the MV class masses and the confusion prior diagonal
-    is N * M * C.
+    draw; the GP covariance starts at the cosine kernel itself, whose
+    factor is truncated to ``lanczos_rank`` columns when the features are
+    wider; m_hat and a are Uniform(0, 1); b is the augmented cell count
+    K * M.  The class prior alpha takes the MV class masses and the
+    confusion prior diagonal is N * M * C.
     """
     if config.subtypes < 1:
         raise ValueError("need at least one subtype")
@@ -158,7 +157,9 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     beta = np.full((k, k), float(config.beta_offdiag))
     np.fill_diagonal(beta, beta_diag)
 
-    kernel = cosine_kernel(dataset.features, jitter=config.kernel_jitter)
+    kernel = cosine_kernel(dataset.features, jitter=config.kernel_jitter).truncated(
+        config.lanczos_rank
+    )
     state = FableState(
         rho=rho,
         nu=np.zeros(k),
@@ -222,20 +223,15 @@ def fable_update_gp(state: FableState, config: FableConfig) -> FableState:
 
     E[omega_ikm] is the Polya-Gamma mean with shape E[pi] + gamma and
     tilt c; the right-hand side is E[pi] - E[upsilon] = phi/xi - gamma.
-    One low-rank solve runs per class/subtype pair.
+    One batched solve covers every class/subtype pair, one column each.
     """
-    n = state.m_hat.shape[0]
-    rank = min(config.lanczos_rank, n)
+    shape = state.m_hat.shape
     epi = state.phi / state.xi
-    for k in range(state.m_hat.shape[1]):
-        for m in range(state.m_hat.shape[2]):
-            omega = pg_mean(epi[:, k, m] + state.gamma[:, k, m], state.c[:, k, m])
-            post = lowrank_posterior(
-                state.kernel, omega, rank=rank, probe_seed=_PROBE_SEED
-            )
-            rhs = epi[:, k, m] - state.gamma[:, k, m]
-            state.m_hat[:, k, m] = 0.5 * post.apply(rhs)
-            state.sigma_diag[:, k, m] = post.diagonal()
+    omega = pg_mean(epi + state.gamma, state.c).reshape(shape[0], -1)
+    post = lowrank_posterior(state.kernel, omega)
+    rhs = (epi - state.gamma).reshape(omega.shape)
+    state.m_hat = 0.5 * post.apply(rhs).reshape(shape)
+    state.sigma_diag = post.diagonal().reshape(shape)
     return state
 
 
@@ -313,5 +309,6 @@ def fable_fit(
         converged=converged,
         delta_trace=deltas,
         xi_clamps=state.xi_clamps,
+        gp_rank=int(state.kernel.factor.shape[1]),
         wall_time_ms=1000.0 * (time.perf_counter() - start),
     )

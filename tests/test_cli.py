@@ -114,6 +114,28 @@ def test_aggregate_invalid_model_configuration_is_numerical_error(tmp_path):
     assert code == 4
 
 
+def test_aggregate_zero_gp_rank_is_numerical_error(tmp_path, capsys):
+    data = run_synth(tmp_path, size=20, seed=0)
+    code = main(
+        ["aggregate", "--method", "fable", "--dataset", str(data),
+         "--out", str(tmp_path / "x.json"), "--lanczos-rank", "0"]
+    )
+    assert code == 4
+    assert "rank must be at least 1" in capsys.readouterr().err
+
+
+def test_aggregate_records_gp_rank_outside_predictions(tmp_path):
+    data = run_synth(tmp_path, size=60, seed=1)
+    for method, rank in (("fable", 2), ("mv", None)):
+        out = tmp_path / f"{method}.json"
+        code = main(["aggregate", "--method", method, "--dataset", str(data),
+                     "--out", str(out), "--max-iters", "3"])
+        assert code == 0
+        assert json.loads((tmp_path / f"{method}.json.run.json").read_text())["gp_rank"] == rank
+        for entry in json.loads(out.read_text()).values():
+            assert set(entry) == {"prediction", "probs"}
+
+
 def test_aggregate_csv_directory_input(tmp_path):
     d = tmp_path / "dataset"
     d.mkdir()

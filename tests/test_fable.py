@@ -297,6 +297,22 @@ def test_fit_posterior_rows_normalized(small_synthetic):
     assert np.all(np.isfinite(post.probs))
     assert "xi_clamps" in post.diagnostics
     assert len(post.diagnostics["delta_trace"]) == post.n_iters
+    assert post.diagnostics["gp_rank"] == small_synthetic.features.shape[1]
+
+
+def test_fit_truncates_wide_features_to_rank():
+    d = random_dataset(3, n=40, k=2)
+    wide = Dataset(
+        features=np.random.default_rng(3).standard_normal((40, 12)),
+        lf_labels=d.lf_labels,
+        num_classes=2,
+        gold=d.gold,
+    )
+    config = FableConfig(subtypes=2, max_iters=3, lanczos_rank=5)
+    assert fable_init(wide, config, seed=0).kernel.factor.shape == (40, 5)
+    post = fable_fit(wide, config, seed=0)
+    assert post.diagnostics["gp_rank"] == 5
+    assert np.all(np.isfinite(post.probs))
 
 
 def test_fit_recovers_noiseless_labels():

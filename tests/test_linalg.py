@@ -1,4 +1,4 @@
-"""Kernels, the Krylov solver, and the special-function expectations."""
+"""Kernels, the exact posterior solve, and the special-function expectations."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from fable import (
     NumericalError,
     cosine_kernel,
     dirichlet_log_expectation,
-    lanczos,
     lowrank_posterior,
     pg_mean,
 )
@@ -75,80 +74,6 @@ def test_kernel_from_dense_rejects_asymmetry():
         KernelMatrix.from_dense(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
-# ----------------------------------------------------------------- lanczos
-
-
-def test_lanczos_identity_operator():
-    probe = np.array([3.0, 4.0])
-    factors = lanczos(lambda v: v, probe, k=1)
-    assert factors.rank == 1
-    assert np.allclose(factors.t, [[1.0]], atol=1e-12)
-    assert np.allclose(factors.q[:, 0], probe / 5.0, atol=1e-12)
-
-
-def test_lanczos_full_rank_reconstructs_matrix(rng):
-    for n in (10, 40, 80):
-        a = rng.standard_normal((n, n))
-        a = a @ a.T + n * np.eye(n)
-        factors = lanczos(lambda v: a @ v, rng.standard_normal(n), k=n)
-        assert factors.rank == n
-        approx = factors.q @ factors.t @ factors.q.T
-        assert np.linalg.norm(approx - a) / np.linalg.norm(a) < 1e-6
-
-
-def test_lanczos_basis_orthonormal_and_tridiagonal(rng):
-    n = 120
-    a = rng.standard_normal((n, n))
-    a = a @ a.T + n * np.eye(n)
-    factors = lanczos(lambda v: a @ v, rng.standard_normal(n), k=35)
-    gram = factors.q.T @ factors.q
-    assert np.max(np.abs(gram - np.eye(factors.rank))) < 1e-8
-    off = np.abs(np.triu(factors.t, 2))
-    assert np.max(off) == 0.0
-
-
-def test_lanczos_ritz_values_converge_monotonically(rng):
-    n = 60
-    a = rng.standard_normal((n, n))
-    a = a @ a.T + n * np.eye(n)
-    probe = rng.standard_normal(n)
-    top = np.linalg.eigvalsh(a).max()
-    last = -np.inf
-    for k in (5, 15, 30, 60):
-        ritz = np.linalg.eigvalsh(lanczos(lambda v: a @ v, probe, k=k).t).max()
-        assert ritz >= last - 1e-8
-        assert ritz <= top + 1e-8
-        last = ritz
-    assert last == pytest.approx(top, rel=1e-6)
-
-
-def test_lanczos_rejects_bad_probe():
-    with pytest.raises(ValueError):
-        lanczos(lambda v: v, np.zeros(4), k=2)
-    with pytest.raises(ValueError):
-        lanczos(lambda v: v, np.array([np.inf, 1.0]), k=1)
-
-
-def test_lanczos_flags_nonfinite_operator():
-    with pytest.raises(NumericalError):
-        lanczos(lambda v: v * np.nan, np.ones(4), k=2)
-
-
-def test_lanczos_early_stop_solves_accurately(rng):
-    # identity plus a rank-2 bump: the Krylov solve converges in a few
-    # steps, so the tolerance-based stop should trigger well before k
-    n = 200
-    u = rng.standard_normal((n, 2))
-    a = np.eye(n) + u @ u.T
-
-    factors = lanczos(lambda v: a @ v, np.ones(n), k=50, stop_tol=1e-10)
-    assert factors.rank <= 6
-    e1 = np.zeros(factors.rank)
-    e1[0] = np.linalg.norm(np.ones(n))
-    solution = factors.q @ np.linalg.solve(factors.t, e1)
-    assert np.linalg.norm(a @ solution - np.ones(n)) < 1e-8 * np.sqrt(n)
-
-
 # ------------------------------------------------------- posterior solves
 
 
@@ -207,6 +132,65 @@ def test_posterior_rejects_negative_omega(rng):
     kernel = random_spd_kernel(rng, 10)
     with pytest.raises(ValueError):
         lowrank_posterior(kernel, np.full(10, -0.5))
+
+
+def stable_dense_posterior(kernel: KernelMatrix, omega: np.ndarray) -> np.ndarray:
+    """K - K W (I + W K W)^-1 W K with W = diag(sqrt(omega)); never inverts K."""
+    dense = kernel.values
+    root = np.sqrt(omega)
+    inner = np.eye(kernel.n) + root[:, None] * dense * root[None, :]
+    return dense - dense @ (root[:, None] * np.linalg.solve(inner, root[:, None] * dense))
+
+
+def cosine_with_zero_rows(rng, n: int = 45) -> KernelMatrix:
+    x = rng.standard_normal((n, 3))
+    x[[2, 17]] = 0.0
+    return cosine_kernel(x)
+
+
+@pytest.mark.parametrize("make_kernel", [cosine_with_zero_rows, lambda rng: random_spd_kernel(rng, 30, 1e-6)])
+def test_batched_posterior_matches_columns_and_dense_oracle(rng, make_kernel):
+    kernel = make_kernel(rng)
+    n, p = kernel.n, 5
+    omega = rng.uniform(0.0, 2.0, size=(n, p))
+    omega[rng.random((n, p)) < 0.25] = 0.0
+    omega[:, 1] = 0.0
+    rhs = rng.standard_normal((n, p))
+
+    batched = lowrank_posterior(kernel, omega)
+    applied, diag = batched.apply(rhs), batched.diagonal()
+    assert applied.shape == diag.shape == (n, p)
+    for col in range(p):
+        single = lowrank_posterior(kernel, omega[:, col])
+        assert np.allclose(applied[:, col], single.apply(rhs[:, col]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(diag[:, col], single.diagonal(), rtol=1e-12, atol=1e-12)
+        dense = stable_dense_posterior(kernel, omega[:, col])
+        assert np.max(np.abs(applied[:, col] - dense @ rhs[:, col])) < 1e-10
+        assert np.max(np.abs(diag[:, col] - np.diag(dense))) < 1e-10
+
+
+def test_posterior_rank_caps_wide_cosine_kernel(rng):
+    kernel = cosine_kernel(rng.standard_normal((80, 30)))
+    omega = rng.uniform(0.0, 2.0, size=(80, 3))
+    post = lowrank_posterior(kernel, omega, rank=10)
+    assert post.rank == 10
+    diag = post.diagonal()
+    assert np.all(np.isfinite(diag)) and np.all(diag >= 0.0)
+    assert np.all(np.isfinite(post.apply(omega)))
+    assert lowrank_posterior(kernel, omega, rank=30).rank == 30
+
+
+def test_posterior_rejects_rank_below_one(rng):
+    kernel = cosine_kernel(rng.standard_normal((12, 2)))
+    with pytest.raises(ValueError):
+        lowrank_posterior(kernel, np.ones(12), rank=0)
+    with pytest.raises(ValueError):
+        kernel.truncated(0)
+
+
+def test_kernel_from_dense_clips_negative_eigenvalues():
+    kernel = KernelMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(kernel.values, 0.5, atol=1e-12)
 
 
 # ------------------------------------------------ scalar special functions
