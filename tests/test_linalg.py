@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import psi as digamma
 
+from fable import linalg
 from fable import (
     KernelMatrix,
     NumericalError,
@@ -98,8 +99,8 @@ def test_posterior_full_rank_matches_dense_inverse(rng, n):
 
 
 def test_posterior_diagonal_is_clamped_apply_diagonal(rng):
-    # diagonal() floors truncated-rank variances at zero; apply() reports
-    # the raw (possibly negative) value of the same low-rank form.
+    # diagonal() floors variances at zero against rounding (the solve
+    # itself is exact); apply() reports the raw value of the same form.
     kernel = random_spd_kernel(rng, 30)
     post = lowrank_posterior(kernel, rng.uniform(size=30), rank=12)
     diag = post.diagonal()
@@ -169,6 +170,19 @@ def test_batched_posterior_matches_columns_and_dense_oracle(rng, make_kernel):
         assert np.max(np.abs(diag[:, col] - np.diag(dense))) < 1e-10
 
 
+def test_posterior_chunked_columns_match_one_chunk(rng, monkeypatch):
+    kernel = cosine_kernel(rng.standard_normal((60, 4)))
+    omega = rng.uniform(0.0, 2.0, size=(60, 7))
+    rhs = rng.standard_normal((60, 7))
+    whole = lowrank_posterior(kernel, omega)
+    # two columns per chunk, so the last chunk is short
+    monkeypatch.setattr(linalg, "_CHUNK_ELEMENTS", 2 * 60 * 4)
+    chunked = lowrank_posterior(kernel, omega)
+    assert np.allclose(chunked.core_inv, whole.core_inv, rtol=1e-13, atol=1e-13)
+    assert np.allclose(chunked.diagonal(), whole.diagonal(), rtol=1e-13, atol=1e-13)
+    assert np.allclose(chunked.apply(rhs), whole.apply(rhs), rtol=1e-13, atol=1e-13)
+
+
 def test_posterior_rank_caps_wide_cosine_kernel(rng):
     kernel = cosine_kernel(rng.standard_normal((80, 30)))
     omega = rng.uniform(0.0, 2.0, size=(80, 3))
@@ -191,6 +205,19 @@ def test_posterior_rejects_rank_below_one(rng):
 def test_kernel_from_dense_clips_negative_eigenvalues():
     kernel = KernelMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(kernel.values, 0.5, atol=1e-12)
+    assert kernel.factor.shape == (2, 1)
+
+
+def test_kernel_from_dense_factor_width_is_numerical_rank(rng):
+    x = rng.standard_normal((20, 3))
+    kernel = KernelMatrix.from_dense(x @ x.T, jitter=1e-3)
+    assert kernel.factor.shape == (20, 3)
+    assert np.allclose(kernel.values, x @ x.T + 1e-3 * np.eye(20), atol=1e-10)
+    post = lowrank_posterior(kernel, rng.uniform(0.0, 2.0, size=20))
+    assert post.rank == 3
+    empty = KernelMatrix.from_dense(np.zeros((4, 4)), jitter=0.5)
+    assert empty.factor.shape == (4, 0)
+    assert np.allclose(lowrank_posterior(empty, np.ones(4)).diagonal(), 0.5 / 1.5)
 
 
 # ------------------------------------------------ scalar special functions
