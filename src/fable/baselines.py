@@ -6,6 +6,15 @@ latent mixture components per class, so the joint over an item's class z
 and subtype g factorises as tau_k * pi_km * prod_j v_{jkm,y_ij}; setting
 M = 1 recovers the conditionally independent model.  Inference is
 mean-field coordinate ascent with Dirichlet posteriors throughout.
+
+Every vote statistic goes through one representation: the sparse one-hot
+indicator of :func:`vote_onehot`, an (N, L*K) CSR matrix with a one in
+column j*K + y for each non-abstaining vote y_ij = y and nothing for an
+abstain.  Summing log confusion entries over an item's votes is then one
+product ``onehot @ table`` and the soft confusion counts are one product
+``onehot.T @ responsibilities``; the fits build the matrix once and keep
+it on their state, so a sweep never loops over labeling functions.
+Storage is one entry per non-abstaining vote.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.special import gammaln, psi, xlogy
 
 from .data import ABSTAIN, Dataset
@@ -21,6 +31,7 @@ from .linalg import NumericalError, dirichlet_log_expectation
 
 __all__ = [
     "Posterior",
+    "vote_onehot",
     "majority_vote",
     "dawid_skene",
     "EbccPriors",
@@ -84,21 +95,35 @@ def majority_vote(dataset: Dataset) -> Posterior:
     return _finish(counts / totals[:, None], n_iters=0)
 
 
-def _vote_log_scores(elog_v: np.ndarray, lf_labels: np.ndarray) -> np.ndarray:
+def vote_onehot(lf_labels: np.ndarray, k: int) -> sparse.csr_matrix:
+    """(N, L*K) indicator of the votes: column j*K + y is 1 where LF j voted y.
+
+    Abstains set nothing, so an item's row holds one entry per LF that
+    voted on it.  Entries are stored row by row in increasing column
+    order, so products with the matrix add an item's votes in LF order.
+    Votes outside {ABSTAIN, 0..K-1} raise ValueError: sparse products do
+    not check column indices, so such a vote would read out of bounds.
+    """
+    if np.any((lf_labels < ABSTAIN) | (lf_labels >= k)):
+        raise ValueError(f"votes must be {ABSTAIN} (abstain) or a class in 0..{k - 1}")
+    n, n_lf = lf_labels.shape
+    voted = lf_labels != ABSTAIN
+    columns = (np.arange(n_lf) * k + lf_labels)[voted]
+    indptr = np.concatenate(([0], np.cumsum(voted.sum(axis=1))))
+    return sparse.csr_matrix(
+        (np.ones(columns.size), columns, indptr), shape=(n, n_lf * k)
+    )
+
+
+def _vote_log_scores(elog_v: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarray:
     """sum_j E[log v_{jkm, y_ij}] over each item's non-abstaining LFs.
 
-    ``elog_v`` has shape (L, K, M, K); the result has shape (N, K, M).
+    ``elog_v`` has shape (L, K, M, K) and ``onehot`` is the
+    :func:`vote_onehot` matrix; the result has shape (N, K, M).
     """
-    n = lf_labels.shape[0]
-    _, k, m, _ = elog_v.shape
-    scores = np.zeros((n, k, m))
-    for j in range(lf_labels.shape[1]):
-        votes = lf_labels[:, j]
-        mask = votes != ABSTAIN
-        if not mask.any():
-            continue
-        scores[mask] += np.moveaxis(elog_v[j][:, :, votes[mask]], 2, 0)
-    return scores
+    n_lf, k, m, n_votes = elog_v.shape
+    table = elog_v.transpose(0, 3, 1, 2).reshape(n_lf * n_votes, k * m)
+    return (onehot @ table).reshape(-1, k, m)
 
 
 def _normalize_log_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +149,8 @@ def dawid_skene(
     keeps every confusion entry strictly positive.  The recorded trace is
     the observed-data log-likelihood at each iteration's parameters.
     """
-    n, k, n_lf = dataset.n_items, dataset.num_classes, dataset.n_lfs
-    votes = dataset.lf_labels
+    k = dataset.num_classes
+    onehot = vote_onehot(dataset.lf_labels, k)
     qz = majority_vote(dataset).probs
     trace = []
     n_iters = 0
@@ -133,22 +158,10 @@ def dawid_skene(
     for n_iters in range(1, max_iters + 1):
         prior = qz.sum(axis=0) + smoothing
         prior /= prior.sum()
-        counts = np.full((n_lf, k, k), smoothing)
-        for j in range(n_lf):
-            mask = votes[:, j] != ABSTAIN
-            if not mask.any():
-                continue
-            onehot = votes[mask, j][:, None] == np.arange(k)[None, :]
-            counts[j] += qz[mask].T @ onehot
+        counts = smoothing + _confusion_counts(qz[:, :, None], onehot)[:, :, 0, :]
         theta = counts / counts.sum(axis=2, keepdims=True)
-
-        scores = np.log(prior)[None, :].repeat(n, axis=0)
-        log_theta = np.log(theta)
-        for j in range(n_lf):
-            mask = votes[:, j] != ABSTAIN
-            if not mask.any():
-                continue
-            scores[mask] += log_theta[j][:, votes[mask, j]].T
+        log_theta = np.log(theta)[:, :, None, :]
+        scores = np.log(prior) + _vote_log_scores(log_theta, onehot)[:, :, 0]
         shifted = scores - scores.max(axis=1, keepdims=True)
         weights = np.exp(shifted)
         norms = weights.sum(axis=1, keepdims=True)
@@ -192,7 +205,8 @@ class EbccState:
 
     rho: (N, K, M) joint q(z_i = k, g_i = m); nu: (K,) class Dirichlet;
     eta: (K, M) subtype Dirichlets; mu: (L, K, M, K) confusion
-    Dirichlets; alpha, a_pi, beta echo the priors.
+    Dirichlets; alpha, a_pi, beta echo the priors; onehot: the
+    :func:`vote_onehot` matrix of the dataset, built once at init.
     """
 
     rho: np.ndarray
@@ -202,23 +216,18 @@ class EbccState:
     alpha: np.ndarray
     a_pi: float
     beta: np.ndarray
+    onehot: sparse.csr_matrix
 
     @property
     def qz(self) -> np.ndarray:
         return self.rho.sum(axis=2)
 
 
-def _confusion_counts(rho: np.ndarray, lf_labels: np.ndarray, k: int) -> np.ndarray:
-    n, _, m = rho.shape
-    counts = np.zeros((lf_labels.shape[1], rho.shape[1], m, k))
-    for j in range(lf_labels.shape[1]):
-        votes = lf_labels[:, j]
-        mask = votes != ABSTAIN
-        if not mask.any():
-            continue
-        onehot = (votes[mask][:, None] == np.arange(k)[None, :]).astype(float)
-        counts[j] = np.einsum("nkm,nl->kml", rho[mask], onehot)
-    return counts
+def _confusion_counts(rho: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarray:
+    """sum_i rho_ikm [y_ij = l] for each LF j, as an (L, K, M, K) array."""
+    n, k, m = rho.shape
+    counts = onehot.T @ rho.reshape(n, k * m)
+    return counts.reshape(-1, k, k, m).transpose(0, 2, 3, 1)
 
 
 def ebcc_init(
@@ -248,6 +257,7 @@ def ebcc_init(
         alpha=alpha,
         a_pi=float(priors.a_pi),
         beta=priors.beta_matrix(k),
+        onehot=vote_onehot(dataset.lf_labels, k),
     )
     ebcc_update_tau(state)
     ebcc_update_pi(state)
@@ -256,11 +266,15 @@ def ebcc_init(
 
 
 def ebcc_update_assignments(state: EbccState, dataset: Dataset) -> EbccState:
+    """rho_ikm propto exp(E[log tau_k] + E[log pi_km] + sum_j E[log v_jkm,y_ij]).
+
+    The votes are read from ``state.onehot``, built from ``dataset`` at init.
+    """
     elog_tau = dirichlet_log_expectation(state.nu)
     elog_pi = dirichlet_log_expectation(state.eta, axis=-1)
     elog_v = dirichlet_log_expectation(state.mu, axis=-1)
     scores = elog_tau[None, :, None] + elog_pi[None, :, :]
-    scores = scores + _vote_log_scores(elog_v, dataset.lf_labels)
+    scores = scores + _vote_log_scores(elog_v, state.onehot)
     state.rho, _ = _normalize_log_scores(scores)
     return state
 
@@ -276,7 +290,8 @@ def ebcc_update_pi(state: EbccState) -> EbccState:
 
 
 def ebcc_update_confusion(state: EbccState, dataset: Dataset) -> EbccState:
-    counts = _confusion_counts(state.rho, dataset.lf_labels, dataset.num_classes)
+    """mu_jkm = beta_k + soft counts of LF j's votes, from ``state.onehot``."""
+    counts = _confusion_counts(state.rho, state.onehot)
     state.mu = state.beta[None, :, None, :] + counts
     return state
 
@@ -301,7 +316,9 @@ def ebcc_elbo(state: EbccState, dataset: Dataset) -> float:
     """Full evidence lower bound: expected log joint plus entropies.
 
     Valid at any state, so it is non-decreasing across coordinate sweeps
-    regardless of where in the cycle it is evaluated.
+    regardless of where in the cycle it is evaluated.  The vote term
+    sum_ij rho_ikm E[log v_jkm,y_ij] is taken as soft confusion counts
+    against E[log v], from ``state.onehot``.
     """
     elog_tau = dirichlet_log_expectation(state.nu)
     elog_pi = dirichlet_log_expectation(state.eta, axis=-1)
@@ -324,7 +341,7 @@ def ebcc_elbo(state: EbccState, dataset: Dataset) -> float:
     value += float(
         ((state.beta[None, :, None, :] - 1.0) * elog_v).sum()
         - n_lf * m * _log_beta(state.beta, axis=-1).sum()
-        + (rho * _vote_log_scores(elog_v, dataset.lf_labels)).sum()
+        + (_confusion_counts(rho, state.onehot) * elog_v).sum()
     )
     value -= float(xlogy(rho, rho).sum())
     value += float(_dirichlet_entropy(state.nu))

@@ -80,6 +80,31 @@ def _parse_psi(args) -> object:
     return 1.0
 
 
+def _write_predictions(path, ids, posterior) -> None:
+    """Write ``{id: {"prediction", "probs"}}`` as JSON, one entry at a time.
+
+    For nonempty ``ids`` the bytes equal ``json.dump(payload, fh,
+    sort_keys=True, indent=2)`` plus a newline: ids sorted and escaped by
+    the json module's ASCII encoder, floats in their ``repr``.
+    ``json.dump`` with an indent runs the pure-Python encoder, which is
+    several times slower.
+    """
+    encode = json.encoder.encode_basestring_ascii
+    predictions = posterior.predictions.tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{")
+        separator = "\n"
+        for row in sorted(range(len(ids)), key=ids.__getitem__):
+            probs = ",\n      ".join(map(repr, posterior.probs[row].tolist()))
+            fh.write(
+                f"{separator}  {encode(ids[row])}: {{\n"
+                f'    "prediction": {predictions[row]},\n'
+                f'    "probs": [\n      {probs}\n    ]\n  }}'
+            )
+            separator = ",\n"
+        fh.write("\n}\n")
+
+
 def cmd_aggregate(args) -> int:
     dataset = _load_dataset(args.dataset)
     start = time.perf_counter()
@@ -95,16 +120,12 @@ def cmd_aggregate(args) -> int:
     wall_ms = 1000.0 * (time.perf_counter() - start)
 
     ids = dataset.ids or tuple(f"{i:08d}" for i in range(dataset.n_items))
-    payload = {
-        item_id: {
-            "prediction": int(posterior.predictions[row]),
-            "probs": [float(v) for v in posterior.probs[row]],
-        }
-        for row, item_id in enumerate(ids)
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_predictions(args.out, ids, posterior)
+    if posterior.diagnostics.get("converged") is False:
+        print(
+            f"warning: {args.method} stopped after {posterior.n_iters} sweeps without converging",
+            file=sys.stderr,
+        )
 
     metric_name = metric_value = None
     if dataset.gold is not None:

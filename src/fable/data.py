@@ -107,6 +107,8 @@ def validate(dataset: Dataset) -> ValidationReport:
         raise DatasetError("dataset must contain at least one item")
     if dataset.num_classes < 2:
         raise DatasetError("need at least two classes")
+    if dataset.n_lfs < 1:
+        raise DatasetError("need at least one labeling function")
     if not np.all(np.isfinite(dataset.features)):
         raise DatasetError("features must be finite")
     votes = dataset.lf_labels
@@ -124,7 +126,7 @@ def validate(dataset: Dataset) -> ValidationReport:
         if len(set(dataset.ids)) != dataset.n_items:
             raise DatasetError("ids must be unique")
     covered = votes != ABSTAIN
-    coverage = covered.mean(axis=0) if dataset.n_lfs else np.zeros(0)
+    coverage = covered.mean(axis=0)
     balance = None
     if dataset.gold is not None:
         balance = np.bincount(dataset.gold, minlength=dataset.num_classes)

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit, psi
 
 from .baselines import (
@@ -27,6 +28,7 @@ from .baselines import (
     _normalize_log_scores,
     _vote_log_scores,
     majority_vote,
+    vote_onehot,
 )
 from .data import Dataset
 from .linalg import (
@@ -97,7 +99,8 @@ class FableState:
     confusion Dirichlets; phi/xi: Gamma shape and rate of q(pi);
     m_hat/sigma_diag: GP posterior means and covariance diagonals;
     c: Polya-Gamma tilts; gamma: Poisson means; a/b: (N,) Gamma
-    parameters of the normaliser q(lambda); kernel: shared GP prior.
+    parameters of the normaliser q(lambda); kernel: shared GP prior;
+    onehot: the (N, L*K) vote indicator of :func:`fable.baselines.vote_onehot`.
     """
 
     rho: np.ndarray
@@ -114,6 +117,7 @@ class FableState:
     alpha: np.ndarray
     beta: np.ndarray
     kernel: KernelMatrix
+    onehot: sparse.csr_matrix
     xi_clamps: int = 0
 
     @property
@@ -175,6 +179,7 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
         alpha=mv.sum(axis=0),
         beta=beta,
         kernel=kernel,
+        onehot=vote_onehot(dataset.lf_labels, k),
     )
     fable_update_tau(state)
     fable_update_confusion(state, dataset)
@@ -184,12 +189,15 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
 
 
 def fable_update_assignments(state: FableState, dataset: Dataset) -> FableState:
-    """rho_ikm propto exp(E[log tau_k] + E[log pi_ikm] + sum_j E[log v_jkm,y_ij])."""
+    """rho_ikm propto exp(E[log tau_k] + E[log pi_ikm] + sum_j E[log v_jkm,y_ij]).
+
+    The votes are read from ``state.onehot``, built from ``dataset`` at init.
+    """
     elog_tau = dirichlet_log_expectation(state.nu)
     elog_pi = psi(state.phi) - np.log(state.xi)
     elog_v = dirichlet_log_expectation(state.mu, axis=-1)
     scores = elog_tau[None, :, None] + elog_pi
-    scores = scores + _vote_log_scores(elog_v, dataset.lf_labels)
+    scores = scores + _vote_log_scores(elog_v, state.onehot)
     state.rho, _ = _normalize_log_scores(scores)
     return state
 
@@ -200,7 +208,8 @@ def fable_update_tau(state: FableState) -> FableState:
 
 
 def fable_update_confusion(state: FableState, dataset: Dataset) -> FableState:
-    counts = _confusion_counts(state.rho, dataset.lf_labels, dataset.num_classes)
+    """mu_jkm = beta_k + soft counts of LF j's votes, from ``state.onehot``."""
+    counts = _confusion_counts(state.rho, state.onehot)
     state.mu = state.beta[None, :, None, :] + counts
     return state
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fable import (
     Dataset,
@@ -15,10 +17,20 @@ from fable import (
     majority_vote,
 )
 from fable.baselines import (
+    _confusion_counts,
+    _vote_log_scores,
     ebcc_update_assignments,
     ebcc_update_confusion,
     ebcc_update_pi,
     ebcc_update_tau,
+    vote_onehot,
+)
+from fable.data import ABSTAIN
+from fable.model import (
+    FableConfig,
+    fable_init,
+    fable_update_assignments,
+    fable_update_confusion,
 )
 
 from conftest import random_dataset
@@ -256,3 +268,164 @@ def test_ebcc_priors_reject_bad_alpha(small_synthetic):
         ebcc_init(small_synthetic, priors=EbccPriors(alpha=np.array([1.0, -1.0, 1.0, 1.0])))
     with pytest.raises(ValueError):
         ebcc_init(small_synthetic, subtypes=0)
+
+
+# ------------------------------------------------ one-hot vote statistics
+# The per-LF boolean-mask loops the vote statistics were computed with
+# before the one-hot products, kept as oracles.
+
+
+def _vote_log_scores_oracle(elog_v, lf_labels):
+    n = lf_labels.shape[0]
+    _, k, m, _ = elog_v.shape
+    scores = np.zeros((n, k, m))
+    for j in range(lf_labels.shape[1]):
+        votes = lf_labels[:, j]
+        mask = votes != ABSTAIN
+        if not mask.any():
+            continue
+        scores[mask] += np.moveaxis(elog_v[j][:, :, votes[mask]], 2, 0)
+    return scores
+
+
+def _confusion_counts_oracle(rho, lf_labels, k):
+    n, _, m = rho.shape
+    counts = np.zeros((lf_labels.shape[1], rho.shape[1], m, k))
+    for j in range(lf_labels.shape[1]):
+        votes = lf_labels[:, j]
+        mask = votes != ABSTAIN
+        if not mask.any():
+            continue
+        onehot = (votes[mask][:, None] == np.arange(k)[None, :]).astype(float)
+        counts[j] = np.einsum("nkm,nl->kml", rho[mask], onehot)
+    return counts
+
+
+def _dawid_skene_oracle(dataset, max_iters, tol=1e-6, smoothing=1e-9):
+    n, k, n_lf = dataset.n_items, dataset.num_classes, dataset.n_lfs
+    votes = dataset.lf_labels
+    qz = majority_vote(dataset).probs
+    trace = []
+    for _ in range(max_iters):
+        prior = qz.sum(axis=0) + smoothing
+        prior /= prior.sum()
+        counts = np.full((n_lf, k, k), smoothing)
+        for j in range(n_lf):
+            mask = votes[:, j] != ABSTAIN
+            if not mask.any():
+                continue
+            onehot = votes[mask, j][:, None] == np.arange(k)[None, :]
+            counts[j] += qz[mask].T @ onehot
+        theta = counts / counts.sum(axis=2, keepdims=True)
+
+        scores = np.log(prior)[None, :].repeat(n, axis=0)
+        log_theta = np.log(theta)
+        for j in range(n_lf):
+            mask = votes[:, j] != ABSTAIN
+            if not mask.any():
+                continue
+            scores[mask] += log_theta[j][:, votes[mask, j]].T
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        weights = np.exp(shifted)
+        norms = weights.sum(axis=1, keepdims=True)
+        trace.append(float((np.log(norms[:, 0]) + scores.max(axis=1)).sum()))
+        new_qz = weights / norms
+        delta = float(np.max(np.abs(new_qz - qz)))
+        qz = new_qz
+        if delta < tol:
+            break
+    return qz, np.asarray(trace)
+
+
+@st.composite
+def _votes(draw):
+    """Random votes with one always-abstaining LF and some items without votes."""
+    n = draw(st.integers(1, 40))
+    n_lf = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    votes = rng.integers(ABSTAIN, k, size=(n, n_lf))
+    votes[:, draw(st.integers(0, n_lf - 1))] = ABSTAIN
+    votes[rng.random(n) < 0.25] = ABSTAIN
+    return votes, k, m, rng
+
+
+_ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def test_vote_onehot_marks_one_column_per_vote():
+    votes = np.array([[1, -1, 0], [-1, -1, -1], [0, 2, 2]])
+    onehot = vote_onehot(votes, 3)
+    expected = np.zeros((3, 9))
+    expected[0, [1, 6]] = 1.0
+    expected[2, [0, 5, 8]] = 1.0
+    assert onehot.shape == (3, 9)
+    assert onehot.nnz == 5
+    assert np.array_equal(onehot.toarray(), expected)
+
+
+@pytest.mark.parametrize("bad", [-2, 3])
+def test_vote_onehot_rejects_out_of_range_votes(bad):
+    votes = np.array([[0, 1], [bad, -1]])
+    with pytest.raises(ValueError, match="votes must be"):
+        vote_onehot(votes, 3)
+    with pytest.raises(ValueError, match="votes must be"):
+        ebcc_fit(_dataset(votes, k=3), max_iters=2)
+
+
+@_ORACLE_SETTINGS
+@given(_votes())
+def test_vote_log_scores_match_mask_loop(case):
+    votes, k, m, rng = case
+    elog_v = np.log(rng.dirichlet(np.ones(k), size=(votes.shape[1], k, m)))
+    got = _vote_log_scores(elog_v, vote_onehot(votes, k))
+    assert got.shape == (votes.shape[0], k, m)
+    assert np.allclose(got, _vote_log_scores_oracle(elog_v, votes), rtol=0, atol=1e-10)
+
+
+@_ORACLE_SETTINGS
+@given(_votes())
+def test_confusion_counts_match_mask_loop(case):
+    votes, k, m, rng = case
+    rho = rng.dirichlet(np.ones(k * m), size=votes.shape[0]).reshape(-1, k, m)
+    got = _confusion_counts(rho, vote_onehot(votes, k))
+    expected = _confusion_counts_oracle(rho, votes, k)
+    assert got.shape == expected.shape
+    assert np.allclose(got, expected, rtol=0, atol=1e-10)
+    # the ELBO's vote term, as counts against E[log v] and as per-item scores
+    elog_v = np.log(rng.dirichlet(np.ones(k), size=(votes.shape[1], k, m)))
+    by_counts = (got * elog_v).sum()
+    by_items = (rho * _vote_log_scores_oracle(elog_v, votes)).sum()
+    assert by_counts == pytest.approx(by_items, rel=1e-10, abs=1e-10)
+
+
+@_ORACLE_SETTINGS
+@given(_votes())
+def test_dawid_skene_matches_mask_loop(case):
+    votes, k, _, rng = case
+    d = _dataset(votes, k=k)
+    post = dawid_skene(d, max_iters=15)
+    qz, trace = _dawid_skene_oracle(d, max_iters=15)
+    assert np.allclose(post.probs, qz, rtol=0, atol=1e-10)
+    assert post.elbo_trace.shape == trace.shape
+    assert np.allclose(post.elbo_trace, trace, rtol=1e-12, atol=1e-10)
+
+
+def test_sweeps_leave_onehot_untouched(small_synthetic):
+    d = small_synthetic
+    ebcc = ebcc_init(d, subtypes=2, seed=0)
+    fable = fable_init(d, FableConfig(subtypes=2), seed=0)
+    for state, assign, confuse in (
+        (ebcc, ebcc_update_assignments, ebcc_update_confusion),
+        (fable, fable_update_assignments, fable_update_confusion),
+    ):
+        onehot = state.onehot
+        before = (onehot.data.copy(), onehot.indices.copy(), onehot.indptr.copy())
+        for _ in range(3):
+            assign(state, d)
+            confuse(state, d)
+        assert state.onehot is onehot
+        for arr, saved in zip((onehot.data, onehot.indices, onehot.indptr), before):
+            assert np.array_equal(arr, saved)
+        assert np.array_equal(onehot.toarray(), vote_onehot(d.lf_labels, d.num_classes).toarray())

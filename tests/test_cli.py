@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from fable import load_json
-from fable.cli import main
+from fable.baselines import _finish
+from fable.cli import _write_predictions, main
 
 
 def run_synth(tmp_path, name="d.json", size=200, seed=0, extra=()):
@@ -134,6 +135,58 @@ def test_aggregate_records_gp_rank_outside_predictions(tmp_path):
         assert json.loads((tmp_path / f"{method}.json.run.json").read_text())["gp_rank"] == rank
         for entry in json.loads(out.read_text()).values():
             assert set(entry) == {"prediction", "probs"}
+
+
+def test_aggregate_zero_lf_dataset_is_data_error(tmp_path, capsys):
+    data = tmp_path / "nolf.json"
+    data.write_text(json.dumps({
+        "a": {"label": 0, "weak_labels": [], "data": {"feature": [0.0]}},
+        "b": {"label": 1, "weak_labels": [], "data": {"feature": [1.0]}},
+    }))
+    for method in ("mv", "ds", "ibcc", "ebcc", "fable"):
+        out = tmp_path / f"{method}.json"
+        code = main(["aggregate", "--method", method, "--dataset", str(data), "--out", str(out)])
+        assert code == 3
+        assert "need at least one labeling function" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_aggregate_warns_when_fit_stops_unconverged(tmp_path, capsys):
+    data = run_synth(tmp_path, size=60, seed=1)
+    for method, iters, warns in (("fable", "2", True), ("ds", "500", False), ("mv", "2", False)):
+        out = tmp_path / f"{method}.json"
+        code = main(["aggregate", "--method", method, "--dataset", str(data),
+                     "--out", str(out), "--max-iters", iters])
+        assert code == 0
+        err = capsys.readouterr().err
+        if warns:
+            assert err == f"warning: {method} stopped after {iters} sweeps without converging\n"
+        else:
+            assert err == ""
+        record = json.loads((tmp_path / f"{method}.json.run.json").read_text())
+        assert record["converged"] is (None if method == "mv" else not warns)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_predictions_writer_matches_json_dump(tmp_path, k):
+    ids = ("b", 'quo"te', "back\\slash", "caf\u00e9", "\u2603 snow", "a\ttab", "00000010", "00000002")
+    rng = np.random.default_rng(k)
+    posterior = _finish(rng.random((len(ids), k)) ** 3, n_iters=0)
+    payload = {
+        item_id: {
+            "prediction": int(posterior.predictions[row]),
+            "probs": [float(v) for v in posterior.probs[row]],
+        }
+        for row, item_id in enumerate(ids)
+    }
+    oracle = tmp_path / "oracle.json"
+    with open(oracle, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    out = tmp_path / "out.json"
+    _write_predictions(out, ids, posterior)
+    assert out.read_bytes() == oracle.read_bytes()
+    assert json.loads(out.read_text()) == payload
 
 
 def test_aggregate_csv_directory_input(tmp_path):

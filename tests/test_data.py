@@ -64,6 +64,12 @@ def test_validate_rejects_out_of_range_votes():
         validate(d)
 
 
+def test_validate_rejects_zero_lfs():
+    d = Dataset(features=np.zeros((2, 1)), lf_labels=np.zeros((2, 0), dtype=int), num_classes=2)
+    with pytest.raises(DatasetError, match="at least one labeling function"):
+        validate(d)
+
+
 def test_validate_rejects_bad_gold():
     d = Dataset(
         features=np.zeros((2, 1)),
