@@ -54,7 +54,9 @@ class Posterior:
     ``probs`` holds the per-item class distribution and ``predictions``
     its argmax (ties broken toward the lowest class index).
     ``elbo_trace`` carries one objective value per sweep when the fit was
-    asked to record it; ``diagnostics`` carries convergence details.
+    asked to record it; ``diagnostics`` carries convergence details and
+    ``predicted_classes``, the number of distinct predicted classes, which
+    is 1 when the fit put every item in one class.
     """
 
     probs: np.ndarray
@@ -73,9 +75,12 @@ def _finish(probs, n_iters, elbo_trace=None, **diag) -> Posterior:
     if not np.all(np.isfinite(probs)):
         raise NumericalError("posterior probabilities became non-finite")
     probs = probs / probs.sum(axis=1, keepdims=True)
+    predictions = _predictions(probs)
+    # a fit that puts every item in one class has collapsed (degenerate)
+    diag["predicted_classes"] = int(np.count_nonzero(np.bincount(predictions)))
     return Posterior(
         probs=probs,
-        predictions=_predictions(probs),
+        predictions=predictions,
         n_iters=n_iters,
         elbo_trace=None if elbo_trace is None else np.asarray(elbo_trace),
         diagnostics=diag,

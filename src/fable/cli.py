@@ -18,7 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetError, default_synthetic_spec, generate_synthetic, load_csv, load_json, save_json
+from .data import (
+    DatasetError,
+    _write_json_object,
+    default_synthetic_spec,
+    generate_synthetic,
+    load_csv,
+    load_json,
+    save_json,
+)
 from .linalg import NumericalError
 from .metrics import f1_binary
 from .studies import (
@@ -50,6 +58,7 @@ class RunRecord:
     n_iters: int
     converged: bool | None
     gp_rank: int | None
+    predicted_classes: int
     wall_time_ms: float
 
     def write(self, path) -> None:
@@ -81,28 +90,23 @@ def _parse_psi(args) -> object:
 
 
 def _write_predictions(path, ids, posterior) -> None:
-    """Write ``{id: {"prediction", "probs"}}`` as JSON, one entry at a time.
-
-    For nonempty ``ids`` the bytes equal ``json.dump(payload, fh,
-    sort_keys=True, indent=2)`` plus a newline: ids sorted and escaped by
-    the json module's ASCII encoder, floats in their ``repr``.
-    ``json.dump`` with an indent runs the pure-Python encoder, which is
-    several times slower.
-    """
-    encode = json.encoder.encode_basestring_ascii
+    """Write ``{id: {"prediction", "probs"}}`` as ``json.dump(sort_keys=True, indent=2)`` would."""
     predictions = posterior.predictions.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{")
-        separator = "\n"
-        for row in sorted(range(len(ids)), key=ids.__getitem__):
-            probs = ",\n      ".join(map(repr, posterior.probs[row].tolist()))
-            fh.write(
-                f"{separator}  {encode(ids[row])}: {{\n"
-                f'    "prediction": {predictions[row]},\n'
-                f'    "probs": [\n      {probs}\n    ]\n  }}'
+    probs = posterior.probs.tolist()
+    # probs is never empty, so the list is joined inline; calling the
+    # general list helper of save_json per row made this writer slower
+    separator = ",\n      "
+    _write_json_object(
+        path,
+        (
+            (
+                ids[row],
+                f'{{\n    "prediction": {predictions[row]},\n'
+                f'    "probs": [\n      {separator.join(map(repr, probs[row]))}\n    ]\n  }}',
             )
-            separator = ",\n"
-        fh.write("\n}\n")
+            for row in sorted(range(len(ids)), key=ids.__getitem__)
+        ),
+    )
 
 
 def cmd_aggregate(args) -> int:
@@ -126,6 +130,8 @@ def cmd_aggregate(args) -> int:
             f"warning: {args.method} stopped after {posterior.n_iters} sweeps without converging",
             file=sys.stderr,
         )
+    if posterior.diagnostics["predicted_classes"] == 1:
+        print(f"warning: {args.method} put every item in one class", file=sys.stderr)
 
     metric_name = metric_value = None
     if dataset.gold is not None:
@@ -153,6 +159,7 @@ def cmd_aggregate(args) -> int:
         n_iters=posterior.n_iters,
         converged=posterior.diagnostics.get("converged"),
         gp_rank=posterior.diagnostics.get("gp_rank"),
+        predicted_classes=posterior.diagnostics["predicted_classes"],
         wall_time_ms=wall_ms,
     )
     record.write(args.record or f"{args.out}.run.json")
@@ -172,6 +179,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _write_csv(path, fields, rows) -> None:
+    """One CSV row per dict in ``rows``, floats in their ``repr``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f] for f in fields])
+
+
 def cmd_study_corr(args) -> int:
     rows, r, p = correlation_study(
         trials=args.trials,
@@ -183,12 +199,7 @@ def cmd_study_corr(args) -> int:
         max_iters=args.max_iters,
         lanczos_rank=args.lanczos_rank,
     )
-    fields = ["trial", "seed", "corr", "metric", "ebcc", "fable", "delta"]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f] for f in fields])
+    _write_csv(args.out, ["trial", "seed", "corr", "metric", "ebcc", "fable", "delta"], rows)
     print(f"pearson_r={r:.4f} p_value={p:.6g} trials={len(rows)}")
     return 0
 
@@ -205,12 +216,9 @@ def cmd_bench_size(args) -> int:
         lanczos_rank=args.lanczos_rank,
     )
     summary = summarize_size_study(rows)
-    fields = ["method", "size", "runs", "metric", "mean", "std"]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in summary:
-            writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f] for f in fields])
+    _write_csv(args.out, ["method", "size", "runs", "metric", "mean", "std"], summary)
+    if args.runs_out is not None:
+        _write_csv(args.runs_out, ["method", "size", "run", "seed", "metric", "value", "n_iters"], rows)
     for row in summary:
         print(f"{row['method']:>6} n={row['size']:<6} {row['metric']}={row['mean']:.4f} +-{row['std']:.4f}")
     return 0
@@ -285,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--methods", type=_method_list, default=list(METHODS))
     bench.add_argument("--psi", type=float, default=1.0)
     bench.add_argument("--out", required=True, help="summary CSV path")
+    bench.add_argument("--runs-out", default=None, help="per-fit CSV path (one row per method, size and run)")
     _add_fit_flags(bench)
     bench.set_defaults(func=cmd_bench_size)
     return parser

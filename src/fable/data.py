@@ -5,6 +5,9 @@ functions.  Votes live in {0..K-1} with ``ABSTAIN`` (-1) marking items a
 labeling function declined to vote on.  Everything downstream treats the
 collection transductively: models see all items at once and there is no
 train/test split.
+
+``save_json`` streams the canonical JSON form entry by entry rather than
+through ``json.dump``; the bytes are the same.
 """
 
 from __future__ import annotations
@@ -205,11 +208,38 @@ def load_json(path, num_classes: int | None = None, name: str | None = None) -> 
     return dataset
 
 
+def _json_list(items, indent: str) -> str:
+    """Encoded ``items`` laid out as ``json.dump(indent=2)`` lays out a list at ``indent``."""
+    body = (",\n" + indent + "  ").join(items)
+    return f"[\n{indent}  {body}\n{indent}]" if body else "[]"
+
+
+def _write_json_object(path, entries) -> None:
+    """Write ``(key, encoded value)`` pairs as one JSON object, one ``write`` per entry.
+
+    For nonempty ``entries`` given in sorted key order, whose values are
+    laid out for an entry at depth one, the bytes equal ``json.dump(obj,
+    fh, sort_keys=True, indent=2)`` plus a newline: keys are escaped by
+    the json module's ASCII encoder.  ``json.dump`` with an indent runs
+    the pure-Python encoder, which is several times slower.
+    """
+    encode = json.encoder.encode_basestring_ascii
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{")
+        separator = "\n"
+        for key, value in entries:
+            fh.write(f"{separator}  {encode(key)}: {value}")
+            separator = ",\n"
+        fh.write("\n}\n")
+
+
 def save_json(dataset: Dataset, path) -> None:
     """Write the canonical JSON form (sorted ids, two-space indent).
 
-    Loading the result reproduces the dataset exactly; saving it again
-    reproduces the file byte for byte.
+    The file is streamed entry by entry, floats in their ``repr``, with
+    the same bytes as ``json.dump(payload, sort_keys=True, indent=2)``
+    plus a newline.  Loading the result reproduces the dataset exactly;
+    saving it again reproduces the file byte for byte.
     """
     validate(dataset)
     ids = dataset.ids
@@ -217,16 +247,20 @@ def save_json(dataset: Dataset, path) -> None:
         ids = tuple(f"{i:08d}" for i in range(dataset.n_items))
     elif list(ids) != sorted(ids):
         raise DatasetError("item ids must be lexicographically sorted to save")
-    payload = {}
-    for row, item_id in enumerate(ids):
-        payload[item_id] = {
-            "label": int(dataset.gold[row]) if dataset.gold is not None else None,
-            "weak_labels": [int(v) for v in dataset.lf_labels[row]],
-            "data": {"feature": [float(v) for v in dataset.features[row]]},
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    gold = dataset.gold.tolist() if dataset.gold is not None else [None] * dataset.n_items
+    entries = (
+        (
+            item_id,
+            "{\n"
+            f'    "data": {{\n      "feature": {_json_list(map(repr, feature), "      ")}\n    }},\n'
+            f'    "label": {"null" if label is None else label},\n'
+            f'    "weak_labels": {_json_list(map(str, votes), "    ")}\n  }}',
+        )
+        for item_id, feature, label, votes in zip(
+            ids, dataset.features.tolist(), gold, dataset.lf_labels.tolist()
+        )
+    )
+    _write_json_object(path, entries)
 
 
 def _load_int_csv(path, what: str) -> np.ndarray:

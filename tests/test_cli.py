@@ -1,9 +1,12 @@
 """Command-line surface: exit codes, output formats, and determinism."""
 
 import csv
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,18 +156,62 @@ def test_aggregate_zero_lf_dataset_is_data_error(tmp_path, capsys):
 
 def test_aggregate_warns_when_fit_stops_unconverged(tmp_path, capsys):
     data = run_synth(tmp_path, size=60, seed=1)
-    for method, iters, warns in (("fable", "2", True), ("ds", "500", False), ("mv", "2", False)):
+    # ds converges here but collapses to one class, which has its own warning
+    for method, iters, warns, collapses in (
+        ("fable", "2", True, False), ("ds", "500", False, True), ("mv", "2", False, False)
+    ):
         out = tmp_path / f"{method}.json"
         code = main(["aggregate", "--method", method, "--dataset", str(data),
                      "--out", str(out), "--max-iters", iters])
         assert code == 0
         err = capsys.readouterr().err
+        expected = ""
         if warns:
-            assert err == f"warning: {method} stopped after {iters} sweeps without converging\n"
-        else:
-            assert err == ""
+            expected += f"warning: {method} stopped after {iters} sweeps without converging\n"
+        if collapses:
+            expected += f"warning: {method} put every item in one class\n"
+        assert err == expected
         record = json.loads((tmp_path / f"{method}.json.run.json").read_text())
         assert record["converged"] is (None if method == "mv" else not warns)
+
+
+def test_aggregate_flags_single_class_fit(tmp_path, capsys):
+    # on the default synthetic data ds puts every item in one class
+    data = run_synth(tmp_path, size=200, seed=0)
+    for method, classes in (("ds", 1), ("fable", 4), ("mv", 4)):
+        out = tmp_path / f"{method}.json"
+        code = main(["aggregate", "--method", method, "--dataset", str(data),
+                     "--out", str(out), "--max-iters", "20"])
+        assert code == 0
+        warning = f"warning: {method} put every item in one class\n"
+        assert (warning in capsys.readouterr().err) is (classes == 1)
+        record = json.loads((tmp_path / f"{method}.json.run.json").read_text())
+        assert record["predicted_classes"] == classes
+        predictions = json.loads(out.read_text())
+        assert len({entry["prediction"] for entry in predictions.values()}) == classes
+        assert all(set(entry) == {"prediction", "probs"} for entry in predictions.values())
+
+
+def test_synth_bytes_are_pinned(tmp_path):
+    # digest of the file written by json.dump(sort_keys=True, indent=2) before
+    # save_json streamed its output; the streamed file must keep every byte
+    out = run_synth(tmp_path, size=1000, seed=0)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "242fee3efbf60e95ad57fa91cdde23f547811e38b8a19677361a0d4e5bf8a657"
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about 0.4 s to import, paid by every command
+    code = (
+        "import sys, fable, fable.cli; "
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats')); "
+        "print(' '.join(loaded))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 @pytest.mark.parametrize("k", [2, 5])
@@ -228,6 +275,35 @@ def test_bench_size_summarizes_methods_by_size(tmp_path):
     for row in rows[1:]:
         assert 0.0 <= float(row[4]) <= 1.0
         assert int(row[2]) == 2
+
+
+def test_bench_size_writes_per_fit_rows(tmp_path):
+    out = tmp_path / "bench.csv"
+    runs_out = tmp_path / "runs.csv"
+    code = main(
+        ["bench-size", "--sizes", "40,60", "--runs", "2", "--methods", "mv,ds", "--seed", "3",
+         "--max-iters", "5", "--out", str(out), "--runs-out", str(runs_out)]
+    )
+    assert code == 0
+    rows = list(csv.reader(runs_out.open()))
+    assert rows[0] == ["method", "size", "run", "seed", "metric", "value", "n_iters"]
+    assert [row[:4] for row in rows[1:]] == [
+        [method, size, run, str(3 ^ int(run))]
+        for size in ("40", "60") for run in ("0", "1") for method in ("mv", "ds")
+    ]
+    for row in rows[1:]:
+        assert row[4] == "accuracy"
+        assert repr(float(row[5])) == row[5]
+        assert 0.0 <= float(row[5]) <= 1.0
+        if row[0] == "mv":
+            assert row[6] == "0"
+        else:
+            assert 1 <= int(row[6]) <= 5
+    # the summary is the mean of the per-fit values
+    summary = list(csv.reader(out.open()))[1:]
+    for method, size, _, _, mean, _ in summary:
+        values = [float(r[5]) for r in rows[1:] if r[0] == method and r[1] == size]
+        assert float(mean) == pytest.approx(np.mean(values), abs=1e-15)
 
 
 def test_bench_size_rejects_bad_sizes():

@@ -191,6 +191,70 @@ def test_save_json_requires_sorted_ids(tmp_path):
         save_json(d, tmp_path / "x.json")
 
 
+def json_dump_oracle(dataset: Dataset, path) -> None:
+    """The canonical form written with the json module's own encoder."""
+    ids = dataset.ids or tuple(f"{i:08d}" for i in range(dataset.n_items))
+    payload = {
+        item_id: {
+            "label": None if dataset.gold is None else int(dataset.gold[row]),
+            "weak_labels": [int(v) for v in dataset.lf_labels[row]],
+            "data": {"feature": [float(v) for v in dataset.features[row]]},
+        }
+        for row, item_id in enumerate(ids)
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+SPECIAL_FLOATS = [-0.0, 1e-300, 1e300, 0.1, -2.5, 123456789.125]
+
+
+@pytest.mark.parametrize(
+    "dataset",
+    [
+        Dataset(  # no gold labels: written as null
+            features=np.array([[0.5, -1.0], [2.0, 0.25]]),
+            lf_labels=np.array([[0, ABSTAIN], [1, 1]]),
+            num_classes=2,
+        ),
+        Dataset(  # zero feature columns
+            features=np.zeros((3, 0)),
+            lf_labels=np.array([[0, 1], [1, ABSTAIN], [ABSTAIN, ABSTAIN]]),
+            num_classes=2,
+            gold=np.array([0, 1, 1]),
+        ),
+        Dataset(  # a single item
+            features=np.array([SPECIAL_FLOATS]),
+            lf_labels=np.array([[4]]),
+            num_classes=5,
+            gold=np.array([3]),
+        ),
+        Dataset(  # ids that need escaping, K = 2
+            features=np.array([SPECIAL_FLOATS[:3], SPECIAL_FLOATS[3:], SPECIAL_FLOATS[1:4], SPECIAL_FLOATS[2:5]]),
+            lf_labels=np.array([[0, 1], [ABSTAIN, 1], [1, 0], [ABSTAIN, ABSTAIN]]),
+            num_classes=2,
+            gold=np.array([1, 0, 1, 0]),
+            ids=sorted(['quo"te', "back\\slash", "caf\u00e9", "\u2603 snow"]),
+        ),
+        Dataset(  # K = 5, ids whose lexicographic order is not their numeric order
+            features=np.array([[v, -v] for v in SPECIAL_FLOATS]),
+            lf_labels=np.array([[k % 5, ABSTAIN, (k + 2) % 5] for k in range(6)]),
+            num_classes=5,
+            gold=np.array([4, 3, 2, 1, 0, 4]),
+            ids=sorted(["10", "2", "a\ttab", "b", "00000010", "00000002"]),
+        ),
+    ],
+    ids=["no-gold", "no-features", "single-item", "escaped-ids-k2", "k5"],
+)
+def test_save_json_matches_json_dump(tmp_path, dataset):
+    out = tmp_path / "out.json"
+    oracle = tmp_path / "oracle.json"
+    save_json(dataset, out)
+    json_dump_oracle(dataset, oracle)
+    assert out.read_bytes() == oracle.read_bytes()
+
+
 def test_load_csv_round_trip(tmp_path):
     features = tmp_path / "features.csv"
     labels = tmp_path / "labels.csv"

@@ -1,7 +1,10 @@
 """Metrics: accuracy, binary F1, distance correlation, and Pearson r."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from fable import (
@@ -207,6 +210,38 @@ def test_pearson_hand_example():
     assert r == pytest.approx(5.5 / np.sqrt(43.75), abs=1e-12)
     assert r == pytest.approx(0.8315218406202999, abs=1e-12)
     assert p == pytest.approx(0.1684781593797, abs=1e-10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 200),
+    st.sampled_from(["independent", "collinear", "near_constant", "scaled"]),
+    st.integers(-15, 0),
+)
+def test_pearson_matches_scipy_stats(seed, n, kind, log_noise):
+    # scipy.stats is the oracle here only; the package never imports it
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    noise = 10.0**log_noise * rng.standard_normal(n)
+    if kind == "independent":
+        y = rng.standard_normal(n)
+    elif kind == "collinear":
+        y = rng.uniform(-3.0, 3.0) * x + noise
+    elif kind == "near_constant":
+        y = 1e6 + 1e-4 * rng.standard_normal(n) + 1e-4 * noise
+    else:
+        x, y = 1e150 * x, 1e-150 * (x + rng.standard_normal(n))
+    if np.ptp(y) == 0.0:
+        return
+    r, p = pearson_r(x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on nearly constant input
+        expected = scipy.stats.pearsonr(x, y)
+    assert abs(r - expected.statistic) <= 1e-12
+    gap = abs(p - expected.pvalue)
+    assert gap <= 1e-12 or gap <= 1e-9 * expected.pvalue
+    assert 0.0 <= p <= 1.0
 
 
 def test_pearson_rejects_degenerate_inputs():
