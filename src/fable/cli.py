@@ -81,14 +81,6 @@ def _load_dataset(path_str: str, num_classes=None):
     return load_json(path, num_classes=num_classes)
 
 
-def _parse_psi(args) -> object:
-    if args.psi is not None:
-        return args.psi
-    if args.psi_range is not None:
-        return None
-    return 1.0
-
-
 def _write_predictions(path, ids, posterior) -> None:
     """Write ``{id: {"prediction", "probs"}}`` as ``json.dump(sort_keys=True, indent=2)`` would."""
     predictions = posterior.predictions.tolist()
@@ -233,6 +225,16 @@ def _method_list(text: str) -> list[str]:
     return methods
 
 
+def _trial_count(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("trials must be an integer") from exc
+    if trials < 3:
+        raise argparse.ArgumentTypeError("need at least three trials for a correlation")
+    return trials
+
+
 def _size_list(text: str) -> list[int]:
     try:
         sizes = [int(s) for s in text.split(",") if s.strip()]
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(func=cmd_synth)
 
     corr = sub.add_parser("study-corr", help="correlation between Corr(X, LFs) and the feature-aware gain")
-    corr.add_argument("--trials", type=int, default=50)
+    corr.add_argument("--trials", type=_trial_count, default=50)
     corr.add_argument("--size", type=int, default=1000)
     corr.add_argument("--psi", type=float, default=None, help="fix all LF widths (degenerate study)")
     corr.add_argument("--psi-range", type=float, nargs=2, default=None, metavar=("LO", "HI"))

@@ -39,7 +39,8 @@ _PG_SMALL_TILT = 1e-8
 # per column, hold at most this many floats together (1 MB): this bounds
 # memory for any number of columns, and at N = 10k, r = 2 it batched 30
 # columns faster than one 16 MB chunk did (9.4 against 12.5 ms a sweep
-# on a 2-core 2.1 GHz Xeon VM with one BLAS thread)
+# on a 2-core 2.1 GHz Xeon VM with one BLAS thread); ``metrics`` bounds
+# its blocks of distance rows by the same count
 _CHUNK_ELEMENTS = 1 << 17
 
 

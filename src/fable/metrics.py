@@ -1,5 +1,9 @@
 """Evaluation metrics and the feature/labeling-function dependence score.
 
+The dependence score is a distance correlation computed in row chunks:
+no N x N distance matrix is formed, so its memory is O(N * chunk) with
+chunks of at most max(N, 2^17) floats (1 MB), the bound ``linalg`` uses.
+
 Only ``scipy.special`` and ``scipy.spatial.distance`` are imported:
 ``pearson_r`` computes its p-value in closed form rather than through
 ``scipy.stats``, whose import alone takes about 0.4 s (2-core VM).
@@ -12,6 +16,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import betainc
 
 from .data import ABSTAIN, Dataset, DatasetError
+from .linalg import _CHUNK_ELEMENTS
 
 __all__ = [
     "accuracy",
@@ -62,32 +67,85 @@ def _as_sample_matrix(a) -> np.ndarray:
     return m
 
 
-def _double_centered_distances(m: np.ndarray) -> np.ndarray:
-    d = cdist(m, m)
-    return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
+def _distance_blocks(m: np.ndarray):
+    """Yield ``(rows, cdist(m[rows], m))`` over chunks of max(N, _CHUNK_ELEMENTS) floats at most."""
+    n = m.shape[0]
+    step = max(1, _CHUNK_ELEMENTS // n)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        yield rows, cdist(m[rows], m)
+
+
+def _distance_variance(m: np.ndarray, row_means: np.ndarray) -> float:
+    # sum_ij |x_i - x_j|^2 = 2 n sum_i |x_i - mean|^2, so no matrix is needed
+    spread = 2.0 * np.mean(np.sum((m - m.mean(axis=0)) ** 2, axis=1))
+    return float(spread - 2.0 * np.mean(row_means**2) + row_means.mean() ** 2)
+
+
+def _dcor_from_moments(dcov2: float, var_a: float, var_b: float) -> float:
+    if var_a <= 0.0 or var_b <= 0.0:
+        return 0.0
+    return float(min(np.sqrt(max(dcov2, 0.0) / np.sqrt(var_a * var_b)), 1.0))
 
 
 def distance_correlation(a, b) -> float:
     """Distance correlation of two paired samples (plain biased estimator).
 
-    Pairwise Euclidean distance matrices are double-centered; the
-    statistic is sqrt(dCov^2 / sqrt(dVar_a * dVar_b)), defined as 0 when
-    either distance variance vanishes (constant sample).
+    The statistic is sqrt(dCov^2 / sqrt(dVar_a * dVar_b)) over the
+    double-centered Euclidean distance matrices A and B, defined as 0
+    when either distance variance vanishes (constant sample).  Neither
+    matrix is formed: one pass over row chunks of both collects the row
+    means a_i, b_i and sum A*B, and with grand means a, b
+
+        n^2 dCov^2 = sum A*B - 2n sum_i a_i b_i + n^2 a b,
+
+    while sum A^2 = 2n sum_i |x_i - mean x|^2 in closed form.
     """
     ma = _as_sample_matrix(a)
     mb = _as_sample_matrix(b)
     if ma.shape[0] != mb.shape[0]:
         raise ValueError("samples must pair up row by row")
-    if ma.shape[0] < 2:
+    n = ma.shape[0]
+    if n < 2:
         raise ValueError("need at least two rows")
-    ca = _double_centered_distances(ma)
-    cb = _double_centered_distances(mb)
-    var_a = (ca * ca).mean()
-    var_b = (cb * cb).mean()
-    if var_a == 0.0 or var_b == 0.0:
+    row_a = np.empty(n)
+    row_b = np.empty(n)
+    cross = 0.0
+    for (rows, da), (_, db) in zip(_distance_blocks(ma), _distance_blocks(mb)):
+        row_a[rows] = da.mean(axis=1)
+        row_b[rows] = db.mean(axis=1)
+        cross += np.vdot(da, db)
+    dcov2 = cross / n**2 - 2.0 * np.mean(row_a * row_b) + row_a.mean() * row_b.mean()
+    return _dcor_from_moments(
+        dcov2, _distance_variance(ma, row_a), _distance_variance(mb, row_b)
+    )
+
+
+def _indicator_dcor(features, correct: np.ndarray) -> float:
+    """``distance_correlation(features, correct)`` for a 0/1 vector ``correct``.
+
+    With c the indicator, n1 its count and p = n1 / n, the B side is
+    |c_i - c_j| and reduces to group sums: dCov^2 =
+    -2 (c'Ac - 2 n1 a'c + n1^2 a) / n^2 with a_i the row means of A and
+    a their mean, and dVar_b = (2p(1 - p))^2.  So one distance block per
+    row chunk is enough, against two for the general form.
+    """
+    m = _as_sample_matrix(features)
+    n = m.shape[0]
+    n1 = float(correct.sum())
+    p = n1 / n
+    var_b = (2.0 * p * (1.0 - p)) ** 2
+    if var_b == 0.0:
         return 0.0
-    dcov2 = max((ca * cb).mean(), 0.0)
-    return float(min(np.sqrt(dcov2 / np.sqrt(var_a * var_b)), 1.0))
+    weights = np.stack([np.full(n, 1.0 / n), correct], axis=1)
+    row_means = np.empty(n)
+    row_dot_c = np.empty(n)
+    for rows, d in _distance_blocks(m):
+        row_means[rows], row_dot_c[rows] = (d @ weights).T
+    dcov2 = -2.0 * (
+        correct @ row_dot_c - 2.0 * n1 * (row_means @ correct) + n1**2 * row_means.mean()
+    ) / n**2
+    return _dcor_from_moments(dcov2, _distance_variance(m, row_means), var_b)
 
 
 def feature_lf_correlation(dataset: Dataset) -> float:
@@ -108,7 +166,7 @@ def feature_lf_correlation(dataset: Dataset) -> float:
         if int(mask.sum()) < 2:
             continue
         correct = (votes[mask] == dataset.gold[mask]).astype(float)
-        total += distance_correlation(dataset.features[mask], correct)
+        total += _indicator_dcor(dataset.features[mask], correct)
     return total / dataset.n_lfs
 
 

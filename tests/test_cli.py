@@ -255,11 +255,22 @@ def test_study_corr_writes_one_row_per_trial(tmp_path, capsys):
          "--lanczos-rank", "20", "--out", str(out)]
     )
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["trial", "seed", "corr", "metric", "ebcc", "fable", "delta"]
     assert len(rows) == 4
     printed = capsys.readouterr().out
     assert "pearson_r=" in printed
+
+
+@pytest.mark.parametrize("trials", ["2", "0", "-1", "three"])
+def test_study_corr_rejects_too_few_trials_as_usage_error(tmp_path, capsys, trials):
+    out = tmp_path / "corr.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["study-corr", "--trials", trials, "--size", "40", "--out", str(out)])
+    assert err.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_size_summarizes_methods_by_size(tmp_path):
@@ -269,7 +280,8 @@ def test_bench_size_summarizes_methods_by_size(tmp_path):
          "--max-iters", "6", "--out", str(out)]
     )
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["method", "size", "runs", "metric", "mean", "std"]
     assert len(rows) == 5  # 2 methods x 2 sizes + header
     for row in rows[1:]:
@@ -285,7 +297,8 @@ def test_bench_size_writes_per_fit_rows(tmp_path):
          "--max-iters", "5", "--out", str(out), "--runs-out", str(runs_out)]
     )
     assert code == 0
-    rows = list(csv.reader(runs_out.open()))
+    with runs_out.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["method", "size", "run", "seed", "metric", "value", "n_iters"]
     assert [row[:4] for row in rows[1:]] == [
         [method, size, run, str(3 ^ int(run))]
@@ -300,7 +313,8 @@ def test_bench_size_writes_per_fit_rows(tmp_path):
         else:
             assert 1 <= int(row[6]) <= 5
     # the summary is the mean of the per-fit values
-    summary = list(csv.reader(out.open()))[1:]
+    with out.open() as fh:
+        summary = list(csv.reader(fh))[1:]
     for method, size, _, _, mean, _ in summary:
         values = [float(r[5]) for r in rows[1:] if r[0] == method and r[1] == size]
         assert float(mean) == pytest.approx(np.mean(values), abs=1e-15)

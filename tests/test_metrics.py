@@ -1,5 +1,6 @@
 """Metrics: accuracy, binary F1, distance correlation, and Pearson r."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from fable import (
     feature_lf_correlation,
     pearson_r,
 )
+from fable import metrics
 
 
 def brute_force_dcor(a: np.ndarray, b: np.ndarray) -> float:
@@ -109,6 +111,55 @@ def test_dcor_matches_brute_force(rng):
         a = rng.standard_normal((n, int(rng.integers(1, 4))))
         b = a[:, :1] * rng.standard_normal() + rng.standard_normal((n, 1))
         assert distance_correlation(a, b) == pytest.approx(brute_force_dcor(a, b), abs=1e-12)
+
+
+def _chunk_cases():
+    rng = np.random.default_rng(11)
+    points = rng.standard_normal((4, 2))
+    yield "n=2", rng.standard_normal((2, 2)), np.array([0.0, 1.0])
+    wrong = np.ones(13)
+    wrong[5] = 0.0
+    yield "single wrong item", rng.standard_normal((13, 2)), wrong
+    yield "duplicate rows", points[rng.integers(0, 4, size=17)], (rng.random(17) < 0.5) * 1.0
+    yield "zero feature columns", np.zeros((10, 0)), (rng.random(10) < 0.5) * 1.0
+    yield "all correct", rng.standard_normal((11, 3)), np.ones(11)
+
+
+@pytest.mark.parametrize("name, features, correct", list(_chunk_cases()))
+def test_dcor_across_uneven_row_chunks(monkeypatch, name, features, correct):
+    n = len(correct)
+    step = 1 if n == 2 else 3  # n is never a multiple of 3: the last chunk is short
+    monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", step * n)
+    assert len(list(metrics._distance_blocks(features))) == -(-n // step) > 1
+    expected = brute_force_dcor(features, correct)
+    assert abs(distance_correlation(features, correct) - expected) < 1e-12
+    assert abs(metrics._indicator_dcor(features, correct) - expected) < 1e-12
+    other = features @ np.ones((features.shape[1], 1)) + correct[:, None]
+    assert abs(distance_correlation(features, other) - brute_force_dcor(features, other)) < 1e-12
+    if name in ("zero feature columns", "all correct"):
+        assert distance_correlation(features, correct) == 0.0
+        assert metrics._indicator_dcor(features, correct) == 0.0
+
+
+def _traced_peak_mb(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_dependence_scores_stay_off_the_n_by_n_matrix():
+    # one 3000 x 3000 float64 distance matrix alone is 69 MB
+    rng = np.random.default_rng(5)
+    n = 3000
+    features = rng.standard_normal((n, 2))
+    gold = rng.integers(0, 2, size=n)
+    votes = np.where(rng.random((n, 2)) < 0.2, -1, rng.integers(0, 2, size=(n, 2)))
+    d = Dataset(features=features, lf_labels=votes, num_classes=2, gold=gold)
+    assert _traced_peak_mb(feature_lf_correlation, d) < 16
+    assert _traced_peak_mb(distance_correlation, features, rng.standard_normal((n, 2))) < 16
 
 
 @settings(deadline=None, max_examples=25)
