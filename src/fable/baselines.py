@@ -6,6 +6,11 @@ latent mixture components per class, so the joint over an item's class z
 and subtype g factorises as tau_k * pi_km * prod_j v_{jkm,y_ij}; setting
 M = 1 recovers the conditionally independent model.  Inference is
 mean-field coordinate ascent with Dirichlet posteriors throughout.
+The start, class-prior, confusion and assignment updates form a core
+over :class:`SubtypeBccState` that the feature-aware model in
+:mod:`fable.model` shares; each model supplies only the posterior of
+its mixture weights pi.  Every iterative fit runs one loop,
+:func:`_iterate`, which stops on the largest change in q(z).
 
 Every vote statistic goes through one representation: the sparse one-hot
 indicator of :func:`vote_onehot`, an (N, L*K) CSR matrix with a one in
@@ -35,6 +40,7 @@ __all__ = [
     "majority_vote",
     "dawid_skene",
     "EbccPriors",
+    "SubtypeBccState",
     "EbccState",
     "ebcc_init",
     "ebcc_update_assignments",
@@ -131,15 +137,32 @@ def _vote_log_scores(elog_v: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarra
     return (onehot @ table).reshape(-1, k, m)
 
 
-def _normalize_log_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalize_log_scores(scores: np.ndarray) -> np.ndarray:
     """Softmax over the trailing axes of (N, K, M) log scores."""
     n = scores.shape[0]
     flat = scores.reshape(n, -1)
     flat = flat - flat.max(axis=1, keepdims=True)
     weights = np.exp(flat)
     weights /= weights.sum(axis=1, keepdims=True)
-    rho = weights.reshape(scores.shape)
-    return rho, rho.sum(axis=2)
+    return weights.reshape(scores.shape)
+
+
+def _iterate(qz: np.ndarray, sweep, max_iters: int, tol: float):
+    """Run ``sweep`` until max |change in q(z)| < tol or ``max_iters`` sweeps.
+
+    ``sweep`` maps the current q(z) to the next one.  Returns the last
+    q(z), the number of sweeps, and the ``converged`` flag and per-sweep
+    ``delta_trace`` as a diagnostics dict.
+    """
+    deltas = []
+    for _ in range(max_iters):
+        new_qz = sweep(qz)
+        deltas.append(float(np.max(np.abs(new_qz - qz))))
+        qz = new_qz
+        if deltas[-1] < tol:
+            break
+    converged = bool(deltas) and deltas[-1] < tol
+    return qz, len(deltas), {"converged": converged, "delta_trace": deltas}
 
 
 def dawid_skene(
@@ -154,13 +177,10 @@ def dawid_skene(
     keeps every confusion entry strictly positive.  The recorded trace is
     the observed-data log-likelihood at each iteration's parameters.
     """
-    k = dataset.num_classes
-    onehot = vote_onehot(dataset.lf_labels, k)
-    qz = majority_vote(dataset).probs
+    onehot = vote_onehot(dataset.lf_labels, dataset.num_classes)
     trace = []
-    n_iters = 0
-    converged = False
-    for n_iters in range(1, max_iters + 1):
+
+    def sweep(qz):
         prior = qz.sum(axis=0) + smoothing
         prior /= prior.sum()
         counts = smoothing + _confusion_counts(qz[:, :, None], onehot)[:, :, 0, :]
@@ -171,13 +191,10 @@ def dawid_skene(
         weights = np.exp(shifted)
         norms = weights.sum(axis=1, keepdims=True)
         trace.append(float((np.log(norms[:, 0]) + scores.max(axis=1)).sum()))
-        new_qz = weights / norms
-        delta = float(np.max(np.abs(new_qz - qz)))
-        qz = new_qz
-        if delta < tol:
-            converged = True
-            break
-    return _finish(qz, n_iters, elbo_trace=trace, converged=converged)
+        return weights / norms
+
+    qz, n_iters, diag = _iterate(majority_vote(dataset).probs, sweep, max_iters, tol)
+    return _finish(qz, n_iters, elbo_trace=trace, **diag)
 
 
 @dataclass(frozen=True)
@@ -205,27 +222,37 @@ class EbccPriors:
 
 
 @dataclass
-class EbccState:
-    """Variational posteriors of the subtype BCC model.
+class SubtypeBccState:
+    """Variational posteriors shared by the subtype BCC models.
 
     rho: (N, K, M) joint q(z_i = k, g_i = m); nu: (K,) class Dirichlet;
-    eta: (K, M) subtype Dirichlets; mu: (L, K, M, K) confusion
-    Dirichlets; alpha, a_pi, beta echo the priors; onehot: the
-    :func:`vote_onehot` matrix of the dataset, built once at init.
+    mu: (L, K, M, K) confusion Dirichlets; alpha, beta echo their
+    priors; onehot: the :func:`vote_onehot` matrix of the dataset, built
+    once at the start.  The models differ only in their mixture weights
+    pi, whose posterior each subclass adds.
     """
 
     rho: np.ndarray
     nu: np.ndarray
-    eta: np.ndarray
     mu: np.ndarray
     alpha: np.ndarray
-    a_pi: float
     beta: np.ndarray
     onehot: sparse.csr_matrix
 
     @property
     def qz(self) -> np.ndarray:
         return self.rho.sum(axis=2)
+
+
+@dataclass
+class EbccState(SubtypeBccState):
+    """The subtype BCC state with per-class Dirichlet mixture weights.
+
+    eta: (K, M) subtype Dirichlets; a_pi: their symmetric prior.
+    """
+
+    eta: np.ndarray
+    a_pi: float
 
 
 def _confusion_counts(rho: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarray:
@@ -235,56 +262,76 @@ def _confusion_counts(rho: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarray:
     return counts.reshape(-1, k, k, m).transpose(0, 2, 3, 1)
 
 
-def ebcc_init(
-    dataset: Dataset,
-    subtypes: int = 3,
-    priors: EbccPriors | None = None,
-    seed: int = 0,
-) -> EbccState:
-    """Majority-vote start: rho = MV posterior times a per-item Dirichlet draw."""
+def _subtype_start(
+    dataset: Dataset, subtypes: int, priors: EbccPriors, rng: np.random.Generator
+) -> SubtypeBccState:
+    """Majority-vote start: rho = MV posterior times a per-item Dirichlet draw.
+
+    The class prior alpha defaults to the MV class masses.  Returns the
+    core state with nu and mu updated from that rho; the draw advances
+    ``rng``, so a caller can continue the same stream.
+    """
     if subtypes < 1:
         raise ValueError("need at least one subtype")
-    priors = priors or EbccPriors()
     n, k = dataset.n_items, dataset.num_classes
     mv = majority_vote(dataset).probs
-    rng = np.random.default_rng(seed)
     subtype_weights = rng.dirichlet(np.ones(subtypes), size=n)
     rho = mv[:, :, None] * subtype_weights[:, None, :]
     rho /= rho.sum(axis=(1, 2), keepdims=True)
     alpha = np.asarray(priors.alpha, dtype=float) if priors.alpha is not None else mv.sum(axis=0)
     if alpha.shape != (k,) or np.any(alpha <= 0):
         raise ValueError("alpha prior must be positive with one entry per class")
-    state = EbccState(
+    state = SubtypeBccState(
         rho=rho,
         nu=np.zeros(k),
-        eta=np.zeros((k, subtypes)),
         mu=np.zeros((dataset.n_lfs, k, subtypes, k)),
         alpha=alpha,
-        a_pi=float(priors.a_pi),
         beta=priors.beta_matrix(k),
         onehot=vote_onehot(dataset.lf_labels, k),
     )
     ebcc_update_tau(state)
-    ebcc_update_pi(state)
-    ebcc_update_confusion(state, dataset)
+    ebcc_update_confusion(state)
     return state
 
 
-def ebcc_update_assignments(state: EbccState, dataset: Dataset) -> EbccState:
-    """rho_ikm propto exp(E[log tau_k] + E[log pi_km] + sum_j E[log v_jkm,y_ij]).
+def _subtype_assignments(state: SubtypeBccState, elog_pi: np.ndarray) -> SubtypeBccState:
+    """rho_ikm propto exp(E[log tau_k] + E[log pi_ikm] + sum_j E[log v_jkm,y_ij]).
 
-    The votes are read from ``state.onehot``, built from ``dataset`` at init.
+    ``elog_pi`` broadcasts against (N, K, M); the votes are read from
+    ``state.onehot``.
     """
     elog_tau = dirichlet_log_expectation(state.nu)
-    elog_pi = dirichlet_log_expectation(state.eta, axis=-1)
     elog_v = dirichlet_log_expectation(state.mu, axis=-1)
-    scores = elog_tau[None, :, None] + elog_pi[None, :, :]
+    scores = elog_tau[None, :, None] + elog_pi
     scores = scores + _vote_log_scores(elog_v, state.onehot)
-    state.rho, _ = _normalize_log_scores(scores)
+    state.rho = _normalize_log_scores(scores)
     return state
 
 
-def ebcc_update_tau(state: EbccState) -> EbccState:
+def ebcc_init(
+    dataset: Dataset,
+    subtypes: int = 3,
+    priors: EbccPriors | None = None,
+    seed: int = 0,
+) -> EbccState:
+    """The shared majority-vote start plus the subtype Dirichlets eta."""
+    priors = priors or EbccPriors()
+    core = _subtype_start(dataset, subtypes, priors, np.random.default_rng(seed))
+    state = EbccState(
+        **vars(core),
+        eta=np.zeros((dataset.num_classes, subtypes)),
+        a_pi=float(priors.a_pi),
+    )
+    ebcc_update_pi(state)
+    return state
+
+
+def ebcc_update_assignments(state: EbccState) -> EbccState:
+    """Assignments with the Dirichlet E[log pi_km] of the subtype weights eta."""
+    return _subtype_assignments(state, dirichlet_log_expectation(state.eta, axis=-1))
+
+
+def ebcc_update_tau(state: SubtypeBccState) -> SubtypeBccState:
     state.nu = state.alpha + state.rho.sum(axis=(0, 2))
     return state
 
@@ -294,7 +341,7 @@ def ebcc_update_pi(state: EbccState) -> EbccState:
     return state
 
 
-def ebcc_update_confusion(state: EbccState, dataset: Dataset) -> EbccState:
+def ebcc_update_confusion(state: SubtypeBccState) -> SubtypeBccState:
     """mu_jkm = beta_k + soft counts of LF j's votes, from ``state.onehot``."""
     counts = _confusion_counts(state.rho, state.onehot)
     state.mu = state.beta[None, :, None, :] + counts
@@ -317,7 +364,7 @@ def _dirichlet_entropy(params: np.ndarray, axis: int = -1) -> np.ndarray:
     )
 
 
-def ebcc_elbo(state: EbccState, dataset: Dataset) -> float:
+def ebcc_elbo(state: EbccState) -> float:
     """Full evidence lower bound: expected log joint plus entropies.
 
     Valid at any state, so it is non-decreasing across coordinate sweeps
@@ -367,28 +414,23 @@ def ebcc_fit(
     """Coordinate-ascent fit; stops when max |change in q(z)| < tol."""
     start = time.perf_counter()
     state = ebcc_init(dataset, subtypes=subtypes, priors=priors, seed=seed)
-    qz = state.qz
     trace = []
-    converged = False
-    n_iters = 0
-    for n_iters in range(1, max_iters + 1):
-        ebcc_update_assignments(state, dataset)
+
+    def sweep(_qz):
+        ebcc_update_assignments(state)
         ebcc_update_tau(state)
         ebcc_update_pi(state)
-        ebcc_update_confusion(state, dataset)
+        ebcc_update_confusion(state)
         if record_elbo:
-            trace.append(ebcc_elbo(state, dataset))
-        new_qz = state.qz
-        delta = float(np.max(np.abs(new_qz - qz)))
-        qz = new_qz
-        if delta < tol:
-            converged = True
-            break
+            trace.append(ebcc_elbo(state))
+        return state.qz
+
+    qz, n_iters, diag = _iterate(state.qz, sweep, max_iters, tol)
     return _finish(
         qz,
         n_iters,
         elbo_trace=trace if record_elbo else None,
-        converged=converged,
+        **diag,
         wall_time_ms=1000.0 * (time.perf_counter() - start),
     )
 

@@ -225,14 +225,19 @@ def _method_list(text: str) -> list[str]:
     return methods
 
 
-def _trial_count(text: str) -> int:
-    try:
-        trials = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("trials must be an integer") from exc
-    if trials < 3:
-        raise argparse.ArgumentTypeError("need at least three trials for a correlation")
-    return trials
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``: anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _size_list(text: str) -> list[int]:
@@ -247,10 +252,11 @@ def _size_list(text: str) -> list[int]:
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--max-iters", type=int, default=None, help="sweep budget")
+    parser.add_argument("--max-iters", type=_int_at_least(1), default=None, help="sweep budget")
     parser.add_argument("--tol", type=float, default=None, help="q(z) convergence tolerance")
-    parser.add_argument("--subtypes", type=int, default=3, help="mixture components per class")
-    parser.add_argument("--lanczos-rank", type=int, default=None,
+    parser.add_argument("--subtypes", type=_int_at_least(1), default=3,
+                        help="mixture components per class")
+    parser.add_argument("--lanczos-rank", type=_int_at_least(1), default=None,
                         help="max rank of the GP kernel factor; wider features are SVD-truncated")
 
 
@@ -281,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(func=cmd_synth)
 
     corr = sub.add_parser("study-corr", help="correlation between Corr(X, LFs) and the feature-aware gain")
-    corr.add_argument("--trials", type=_trial_count, default=50)
+    corr.add_argument("--trials", type=_int_at_least(3), default=50,
+                      help="number of datasets; a correlation needs at least three")
     corr.add_argument("--size", type=int, default=1000)
     corr.add_argument("--psi", type=float, default=None, help="fix all LF widths (degenerate study)")
     corr.add_argument("--psi-range", type=float, nargs=2, default=None, metavar=("LO", "HI"))
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench-size", help="mean accuracy of each method across dataset sizes")
     bench.add_argument("--sizes", type=_size_list, default=[1000, 5000, 10000, 15000, 20000])
-    bench.add_argument("--runs", type=int, default=10)
+    bench.add_argument("--runs", type=_int_at_least(1), default=10)
     bench.add_argument("--methods", type=_method_list, default=list(METHODS))
     bench.add_argument("--psi", type=float, default=1.0)
     bench.add_argument("--out", required=True, help="summary CSV path")

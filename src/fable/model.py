@@ -1,15 +1,17 @@
 """Feature-aware Bayesian label model with GP-driven subtype mixtures.
 
-The subtype BCC likelihood is kept, but the per-class mixture weights
+The subtype BCC core of :mod:`fable.baselines` is reused as is (start,
+class prior, confusions, assignments), but the per-class mixture weights
 become item-specific: latent GP values f_ikm over the feature cosine
 kernel pass through a logistic-softmax, pi_ikm = sigmoid(f_ikm) /
 sum_jn sigmoid(f_ijn).  Three augmentations restore conjugacy: an
 exponential integral identity for the normaliser (lambda_i), a Poisson
 count on top of it (upsilon_ikm), and a Polya-Gamma completion of the
 sigmoids (omega_ikm).  Mean-field coordinate ascent then gives closed
-forms for every block.  The Gaussian block solves all class/subtype
-pairs at once with the exact factor-plus-diagonal posterior in
-:mod:`fable.linalg`, so the kernel is never formed or inverted.
+forms for every block; only the mixture-weight blocks live here.  The
+Gaussian block solves all class/subtype pairs at once with the exact
+factor-plus-diagonal posterior in :mod:`fable.linalg`, so the kernel is
+never formed or inverted.
 """
 
 from __future__ import annotations
@@ -18,26 +20,21 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.special import expit, psi
 
 from .baselines import (
+    EbccPriors,
     Posterior,
+    SubtypeBccState,
     _finish,
-    _confusion_counts,
-    _normalize_log_scores,
-    _vote_log_scores,
-    majority_vote,
-    vote_onehot,
+    _iterate,
+    _subtype_assignments,
+    _subtype_start,
+    ebcc_update_confusion,
+    ebcc_update_tau,
 )
 from .data import Dataset
-from .linalg import (
-    KernelMatrix,
-    cosine_kernel,
-    dirichlet_log_expectation,
-    lowrank_posterior,
-    pg_mean,
-)
+from .linalg import KernelMatrix, cosine_kernel, lowrank_posterior, pg_mean
 
 __all__ = [
     "FableConfig",
@@ -45,8 +42,6 @@ __all__ = [
     "logistic_softmax",
     "fable_init",
     "fable_update_assignments",
-    "fable_update_tau",
-    "fable_update_confusion",
     "fable_update_pi",
     "fable_update_gp",
     "fable_update_augmentation",
@@ -92,20 +87,15 @@ class FableConfig:
 
 
 @dataclass
-class FableState:
-    """Variational posteriors and augmentation moments, shapes (N, K, M) unless noted.
+class FableState(SubtypeBccState):
+    """The subtype BCC state with GP-driven mixture weights, shapes (N, K, M) unless noted.
 
-    rho: joint q(z, g); nu: (K,) class Dirichlet; mu: (L, K, M, K)
-    confusion Dirichlets; phi/xi: Gamma shape and rate of q(pi);
-    m_hat/sigma_diag: GP posterior means and covariance diagonals;
-    c: Polya-Gamma tilts; gamma: Poisson means; a/b: (N,) Gamma
-    parameters of the normaliser q(lambda); kernel: shared GP prior;
-    onehot: the (N, L*K) vote indicator of :func:`fable.baselines.vote_onehot`.
+    phi/xi: Gamma shape and rate of q(pi); m_hat/sigma_diag: GP
+    posterior means and covariance diagonals; c: Polya-Gamma tilts;
+    gamma: Poisson means; a/b: (N,) Gamma parameters of the normaliser
+    q(lambda); kernel: shared GP prior.
     """
 
-    rho: np.ndarray
-    nu: np.ndarray
-    mu: np.ndarray
     phi: np.ndarray
     xi: np.ndarray
     m_hat: np.ndarray
@@ -114,15 +104,8 @@ class FableState:
     gamma: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
     kernel: KernelMatrix
-    onehot: sparse.csr_matrix
     xi_clamps: int = 0
-
-    @property
-    def qz(self) -> np.ndarray:
-        return self.rho.sum(axis=2)
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
@@ -131,87 +114,47 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
 
 
 def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableState:
-    """Majority-vote warm start plus uninformative draws for the GP block.
+    """The shared majority-vote start plus uninformative draws for the GP block.
 
-    rho is the MV posterior spread over subtypes by a per-item Dirichlet
-    draw; the GP covariance starts at the cosine kernel itself, whose
-    factor is truncated to ``lanczos_rank`` columns when the features are
-    wider; m_hat and a are Uniform(0, 1); b is the augmented cell count
-    K * M.  The class prior alpha takes the MV class masses and the
-    confusion prior diagonal is N * M * C.
+    The GP covariance starts at the cosine kernel itself, whose factor is
+    truncated to ``lanczos_rank`` columns when the features are wider;
+    m_hat and a are Uniform(0, 1), drawn from the stream that spread rho
+    over subtypes; b is the augmented cell count K * M.  The class prior
+    alpha takes the MV class masses and the confusion prior diagonal is
+    N * M * C.
     """
-    if config.subtypes < 1:
-        raise ValueError("need at least one subtype")
     n, k, m = dataset.n_items, dataset.num_classes, config.subtypes
-    rng = np.random.default_rng(seed)
-    mv = majority_vote(dataset).probs
-    subtype_weights = rng.dirichlet(np.ones(m), size=n)
-    rho = mv[:, :, None] * subtype_weights[:, None, :]
-    rho /= rho.sum(axis=(1, 2), keepdims=True)
-
-    m_hat = rng.uniform(size=(n, k, m))
-    a = rng.uniform(size=n)
-    b = np.full(n, float(k * m))
-
     beta_diag = (
         float(config.beta_diag)
         if config.beta_diag is not None
         else float(n) * m * config.confusion_scale
     )
-    beta = np.full((k, k), float(config.beta_offdiag))
-    np.fill_diagonal(beta, beta_diag)
-
+    priors = EbccPriors(beta_diag=beta_diag, beta_offdiag=config.beta_offdiag)
+    rng = np.random.default_rng(seed)
+    core = _subtype_start(dataset, m, priors, rng)
     kernel = cosine_kernel(dataset.features, jitter=config.kernel_jitter).truncated(
         config.lanczos_rank
     )
     state = FableState(
-        rho=rho,
-        nu=np.zeros(k),
-        mu=np.zeros((dataset.n_lfs, k, m, k)),
+        **vars(core),
         phi=np.zeros((n, k, m)),
         xi=np.zeros((n, k, m)),
-        m_hat=m_hat,
+        m_hat=rng.uniform(size=(n, k, m)),
         sigma_diag=np.broadcast_to(kernel.diagonal()[:, None, None], (n, k, m)).copy(),
         c=np.zeros((n, k, m)),
         gamma=np.zeros((n, k, m)),
-        a=a,
-        b=b,
-        alpha=mv.sum(axis=0),
-        beta=beta,
+        a=rng.uniform(size=n),
+        b=np.full(n, float(k * m)),
         kernel=kernel,
-        onehot=vote_onehot(dataset.lf_labels, k),
     )
-    fable_update_tau(state)
-    fable_update_confusion(state, dataset)
     fable_update_pi(state, config)
     fable_update_augmentation(state)
     return state
 
 
-def fable_update_assignments(state: FableState, dataset: Dataset) -> FableState:
-    """rho_ikm propto exp(E[log tau_k] + E[log pi_ikm] + sum_j E[log v_jkm,y_ij]).
-
-    The votes are read from ``state.onehot``, built from ``dataset`` at init.
-    """
-    elog_tau = dirichlet_log_expectation(state.nu)
-    elog_pi = psi(state.phi) - np.log(state.xi)
-    elog_v = dirichlet_log_expectation(state.mu, axis=-1)
-    scores = elog_tau[None, :, None] + elog_pi
-    scores = scores + _vote_log_scores(elog_v, state.onehot)
-    state.rho, _ = _normalize_log_scores(scores)
-    return state
-
-
-def fable_update_tau(state: FableState) -> FableState:
-    state.nu = state.alpha + state.rho.sum(axis=(0, 2))
-    return state
-
-
-def fable_update_confusion(state: FableState, dataset: Dataset) -> FableState:
-    """mu_jkm = beta_k + soft counts of LF j's votes, from ``state.onehot``."""
-    counts = _confusion_counts(state.rho, state.onehot)
-    state.mu = state.beta[None, :, None, :] + counts
-    return state
+def fable_update_assignments(state: FableState) -> FableState:
+    """Assignments with the Gamma E[log pi_ikm] = psi(phi) - log(xi)."""
+    return _subtype_assignments(state, psi(state.phi) - np.log(state.xi))
 
 
 def fable_update_pi(state: FableState, config: FableConfig) -> FableState:
@@ -227,7 +170,7 @@ def fable_update_pi(state: FableState, config: FableConfig) -> FableState:
     return state
 
 
-def fable_update_gp(state: FableState, config: FableConfig) -> FableState:
+def fable_update_gp(state: FableState) -> FableState:
     """Gaussian block: Sigma_hat = (Sigma^-1 + diag E[omega])^-1, m_hat = Sigma_hat rhs / 2.
 
     E[omega_ikm] is the Polya-Gamma mean with shape E[pi] + gamma and
@@ -293,30 +236,22 @@ def fable_fit(
     config = config or FableConfig()
     start = time.perf_counter()
     state = fable_init(dataset, config, seed=seed)
-    qz = state.qz
-    deltas = []
-    converged = False
-    n_iters = 0
-    for n_iters in range(1, config.max_iters + 1):
-        fable_update_assignments(state, dataset)
-        fable_update_tau(state)
-        fable_update_confusion(state, dataset)
+
+    def sweep(_qz):
+        fable_update_assignments(state)
+        ebcc_update_tau(state)
+        ebcc_update_confusion(state)
         fable_update_pi(state, config)
-        fable_update_gp(state, config)
+        fable_update_gp(state)
         fable_update_augmentation(state)
         fable_update_lambda(state)
-        new_qz = state.qz
-        delta = float(np.max(np.abs(new_qz - qz)))
-        deltas.append(delta)
-        qz = new_qz
-        if delta < config.tol:
-            converged = True
-            break
+        return state.qz
+
+    qz, n_iters, diag = _iterate(state.qz, sweep, config.max_iters, config.tol)
     return _finish(
         qz,
         n_iters,
-        converged=converged,
-        delta_trace=deltas,
+        **diag,
         xi_clamps=state.xi_clamps,
         gp_rank=int(state.kernel.factor.shape[1]),
         wall_time_ms=1000.0 * (time.perf_counter() - start),

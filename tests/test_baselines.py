@@ -13,6 +13,7 @@ from fable import (
     ebcc_elbo,
     ebcc_fit,
     ebcc_init,
+    fit_method,
     ibcc_fit,
     majority_vote,
 )
@@ -26,12 +27,7 @@ from fable.baselines import (
     vote_onehot,
 )
 from fable.data import ABSTAIN
-from fable.model import (
-    FableConfig,
-    fable_init,
-    fable_update_assignments,
-    fable_update_confusion,
-)
+from fable.model import FableConfig, fable_init, fable_update_assignments
 
 from conftest import random_dataset
 
@@ -113,7 +109,7 @@ def test_ebcc_assignments_uniform_under_symmetry():
     state.nu = np.full(2, 3.0)
     state.eta = np.full((2, 2), 1.5)
     state.mu = np.full((1, 2, 2, 2), 2.0)
-    ebcc_update_assignments(state, d)
+    ebcc_update_assignments(state)
     assert np.allclose(state.rho, 0.25, atol=1e-12)
 
 
@@ -122,7 +118,7 @@ def test_ebcc_assignments_match_scalar_formula():
 
     d = _dataset([[0, 1], [1, -1]], k=2)
     state = ebcc_init(d, subtypes=2, seed=1)
-    ebcc_update_assignments(state, d)
+    ebcc_update_assignments(state)
     elog_tau = digamma(state.nu) - digamma(state.nu.sum())
     expected = np.zeros((2, 2, 2))
     for i in range(2):
@@ -171,7 +167,7 @@ def test_ebcc_pi_update_counts_subtype_mass(small_synthetic):
 def test_ebcc_confusion_update_silent_lf_keeps_prior():
     d = _dataset([[0, -1], [1, -1]], k=2)
     state = ebcc_init(d, subtypes=2, seed=0)
-    ebcc_update_confusion(state, d)
+    ebcc_update_confusion(state)
     assert np.allclose(state.mu[1], state.beta[:, None, :], atol=1e-12)
 
 
@@ -181,7 +177,7 @@ def test_ebcc_confusion_update_single_mass():
     state = ebcc_init(d, subtypes=2, priors=EbccPriors(alpha=(1.0, 1.0)), seed=0)
     state.rho = np.zeros((1, 2, 2))
     state.rho[0, 1, 0] = 1.0
-    ebcc_update_confusion(state, d)
+    ebcc_update_confusion(state)
     expected = np.repeat(state.beta[:, None, :], 2, axis=1)
     expected[1, 0, 1] += 1.0
     assert np.allclose(state.mu[0], expected, atol=1e-12)
@@ -201,21 +197,21 @@ def test_ebcc_elbo_finite_on_random_states():
         state = ebcc_init(d, subtypes=2, seed=seed)
         rng = np.random.default_rng(seed)
         state.rho = rng.dirichlet(np.ones(6), size=30).reshape(30, 3, 2)
-        assert np.isfinite(ebcc_elbo(state, d))
+        assert np.isfinite(ebcc_elbo(state))
 
 
 def test_ebcc_elbo_invariant_to_subtype_relabeling(small_synthetic):
     state = ebcc_init(small_synthetic, subtypes=3, seed=2)
-    ebcc_update_assignments(state, small_synthetic)
+    ebcc_update_assignments(state)
     ebcc_update_tau(state)
     ebcc_update_pi(state)
-    ebcc_update_confusion(state, small_synthetic)
-    before = ebcc_elbo(state, small_synthetic)
+    ebcc_update_confusion(state)
+    before = ebcc_elbo(state)
     order = [2, 0, 1]
     state.rho = state.rho[:, :, order]
     state.eta = state.eta[:, order]
     state.mu = state.mu[:, :, order, :]
-    after = ebcc_elbo(state, small_synthetic)
+    after = ebcc_elbo(state)
     assert after == pytest.approx(before, rel=1e-12)
 
 
@@ -261,6 +257,20 @@ def test_ibcc_perfect_unanimous_lfs():
     d = _dataset(votes, k=3, gold=gold)
     post = ibcc_fit(d, seed=0)
     assert accuracy(post.predictions, gold) == 1.0
+
+
+@pytest.mark.parametrize("max_iters", [3, 300])
+@pytest.mark.parametrize("method", ["ds", "ibcc", "ebcc", "fable"])
+def test_iterative_fits_report_one_delta_per_sweep(method, max_iters):
+    # every iterative fit runs the same loop: 3 sweeps stop short, 300 reach tol
+    tol = 1e-6
+    post = fit_method(random_dataset(2, n=60), method, seed=0, max_iters=max_iters, tol=tol)
+    deltas = post.diagnostics["delta_trace"]
+    assert len(deltas) == post.n_iters
+    assert post.diagnostics["converged"] == (deltas[-1] < tol)
+    assert post.diagnostics["converged"] == (max_iters == 300)
+    assert post.n_iters == max_iters or post.diagnostics["converged"]
+    assert all(d >= tol for d in deltas[:-1])
 
 
 def test_ebcc_priors_reject_bad_alpha(small_synthetic):
@@ -418,13 +428,13 @@ def test_sweeps_leave_onehot_untouched(small_synthetic):
     fable = fable_init(d, FableConfig(subtypes=2), seed=0)
     for state, assign, confuse in (
         (ebcc, ebcc_update_assignments, ebcc_update_confusion),
-        (fable, fable_update_assignments, fable_update_confusion),
+        (fable, fable_update_assignments, ebcc_update_confusion),
     ):
         onehot = state.onehot
         before = (onehot.data.copy(), onehot.indices.copy(), onehot.indptr.copy())
         for _ in range(3):
-            assign(state, d)
-            confuse(state, d)
+            assign(state)
+            confuse(state)
         assert state.onehot is onehot
         for arr, saved in zip((onehot.data, onehot.indices, onehot.indptr), before):
             assert np.array_equal(arr, saved)

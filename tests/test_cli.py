@@ -109,25 +109,6 @@ def test_aggregate_malformed_dataset_is_data_error(tmp_path):
     assert code == 3
 
 
-def test_aggregate_invalid_model_configuration_is_numerical_error(tmp_path):
-    data = run_synth(tmp_path, size=20, seed=0)
-    code = main(
-        ["aggregate", "--method", "ebcc", "--dataset", str(data),
-         "--out", str(tmp_path / "x.json"), "--subtypes", "0"]
-    )
-    assert code == 4
-
-
-def test_aggregate_zero_gp_rank_is_numerical_error(tmp_path, capsys):
-    data = run_synth(tmp_path, size=20, seed=0)
-    code = main(
-        ["aggregate", "--method", "fable", "--dataset", str(data),
-         "--out", str(tmp_path / "x.json"), "--lanczos-rank", "0"]
-    )
-    assert code == 4
-    assert "rank must be at least 1" in capsys.readouterr().err
-
-
 def test_aggregate_records_gp_rank_outside_predictions(tmp_path):
     data = run_synth(tmp_path, size=60, seed=1)
     for method, rank in (("fable", 2), ("mv", None)):
@@ -263,13 +244,30 @@ def test_study_corr_writes_one_row_per_trial(tmp_path, capsys):
     assert "pearson_r=" in printed
 
 
-@pytest.mark.parametrize("trials", ["2", "0", "-1", "three"])
-def test_study_corr_rejects_too_few_trials_as_usage_error(tmp_path, capsys, trials):
-    out = tmp_path / "corr.csv"
+_COUNT_FLAG_CASES = [
+    pytest.param("study-corr", "--trials", trials, id=trials) for trials in ("2", "0", "-1", "three")
+] + [
+    pytest.param("aggregate", "--subtypes", "0", id="aggregate-subtypes-0"),
+    pytest.param("aggregate", "--lanczos-rank", "0", id="aggregate-lanczos-rank-0"),
+    pytest.param("aggregate", "--max-iters", "-1", id="aggregate-max-iters--1"),
+    pytest.param("bench-size", "--runs", "0", id="bench-size-runs-0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _COUNT_FLAG_CASES)
+def test_study_corr_rejects_too_few_trials_as_usage_error(tmp_path, capsys, command, flag, value):
+    # every count flag out of range is a usage error, found before any data is read
+    out = tmp_path / "out"
+    rest = {
+        "study-corr": ["--size", "40"],
+        # the dataset need not exist: a missing one would exit 3, not 2
+        "aggregate": ["--method", "fable", "--dataset", str(tmp_path / "missing.json")],
+        "bench-size": ["--sizes", "40", "--methods", "mv"],
+    }[command]
     with pytest.raises(SystemExit) as err:
-        main(["study-corr", "--trials", trials, "--size", "40", "--out", str(out)])
+        main([command, flag, value, *rest, "--out", str(out)])
     assert err.value.code == 2
-    assert "--trials" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -14,26 +14,24 @@ from fable import (
     fable_init,
     logistic_softmax,
 )
-from fable.baselines import ebcc_update_assignments
+from fable.baselines import ebcc_update_assignments, ebcc_update_confusion, ebcc_update_tau
 from fable.model import (
     fable_update_assignments,
     fable_update_augmentation,
-    fable_update_confusion,
     fable_update_gp,
     fable_update_lambda,
     fable_update_pi,
-    fable_update_tau,
 )
 
 from conftest import random_dataset
 
 
-def run_one_sweep(state, dataset, config):
-    fable_update_assignments(state, dataset)
-    fable_update_tau(state)
-    fable_update_confusion(state, dataset)
+def run_one_sweep(state, config):
+    fable_update_assignments(state)
+    ebcc_update_tau(state)
+    ebcc_update_confusion(state)
     fable_update_pi(state, config)
-    fable_update_gp(state, config)
+    fable_update_gp(state)
     fable_update_augmentation(state)
     fable_update_lambda(state)
     return state
@@ -104,7 +102,7 @@ def test_sweep_maintains_coupled_invariants(small_synthetic):
     state = fable_init(small_synthetic, config, seed=0)
     k, m = small_synthetic.num_classes, config.subtypes
     for _ in range(3):
-        run_one_sweep(state, small_synthetic, config)
+        run_one_sweep(state, config)
         assert np.allclose(state.rho.sum(axis=(1, 2)), 1.0, atol=1e-9)
         assert np.array_equal(state.phi, state.rho + 1.0)
         assert np.allclose(state.c**2, state.m_hat**2 + state.sigma_diag, atol=1e-9)
@@ -151,7 +149,7 @@ def test_assignments_match_scalar_formula():
     )
     config = FableConfig(subtypes=2)
     state = fable_init(d, config, seed=2)
-    fable_update_assignments(state, d)
+    fable_update_assignments(state)
     elog_tau = digamma(state.nu) - digamma(state.nu.sum())
     expected = np.zeros((2, 2, 2))
     for i in range(2):
@@ -171,7 +169,7 @@ def test_gp_update_balanced_evidence_gives_zero_mean(small_synthetic):
     config = FableConfig(lanczos_rank=240)
     state = fable_init(small_synthetic, config, seed=0)
     state.gamma = state.phi / state.xi  # rhs = E[pi] - gamma = 0
-    fable_update_gp(state, config)
+    fable_update_gp(state)
     assert np.allclose(state.m_hat, 0.0, atol=1e-9)
     assert np.all(state.sigma_diag > 0.0)
 
@@ -192,7 +190,7 @@ def test_gp_update_matches_dense_oracle():
             cov = np.linalg.inv(np.linalg.inv(prior) + np.diag(omega))
             expected_m[:, k, m] = 0.5 * cov @ (epi[:, k, m] - state.gamma[:, k, m])
             expected_diag[:, k, m] = np.diag(cov)
-    fable_update_gp(state, config)
+    fable_update_gp(state)
     assert np.allclose(state.m_hat, expected_m, rtol=1e-6, atol=1e-9)
     assert np.allclose(state.sigma_diag, expected_diag, rtol=1e-6, atol=1e-9)
 
@@ -275,8 +273,8 @@ def test_matches_subtype_model_when_mixture_terms_tie():
     fab.phi = np.ones_like(fab.phi)
     fab.xi = np.full_like(fab.xi, 0.7)
     bcc.eta = np.ones_like(bcc.eta)
-    fable_update_assignments(fab, d)
-    ebcc_update_assignments(bcc, d)
+    fable_update_assignments(fab)
+    ebcc_update_assignments(bcc)
     assert np.allclose(fab.rho, bcc.rho, atol=1e-12)
 
 
