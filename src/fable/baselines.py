@@ -24,7 +24,6 @@ Storage is one entry per non-abstaining vote.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -412,7 +411,6 @@ def ebcc_fit(
     record_elbo: bool = False,
 ) -> Posterior:
     """Coordinate-ascent fit; stops when max |change in q(z)| < tol."""
-    start = time.perf_counter()
     state = ebcc_init(dataset, subtypes=subtypes, priors=priors, seed=seed)
     trace = []
 
@@ -431,7 +429,6 @@ def ebcc_fit(
         n_iters,
         elbo_trace=trace if record_elbo else None,
         **diag,
-        wall_time_ms=1000.0 * (time.perf_counter() - start),
     )
 
 

@@ -28,7 +28,6 @@ from .data import (
     save_json,
 )
 from .linalg import NumericalError
-from .metrics import f1_binary
 from .studies import (
     METHODS,
     correlation_study,
@@ -101,18 +100,20 @@ def _write_predictions(path, ids, posterior) -> None:
     )
 
 
+def _fit_knobs(args) -> dict:
+    """The knobs set by ``_add_fit_flags``, keyed as :func:`fit_method` takes them."""
+    return {
+        "max_iters": args.max_iters,
+        "tol": args.tol,
+        "subtypes": args.subtypes,
+        "lanczos_rank": args.lanczos_rank,
+    }
+
+
 def cmd_aggregate(args) -> int:
     dataset = _load_dataset(args.dataset)
     start = time.perf_counter()
-    posterior = fit_method(
-        dataset,
-        args.method,
-        seed=args.seed,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        subtypes=args.subtypes,
-        lanczos_rank=args.lanczos_rank,
-    )
+    posterior = fit_method(dataset, args.method, seed=args.seed, **_fit_knobs(args))
     wall_ms = 1000.0 * (time.perf_counter() - start)
 
     ids = dataset.ids or tuple(f"{i:08d}" for i in range(dataset.n_items))
@@ -140,12 +141,7 @@ def cmd_aggregate(args) -> int:
         n_lfs=dataset.n_lfs,
         num_classes=dataset.num_classes,
         seed=args.seed,
-        params={
-            "max_iters": args.max_iters,
-            "tol": args.tol,
-            "subtypes": args.subtypes,
-            "lanczos_rank": args.lanczos_rank,
-        },
+        params=_fit_knobs(args),
         metric=metric_name,
         metric_value=metric_value,
         n_iters=posterior.n_iters,
@@ -159,12 +155,7 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    psi = args.psi
-    if args.psi_range is not None:
-        lo, hi = args.psi_range
-        rng = np.random.default_rng([args.seed, 3])
-        psi = rng.uniform(lo, hi, size=8)
-    spec = default_synthetic_spec(size=args.size, seed=args.seed, psi=psi)
+    spec = default_synthetic_spec(args.size, args.seed, psi=args.psi, psi_range=args.psi_range)
     dataset = generate_synthetic(spec)
     save_json(dataset, args.out)
     print(f"wrote {dataset.n_items} items, {dataset.n_lfs} LFs -> {args.out}")
@@ -186,10 +177,8 @@ def cmd_study_corr(args) -> int:
         size=args.size,
         seed=args.seed,
         psi=args.psi,
-        psi_range=tuple(args.psi_range) if args.psi_range else (1.0, 3.0),
-        subtypes=args.subtypes,
-        max_iters=args.max_iters,
-        lanczos_rank=args.lanczos_rank,
+        psi_range=args.psi_range,
+        **_fit_knobs(args),
     )
     _write_csv(args.out, ["trial", "seed", "corr", "metric", "ebcc", "fable", "delta"], rows)
     print(f"pearson_r={r:.4f} p_value={p:.6g} trials={len(rows)}")
@@ -202,10 +191,8 @@ def cmd_bench_size(args) -> int:
         runs=args.runs,
         methods=args.methods,
         seed=args.seed,
-        psi=args.psi if args.psi is not None else 1.0,
-        subtypes=args.subtypes,
-        max_iters=args.max_iters,
-        lanczos_rank=args.lanczos_rank,
+        psi=args.psi,
+        **_fit_knobs(args),
     )
     summary = summarize_size_study(rows)
     _write_csv(args.out, ["method", "size", "runs", "metric", "mean", "std"], summary)
@@ -260,6 +247,13 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
                         help="max rank of the GP kernel factor; wider features are SVD-truncated")
 
 
+def _add_psi_flags(parser: argparse.ArgumentParser, psi_help: str) -> None:
+    widths = parser.add_mutually_exclusive_group()
+    widths.add_argument("--psi", type=float, default=None, help=psi_help)
+    widths.add_argument("--psi-range", type=float, nargs=2, default=None, metavar=("LO", "HI"),
+                        help="draw one width per LF uniformly from [LO, HI]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fable",
@@ -280,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="generate a seeded synthetic benchmark")
     synth.add_argument("--size", type=int, default=1000)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--psi", type=float, default=None, help="fixed LF width multiplier")
-    synth.add_argument("--psi-range", type=float, nargs=2, default=None, metavar=("LO", "HI"),
-                       help="draw one width per LF uniformly from [LO, HI]")
+    _add_psi_flags(synth, "fixed LF width multiplier")
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
 
@@ -290,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     corr.add_argument("--trials", type=_int_at_least(3), default=50,
                       help="number of datasets; a correlation needs at least three")
     corr.add_argument("--size", type=int, default=1000)
-    corr.add_argument("--psi", type=float, default=None, help="fix all LF widths (degenerate study)")
-    corr.add_argument("--psi-range", type=float, nargs=2, default=None, metavar=("LO", "HI"))
+    _add_psi_flags(corr, "fix all LF widths (degenerate study)")
     corr.add_argument("--out", required=True, help="per-trial CSV path")
     _add_fit_flags(corr)
     corr.set_defaults(func=cmd_study_corr)

@@ -35,10 +35,11 @@ __all__ = [
 # sentinel vote meaning "no opinion"; kept as -1 so vote arrays stay integer
 ABSTAIN = -1
 
-# salts separating the RNG streams used for drawing a spec's widths/stds
-# from the stream used for sampling the data itself
+# salts separating the RNG streams used for drawing a spec's stds, for
+# drawing its LF widths from a range, and for sampling the data itself
 _SPEC_STREAM = 1
 _DATA_STREAM = 2
+_PSI_STREAM = 3
 
 
 class DatasetError(ValueError):
@@ -145,6 +146,18 @@ def validate(dataset: Dataset) -> ValidationReport:
     )
 
 
+def _infer_num_classes(votes: np.ndarray, gold: np.ndarray | None) -> int:
+    """One more than the largest class among the votes and gold labels; at least two."""
+    observed = votes[votes != ABSTAIN]
+    candidates = [observed.max() + 1 if observed.size else 0]
+    if gold is not None and gold.size:
+        candidates.append(int(gold.max()) + 1)
+    num_classes = max(candidates)
+    if num_classes < 2:
+        raise DatasetError("cannot infer the number of classes")
+    return num_classes
+
+
 def load_json(path, num_classes: int | None = None, name: str | None = None) -> Dataset:
     """Read a dataset from the JSON weak-label interchange format.
 
@@ -189,13 +202,10 @@ def load_json(path, num_classes: int | None = None, name: str | None = None) -> 
         gold = np.asarray(labels, dtype=np.int64)
     votes_arr = np.asarray(votes, dtype=np.int64)
     if num_classes is None:
-        observed = votes_arr[votes_arr != ABSTAIN]
-        candidates = [observed.max() + 1 if observed.size else 0]
-        if gold is not None and gold.size:
-            candidates.append(int(gold.max()) + 1)
-        num_classes = max(candidates)
-        if num_classes < 2:
-            raise DatasetError(f"{path}: cannot infer the number of classes")
+        try:
+            num_classes = _infer_num_classes(votes_arr, gold)
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: {exc}") from exc
     dataset = Dataset(
         features=np.asarray(features, dtype=float),
         lf_labels=votes_arr,
@@ -295,13 +305,7 @@ def load_csv(
             raise
         raise DatasetError(f"could not parse CSV input ({exc})") from exc
     if num_classes is None:
-        observed = votes[votes != ABSTAIN]
-        candidates = [observed.max() + 1 if observed.size else 0]
-        if gold is not None and gold.size:
-            candidates.append(int(gold.max()) + 1)
-        num_classes = max(candidates)
-        if num_classes < 2:
-            raise DatasetError("cannot infer the number of classes")
+        num_classes = _infer_num_classes(votes, gold)
     dataset = Dataset(
         features=features,
         lf_labels=votes,
@@ -356,11 +360,13 @@ class SyntheticSpec:
             raise DatasetError("psi entries must be positive")
 
 
-def default_synthetic_spec(size: int, seed: int, psi=None) -> SyntheticSpec:
+def default_synthetic_spec(size: int, seed: int, psi=None, psi_range=None) -> SyntheticSpec:
     """The four-class benchmark layout: means at (+-1.4, +-1.4), stds ~ U(0.8, 1.6).
 
-    ``psi`` may be None (all widths 1), a scalar, or one value per LF.
-    The stds are drawn from a stream derived from ``seed`` that is
+    ``psi`` may be None (all widths 1), a scalar, or one value per LF;
+    ``psi_range = (lo, hi)`` instead draws one width per LF uniformly
+    from [lo, hi].  Giving both is a ValueError.  The stds and the
+    widths are drawn from streams derived from ``seed`` that are
     separate from the data-sampling stream.  The mean separation keeps
     the class clusters substantially overlapping so labeling-function
     correctness is genuinely noisy given features; with wide separation
@@ -371,6 +377,11 @@ def default_synthetic_spec(size: int, seed: int, psi=None) -> SyntheticSpec:
     means = ((1.4, 1.4), (1.4, -1.4), (-1.4, 1.4), (-1.4, -1.4))
     rng = np.random.default_rng([seed, _SPEC_STREAM])
     stds = rng.uniform(0.8, 1.6, size=(4, 2))
+    if psi_range is not None:
+        if psi is not None:
+            raise ValueError("give psi or psi_range, not both")
+        lo, hi = psi_range
+        psi = np.random.default_rng([seed, _PSI_STREAM]).uniform(lo, hi, size=8)
     if psi is None:
         psi_arr = np.ones(8)
     else:

@@ -57,16 +57,15 @@ def _diag_mul(d: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric PSD matrix ``factor @ factor.T + diag(diag_boost) + jitter * I``.
+    """Symmetric PSD matrix ``factor @ factor.T + diag(noise)``.
 
     ``factor`` has shape (N, r), so storage and matvec cost O(N * r);
     nothing N x N is materialised unless ``values`` is asked for.
+    ``noise`` is the (N,) diagonal s, jitter included.
     """
 
-    n: int
-    jitter: float
     factor: np.ndarray
-    diag_boost: np.ndarray
+    noise: np.ndarray
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, jitter: float = 0.0) -> "KernelMatrix":
@@ -89,20 +88,13 @@ class KernelMatrix:
         # directions would widen every core without changing the kernel
         keep = evals > evals.max(initial=0.0) * m.shape[0] * np.finfo(float).eps
         return cls(
-            n=m.shape[0],
-            jitter=float(jitter),
             factor=evecs[:, keep] * np.sqrt(evals[keep]),
-            diag_boost=np.zeros(m.shape[0]),
+            noise=np.full(m.shape[0], float(jitter)),
         )
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
-
-    @property
-    def noise(self) -> np.ndarray:
-        """The diagonal part s = diag_boost + jitter."""
-        return self.diag_boost + self.jitter
+    def n(self) -> int:
+        return self.factor.shape[0]
 
     def truncated(self, rank: int) -> "KernelMatrix":
         """This kernel with its factor cut to the leading ``rank`` singular directions.
@@ -162,12 +154,7 @@ def cosine_kernel(features: np.ndarray, jitter: float = 1e-4) -> KernelMatrix:
     norms = np.linalg.norm(x, axis=1)
     zero = norms == 0.0
     normalized = x / np.where(zero, 1.0, norms)[:, None]
-    return KernelMatrix(
-        n=x.shape[0],
-        jitter=float(jitter),
-        factor=normalized,
-        diag_boost=zero.astype(float),
-    )
+    return KernelMatrix(factor=normalized, noise=zero.astype(float) + float(jitter))
 
 
 def _column_chunks(n: int, r: int, p: int):

@@ -16,7 +16,6 @@ never formed or inverted.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +48,12 @@ __all__ = [
     "fable_fit",
 ]
 
+# the confusion prior diagonal is beta_kk = N * M * _CONFUSION_SCALE
+_CONFUSION_SCALE = 1000.0
+# keeps the Gamma rate of q(pi) positive when the GP mean drifts above 2 log 2
+_XI_FLOOR = 0.2
+
+
 def logistic_softmax(f: np.ndarray) -> np.ndarray:
     """sigmoid(f) normalised over the trailing class/subtype plane.
 
@@ -66,24 +71,19 @@ def logistic_softmax(f: np.ndarray) -> np.ndarray:
 class FableConfig:
     """Knobs of the feature-aware model.
 
-    ``confusion_scale`` is the C in the diagonal confusion prior
-    beta_kk = N * M * C; ``beta_diag`` overrides that product when set.
     ``lanczos_rank`` caps the rank r of the kernel factor behind the GP
     solve: features with more than r dimensions are replaced once per fit
     by their thin SVD truncated to r, and with at most r dimensions the
-    solve is exact.  ``xi_floor`` keeps the Gamma rate of q(pi) positive
-    when the GP mean drifts above 2 log 2.
+    solve is exact.  The fixed parts of the model are module constants:
+    the confusion prior diagonal N * M * ``_CONFUSION_SCALE`` (the
+    off-diagonal is the ``EbccPriors`` default), the rate floor
+    ``_XI_FLOOR`` of q(pi), and the ``cosine_kernel`` default jitter.
     """
 
     subtypes: int = 3
-    confusion_scale: float = 1000.0
-    beta_diag: float | None = None
-    beta_offdiag: float = 1.0
-    kernel_jitter: float = 1e-4
     lanczos_rank: int = 100
     max_iters: int = 100
     tol: float = 1e-6
-    xi_floor: float = 0.2
 
 
 @dataclass
@@ -121,20 +121,13 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     m_hat and a are Uniform(0, 1), drawn from the stream that spread rho
     over subtypes; b is the augmented cell count K * M.  The class prior
     alpha takes the MV class masses and the confusion prior diagonal is
-    N * M * C.
+    N * M * ``_CONFUSION_SCALE``.
     """
     n, k, m = dataset.n_items, dataset.num_classes, config.subtypes
-    beta_diag = (
-        float(config.beta_diag)
-        if config.beta_diag is not None
-        else float(n) * m * config.confusion_scale
-    )
-    priors = EbccPriors(beta_diag=beta_diag, beta_offdiag=config.beta_offdiag)
+    priors = EbccPriors(beta_diag=float(n) * m * _CONFUSION_SCALE)
     rng = np.random.default_rng(seed)
     core = _subtype_start(dataset, m, priors, rng)
-    kernel = cosine_kernel(dataset.features, jitter=config.kernel_jitter).truncated(
-        config.lanczos_rank
-    )
+    kernel = cosine_kernel(dataset.features).truncated(config.lanczos_rank)
     state = FableState(
         **vars(core),
         phi=np.zeros((n, k, m)),
@@ -147,7 +140,7 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
         b=np.full(n, float(k * m)),
         kernel=kernel,
     )
-    fable_update_pi(state, config)
+    fable_update_pi(state)
     fable_update_augmentation(state)
     return state
 
@@ -157,16 +150,16 @@ def fable_update_assignments(state: FableState) -> FableState:
     return _subtype_assignments(state, psi(state.phi) - np.log(state.xi))
 
 
-def fable_update_pi(state: FableState, config: FableConfig) -> FableState:
+def fable_update_pi(state: FableState) -> FableState:
     """Gamma posterior of pi: shape rho + 1, rate log 2 - m_hat / 2.
 
-    The rate is clamped at ``xi_floor`` (counted in ``xi_clamps``) since
+    The rate is clamped at ``_XI_FLOOR`` (counted in ``xi_clamps``) since
     GP means above 2 log 2 would otherwise drive it nonpositive.
     """
     state.phi = state.rho + 1.0
     raw = np.log(2.0) - state.m_hat / 2.0
-    state.xi_clamps += int((raw < config.xi_floor).sum())
-    state.xi = np.maximum(raw, config.xi_floor)
+    state.xi_clamps += int((raw < _XI_FLOOR).sum())
+    state.xi = np.maximum(raw, _XI_FLOOR)
     return state
 
 
@@ -234,14 +227,13 @@ def fable_fit(
     block, augmentation moments, normaliser.
     """
     config = config or FableConfig()
-    start = time.perf_counter()
     state = fable_init(dataset, config, seed=seed)
 
     def sweep(_qz):
         fable_update_assignments(state)
         ebcc_update_tau(state)
         ebcc_update_confusion(state)
-        fable_update_pi(state, config)
+        fable_update_pi(state)
         fable_update_gp(state)
         fable_update_augmentation(state)
         fable_update_lambda(state)
@@ -254,5 +246,4 @@ def fable_fit(
         **diag,
         xi_clamps=state.xi_clamps,
         gp_rank=int(state.kernel.factor.shape[1]),
-        wall_time_ms=1000.0 * (time.perf_counter() - start),
     )

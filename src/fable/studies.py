@@ -44,10 +44,14 @@ def fit_method(
     seed: int = 0,
     max_iters: int | None = None,
     tol: float | None = None,
-    subtypes: int | None = None,
+    subtypes: int = 3,
     lanczos_rank: int | None = None,
 ) -> Posterior:
-    """Run one aggregation method with shared knobs mapped onto its config."""
+    """Run one aggregation method; a knob left at None keeps the method's default.
+
+    These are every knob the experiments set; the studies take them as
+    ``**fit`` and pass them here unchanged.
+    """
     if method == "mv":
         return majority_vote(dataset)
     iters = {} if max_iters is None else {"max_iters": max_iters}
@@ -58,33 +62,21 @@ def fit_method(
     if method == "ibcc":
         return ibcc_fit(dataset, seed=seed, **iters)
     if method == "ebcc":
-        return ebcc_fit(
-            dataset,
-            subtypes=subtypes if subtypes is not None else 3,
-            seed=seed,
-            **iters,
-        )
+        return ebcc_fit(dataset, subtypes=subtypes, seed=seed, **iters)
     if method == "fable":
-        defaults = FableConfig()
-        config = FableConfig(
-            subtypes=subtypes if subtypes is not None else defaults.subtypes,
-            lanczos_rank=lanczos_rank if lanczos_rank is not None else defaults.lanczos_rank,
-            max_iters=max_iters if max_iters is not None else defaults.max_iters,
-            tol=tol if tol is not None else defaults.tol,
-        )
-        return fable_fit(dataset, config, seed=seed)
+        if lanczos_rank is not None:
+            iters["lanczos_rank"] = lanczos_rank
+        return fable_fit(dataset, FableConfig(subtypes=subtypes, **iters), seed=seed)
     raise ValueError(f"unknown method {method!r}")
 
 
 def size_study(
     sizes,
     runs: int = 10,
-    methods=("mv", "ds", "ibcc", "ebcc", "fable"),
+    methods=METHODS,
     seed: int = 0,
     psi: float = 1.0,
-    subtypes: int = 3,
-    max_iters: int | None = None,
-    lanczos_rank: int | None = None,
+    **fit,
 ) -> list[dict]:
     """Accuracy of each method across dataset sizes, one row per fit.
 
@@ -92,6 +84,7 @@ def size_study(
     one, so per-run differences are paired.  Run seeds are shared across
     sizes, so each size sweep resamples the same class-std draws at a
     different N and size effects are not confounded with seed effects.
+    ``fit`` holds the knobs of :func:`fit_method`.
     """
     unknown = set(methods) - set(METHODS)
     if unknown:
@@ -104,14 +97,7 @@ def size_study(
             dataset = generate_synthetic(spec)
             name, score = select_metric(dataset.num_classes)
             for method in methods:
-                posterior = fit_method(
-                    dataset,
-                    method,
-                    seed=trial_seed,
-                    subtypes=subtypes,
-                    max_iters=max_iters,
-                    lanczos_rank=lanczos_rank,
-                )
+                posterior = fit_method(dataset, method, seed=trial_seed, **fit)
                 rows.append(
                     {
                         "method": method,
@@ -152,45 +138,32 @@ def correlation_study(
     trials: int = 50,
     size: int = 1000,
     seed: int = 0,
-    psi_range: tuple[float, float] = (1.0, 3.0),
+    psi_range: tuple[float, float] | None = None,
     psi=None,
-    subtypes: int = 3,
-    max_iters: int | None = None,
-    lanczos_rank: int | None = None,
+    **fit,
 ) -> tuple[list[dict], float, float]:
     """Relate the feature/LF dependence score to the feature-aware gain.
 
-    Each trial redraws the LF window widths psi (uniform in ``psi_range``
-    unless a fixed ``psi`` is given), generates a dataset, computes
-    Corr(X, LFs), and fits the subtype model with and without features.
-    Returns the per-trial rows plus the Pearson r and p-value between the
-    dependence score and the accuracy gain.
+    Each trial redraws the LF window widths psi uniformly from
+    ``psi_range``, (1, 3) unless a range or a fixed ``psi`` is given,
+    generates a dataset, computes Corr(X, LFs), and fits the subtype
+    model with and without features, each with the :func:`fit_method`
+    knobs in ``fit``.  Returns the per-trial rows plus the Pearson r and
+    p-value between the dependence score and the accuracy gain.
     """
     if trials < 3:
         raise ValueError("need at least three trials for a correlation")
+    if psi is None and psi_range is None:
+        psi_range = (1.0, 3.0)
     rows = []
     for trial in range(trials):
         trial_seed = seed ^ trial
-        if psi is None:
-            rng = np.random.default_rng([trial_seed, 3])
-            widths = rng.uniform(psi_range[0], psi_range[1], size=8)
-        else:
-            widths = psi
-        spec = default_synthetic_spec(size=size, seed=trial_seed, psi=widths)
+        spec = default_synthetic_spec(size=size, seed=trial_seed, psi=psi, psi_range=psi_range)
         dataset = generate_synthetic(spec)
         name, score = select_metric(dataset.num_classes)
         corr = feature_lf_correlation(dataset)
-        ebcc_post = fit_method(
-            dataset, "ebcc", seed=trial_seed, subtypes=subtypes, max_iters=max_iters
-        )
-        fable_post = fit_method(
-            dataset,
-            "fable",
-            seed=trial_seed,
-            subtypes=subtypes,
-            max_iters=max_iters,
-            lanczos_rank=lanczos_rank,
-        )
+        ebcc_post = fit_method(dataset, "ebcc", seed=trial_seed, **fit)
+        fable_post = fit_method(dataset, "fable", seed=trial_seed, **fit)
         ebcc_value = float(score(ebcc_post.predictions, dataset.gold))
         fable_value = float(score(fable_post.predictions, dataset.gold))
         rows.append(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fable import load_json
+from fable import load_json, studies
 from fable.baselines import _finish
 from fable.cli import _write_predictions, main
 
@@ -251,6 +251,9 @@ _COUNT_FLAG_CASES = [
     pytest.param("aggregate", "--lanczos-rank", "0", id="aggregate-lanczos-rank-0"),
     pytest.param("aggregate", "--max-iters", "-1", id="aggregate-max-iters--1"),
     pytest.param("bench-size", "--runs", "0", id="bench-size-runs-0"),
+    # --psi and --psi-range exclude each other
+    pytest.param("synth", "--psi-range", "1 3 --psi 1.5", id="synth-both-psi"),
+    pytest.param("study-corr", "--psi-range", "1 3 --psi 1.5", id="study-corr-both-psi"),
 ]
 
 
@@ -263,9 +266,10 @@ def test_study_corr_rejects_too_few_trials_as_usage_error(tmp_path, capsys, comm
         # the dataset need not exist: a missing one would exit 3, not 2
         "aggregate": ["--method", "fable", "--dataset", str(tmp_path / "missing.json")],
         "bench-size": ["--sizes", "40", "--methods", "mv"],
+        "synth": ["--size", "40"],
     }[command]
     with pytest.raises(SystemExit) as err:
-        main([command, flag, value, *rest, "--out", str(out)])
+        main([command, flag, *value.split(), *rest, "--out", str(out)])
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
@@ -316,6 +320,29 @@ def test_bench_size_writes_per_fit_rows(tmp_path):
     for method, size, _, _, mean, _ in summary:
         values = [float(r[5]) for r in rows[1:] if r[0] == method and r[1] == size]
         assert float(mean) == pytest.approx(np.mean(values), abs=1e-15)
+
+
+def test_study_commands_pass_tol_to_every_fit(tmp_path, monkeypatch):
+    # q(z) moves by at most 1, so a tolerance of 2 stops every fit after
+    # one sweep; without --tol these fits run 6-21 (ebcc) and 100 (fable)
+    sweeps = []
+    fit_method = studies.fit_method
+
+    def spy(dataset, method, **knobs):
+        posterior = fit_method(dataset, method, **knobs)
+        sweeps.append((method, posterior.n_iters))
+        return posterior
+
+    monkeypatch.setattr(studies, "fit_method", spy)
+    runs_out = tmp_path / "runs.csv"
+    assert main(["study-corr", "--trials", "3", "--size", "200", "--tol", "2",
+                 "--out", str(tmp_path / "corr.csv")]) == 0
+    assert main(["bench-size", "--sizes", "200", "--runs", "1", "--methods", "ebcc,fable",
+                 "--tol", "2", "--out", str(tmp_path / "bench.csv"),
+                 "--runs-out", str(runs_out)]) == 0
+    assert sweeps == [("ebcc", 1), ("fable", 1)] * 4
+    with runs_out.open() as fh:
+        assert [row["n_iters"] for row in csv.DictReader(fh)] == ["1", "1"]
 
 
 def test_bench_size_rejects_bad_sizes():

@@ -319,6 +319,10 @@ def test_default_spec_psi_broadcast():
     assert default_synthetic_spec(size=10, seed=0, psi=2.5).psi == (2.5,) * 8
     widths = tuple(float(v) for v in range(1, 9))
     assert default_synthetic_spec(size=10, seed=0, psi=widths).psi == widths
+    drawn = default_synthetic_spec(size=10, seed=0, psi_range=(0.5, 2.5)).psi
+    assert len(set(drawn)) == 8 and all(0.5 <= v < 2.5 for v in drawn)
+    with pytest.raises(ValueError):
+        default_synthetic_spec(size=10, seed=0, psi=1.0, psi_range=(0.5, 2.5))
 
 
 def test_generator_is_deterministic():

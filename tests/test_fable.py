@@ -6,6 +6,7 @@ from scipy.special import psi as digamma
 
 from fable import (
     Dataset,
+    EbccPriors,
     FableConfig,
     accuracy,
     dawid_skene,
@@ -16,6 +17,8 @@ from fable import (
 )
 from fable.baselines import ebcc_update_assignments, ebcc_update_confusion, ebcc_update_tau
 from fable.model import (
+    _CONFUSION_SCALE,
+    _XI_FLOOR,
     fable_update_assignments,
     fable_update_augmentation,
     fable_update_gp,
@@ -26,11 +29,11 @@ from fable.model import (
 from conftest import random_dataset
 
 
-def run_one_sweep(state, config):
+def run_one_sweep(state):
     fable_update_assignments(state)
     ebcc_update_tau(state)
     ebcc_update_confusion(state)
-    fable_update_pi(state, config)
+    fable_update_pi(state)
     fable_update_gp(state)
     fable_update_augmentation(state)
     fable_update_lambda(state)
@@ -76,9 +79,9 @@ def test_init_invariants(small_synthetic):
     assert state.alpha.sum() == pytest.approx(n, rel=1e-12)
     assert np.array_equal(state.b, np.full(n, float(k * m)))
     assert np.all((state.a > 0.0) & (state.a < 1.0))
-    assert state.beta[0, 0] == pytest.approx(n * m * config.confusion_scale)
-    assert state.beta[0, 1] == config.beta_offdiag
-    assert np.all(state.xi >= config.xi_floor)
+    assert state.beta[0, 0] == pytest.approx(n * m * _CONFUSION_SCALE)
+    assert state.beta[0, 1] == EbccPriors().beta_offdiag
+    assert np.all(state.xi >= _XI_FLOOR)
     assert np.all(state.gamma >= 0.0)
 
 
@@ -89,11 +92,6 @@ def test_init_is_deterministic(small_synthetic):
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
-def test_init_beta_diag_override(small_synthetic):
-    state = fable_init(small_synthetic, FableConfig(beta_diag=7.0), seed=0)
-    assert state.beta[0, 0] == 7.0
-
-
 # --------------------------------------------------------------- update ops
 
 
@@ -102,32 +100,31 @@ def test_sweep_maintains_coupled_invariants(small_synthetic):
     state = fable_init(small_synthetic, config, seed=0)
     k, m = small_synthetic.num_classes, config.subtypes
     for _ in range(3):
-        run_one_sweep(state, config)
+        run_one_sweep(state)
         assert np.allclose(state.rho.sum(axis=(1, 2)), 1.0, atol=1e-9)
         assert np.array_equal(state.phi, state.rho + 1.0)
         assert np.allclose(state.c**2, state.m_hat**2 + state.sigma_diag, atol=1e-9)
         assert np.allclose(state.a, state.gamma.sum(axis=(1, 2)) + 1.0, atol=1e-12)
         assert np.array_equal(state.b, np.full(state.a.shape, float(k * m)))
-        assert np.all(state.xi >= config.xi_floor)
+        assert np.all(state.xi >= _XI_FLOOR)
         for name in ("rho", "nu", "mu", "phi", "xi", "m_hat", "sigma_diag", "c", "gamma", "a", "b"):
             assert np.all(np.isfinite(getattr(state, name))), name
 
 
 def test_pi_update_values_and_clamp(small_synthetic):
-    config = FableConfig(xi_floor=1e-6)
-    state = fable_init(small_synthetic, config, seed=0)
+    state = fable_init(small_synthetic, FableConfig(), seed=0)
     state.rho = np.zeros_like(state.rho)
     state.m_hat = np.zeros_like(state.m_hat)
     clamps_before = state.xi_clamps
-    fable_update_pi(state, config)
+    fable_update_pi(state)
     assert np.allclose(state.phi, 1.0, atol=1e-15)
     assert np.allclose(state.xi, np.log(2.0), atol=1e-15)
     assert state.xi_clamps == clamps_before
 
     # a mean of exactly 2 log 2 zeroes the raw rate: clamp to the floor
     state.m_hat = np.full_like(state.m_hat, 2.0 * np.log(2.0))
-    fable_update_pi(state, config)
-    assert np.all(state.xi == 1e-6)
+    fable_update_pi(state)
+    assert np.all(state.xi == _XI_FLOOR)
     assert state.xi_clamps == clamps_before + state.m_hat.size
 
 
