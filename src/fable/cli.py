@@ -58,6 +58,7 @@ class RunRecord:
     converged: bool | None
     gp_rank: int | None
     predicted_classes: int
+    effective_classes: float
     wall_time_ms: float
 
     def write(self, path) -> None:
@@ -148,6 +149,7 @@ def cmd_aggregate(args) -> int:
         converged=posterior.diagnostics.get("converged"),
         gp_rank=posterior.diagnostics.get("gp_rank"),
         predicted_classes=posterior.diagnostics["predicted_classes"],
+        effective_classes=posterior.diagnostics["effective_classes"],
         wall_time_ms=wall_ms,
     )
     record.write(args.record or f"{args.out}.run.json")
@@ -227,13 +229,25 @@ def _int_at_least(low: int):
     return parse
 
 
-def _size_list(text: str) -> list[int]:
+def _positive_float(text: str) -> float:
+    """An argparse type for floats > 0; anything else, NaN included, is a usage error."""
     try:
-        sizes = [int(s) for s in text.split(",") if s.strip()]
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError("sizes must be comma-separated integers") from exc
-    if not sizes or any(s < 4 for s in sizes):
-        raise argparse.ArgumentTypeError("sizes must be integers >= 4")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from exc
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+# the synthetic benchmark has four classes and needs an item in each
+_dataset_size = _int_at_least(4)
+
+
+def _size_list(text: str) -> list[int]:
+    sizes = [_dataset_size(s) for s in text.split(",") if s.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError("sizes must be comma-separated integers")
     return sizes
 
 
@@ -249,8 +263,8 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_psi_flags(parser: argparse.ArgumentParser, psi_help: str) -> None:
     widths = parser.add_mutually_exclusive_group()
-    widths.add_argument("--psi", type=float, default=None, help=psi_help)
-    widths.add_argument("--psi-range", type=float, nargs=2, default=None, metavar=("LO", "HI"),
+    widths.add_argument("--psi", type=_positive_float, default=None, help=psi_help)
+    widths.add_argument("--psi-range", type=_positive_float, nargs=2, default=None, metavar=("LO", "HI"),
                         help="draw one width per LF uniformly from [LO, HI]")
 
 
@@ -272,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     agg.set_defaults(func=cmd_aggregate)
 
     synth = sub.add_parser("synth", help="generate a seeded synthetic benchmark")
-    synth.add_argument("--size", type=int, default=1000)
+    synth.add_argument("--size", type=_dataset_size, default=1000)
     synth.add_argument("--seed", type=int, default=0)
     _add_psi_flags(synth, "fixed LF width multiplier")
     synth.add_argument("--out", required=True)
@@ -281,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     corr = sub.add_parser("study-corr", help="correlation between Corr(X, LFs) and the feature-aware gain")
     corr.add_argument("--trials", type=_int_at_least(3), default=50,
                       help="number of datasets; a correlation needs at least three")
-    corr.add_argument("--size", type=int, default=1000)
+    corr.add_argument("--size", type=_dataset_size, default=1000)
     _add_psi_flags(corr, "fix all LF widths (degenerate study)")
     corr.add_argument("--out", required=True, help="per-trial CSV path")
     _add_fit_flags(corr)
@@ -291,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", type=_size_list, default=[1000, 5000, 10000, 15000, 20000])
     bench.add_argument("--runs", type=_int_at_least(1), default=10)
     bench.add_argument("--methods", type=_method_list, default=list(METHODS))
-    bench.add_argument("--psi", type=float, default=1.0)
+    bench.add_argument("--psi", type=_positive_float, default=1.0)
     bench.add_argument("--out", required=True, help="summary CSV path")
     bench.add_argument("--runs-out", default=None, help="per-fit CSV path (one row per method, size and run)")
     _add_fit_flags(bench)
@@ -302,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "psi_range", None) and args.psi_range[0] > args.psi_range[1]:
+        parser.error(f"argument --psi-range: LO must not exceed HI, got {args.psi_range}")
     try:
         return args.func(args)
     except (DatasetError, OSError) as exc:

@@ -48,13 +48,6 @@ class NumericalError(RuntimeError):
     """A numerical routine produced non-finite or invalid intermediates."""
 
 
-def _diag_mul(d: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """diag(d) @ v for v of shape (N,) or (N, B)."""
-    if v.ndim == 1:
-        return d * v
-    return d[:, None] * v
-
-
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric PSD matrix ``factor @ factor.T + diag(noise)``.
@@ -111,7 +104,7 @@ class KernelMatrix:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        return self.factor @ (self.factor.T @ v) + _diag_mul(self.noise, v)
+        return self.factor @ (self.factor.T @ v) + (self.noise * v.T).T
 
     def diagonal(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.factor, self.factor) + self.noise
@@ -129,7 +122,7 @@ class KernelMatrix:
         if w.shape != (self.n,):
             raise ValueError("weights must have one entry per row")
         f = self.factor
-        second_moment = f.T @ _diag_mul(w, f)
+        second_moment = f.T @ (w[:, None] * f)
         core = np.einsum("id,de,ie->i", f, second_moment, f)
         # off-diagonal entries are plain inner products; the diagonal also
         # carries the noise term, so patch that in.
@@ -244,14 +237,19 @@ def pg_mean(b, c):
     """Mean of a Polya-Gamma PG(b, c) variable.
 
     Equals b/(2c) * tanh(c/2), with the exact limit b/4 used for tilts
-    near zero; even in c.
+    near zero; even in c.  0-d inputs give a float.
     """
     b_arr, c_arr = np.broadcast_arrays(
         np.asarray(b, dtype=float), np.asarray(c, dtype=float)
     )
     small = np.abs(c_arr) < _PG_SMALL_TILT
-    safe = np.where(small, 1.0, c_arr)
-    out = np.where(small, b_arr / 4.0, b_arr * np.tanh(safe / 2.0) / (2.0 * safe))
+    safe = np.where(small, 1.0, c_arr) if small.any() else c_arr
+    out = np.divide(safe, 2.0, out=np.empty(safe.shape))
+    np.tanh(out, out=out)
+    out *= b_arr
+    out /= 2.0 * safe
+    if safe is not c_arr:
+        np.copyto(out, b_arr / 4.0, where=small)
     if out.ndim == 0:
         return float(out)
     return out

@@ -11,7 +11,7 @@ sigmoids (omega_ikm).  Mean-field coordinate ascent then gives closed
 forms for every block; only the mixture-weight blocks live here.  The
 Gaussian block solves all class/subtype pairs at once with the exact
 factor-plus-diagonal posterior in :mod:`fable.linalg`, so the kernel is
-never formed or inverted.
+never formed or inverted.  Each block makes one pass per cell quantity.
 """
 
 from __future__ import annotations
@@ -109,8 +109,13 @@ class FableState(SubtypeBccState):
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
+    """log cosh(x) = |x| + log1p(exp(-2|x|)) - log 2; overwrites ``x``."""
+    ax = np.abs(x, out=x)
+    out = ax * -2.0
+    np.log1p(np.exp(out, out=out), out=out)
+    out += ax
+    out -= np.log(2.0)
+    return out
 
 
 def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableState:
@@ -147,7 +152,9 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
 
 def fable_update_assignments(state: FableState) -> FableState:
     """Assignments with the Gamma E[log pi_ikm] = psi(phi) - log(xi)."""
-    return _subtype_assignments(state, psi(state.phi) - np.log(state.xi))
+    elog_pi = psi(state.phi)
+    elog_pi -= np.log(state.xi)
+    return _subtype_assignments(state, elog_pi)
 
 
 def fable_update_pi(state: FableState) -> FableState:
@@ -157,9 +164,10 @@ def fable_update_pi(state: FableState) -> FableState:
     GP means above 2 log 2 would otherwise drive it nonpositive.
     """
     state.phi = state.rho + 1.0
-    raw = np.log(2.0) - state.m_hat / 2.0
-    state.xi_clamps += int((raw < _XI_FLOOR).sum())
-    state.xi = np.maximum(raw, _XI_FLOOR)
+    xi = state.m_hat / 2.0
+    np.subtract(np.log(2.0), xi, out=xi)
+    state.xi_clamps += int(np.count_nonzero(xi < _XI_FLOOR))
+    state.xi = np.maximum(xi, _XI_FLOOR, out=xi)
     return state
 
 
@@ -174,8 +182,9 @@ def fable_update_gp(state: FableState) -> FableState:
     epi = state.phi / state.xi
     omega = pg_mean(epi + state.gamma, state.c).reshape(shape[0], -1)
     post = lowrank_posterior(state.kernel, omega)
-    rhs = (epi - state.gamma).reshape(omega.shape)
-    state.m_hat = 0.5 * post.apply(rhs).reshape(shape)
+    rhs = np.subtract(epi, state.gamma, out=epi).reshape(omega.shape)
+    state.m_hat = post.apply(rhs).reshape(shape)
+    state.m_hat *= 0.5
     state.sigma_diag = post.diagonal().reshape(shape)
     return state
 
@@ -190,29 +199,29 @@ def fable_update_augmentation(state: FableState) -> FableState:
     slack each cell carries, which keeps the normaliser fixed point at
     E[lambda] = 1 / sum_km sigmoid(f_ikm).
     """
-    state.c = np.sqrt(state.m_hat ** 2 + state.sigma_diag)
-    log_gamma = (
-        psi(state.a)[:, None, None]
-        - state.m_hat / 2.0
-        - np.log(state.b)[:, None, None]
-        - np.log(2.0)
-        - _log_cosh(state.c / 2.0)
-    )
-    state.gamma = np.exp(np.minimum(log_gamma, 700.0))
+    c = np.square(state.m_hat)
+    c += state.sigma_diag
+    state.c = np.sqrt(c, out=c)
+    log_gamma = state.m_hat / 2.0
+    np.subtract(psi(state.a)[:, None, None], log_gamma, out=log_gamma)
+    log_gamma -= np.log(state.b)[:, None, None]
+    log_gamma -= np.log(2.0)
+    log_gamma -= _log_cosh(c / 2.0)
+    np.minimum(log_gamma, 700.0, out=log_gamma)
+    state.gamma = np.exp(log_gamma, out=log_gamma)
     return state
 
 
 def fable_update_lambda(state: FableState) -> FableState:
     """Gamma posterior of the normaliser: a_i = sum_km gamma_ikm + 1, b_i = K * M.
 
-    The rate equals the number of augmented Poisson cells per item, which
-    makes the fixed point of E[lambda_i] recover 1 / sum_km sigma(f_ikm),
-    the quantity the exponential integral identity introduces lambda for.
-    A smaller rate gives the gamma/a loop a gain above one and the sweep
-    diverges geometrically.
+    The rate is the constant ``fable_init`` set, the number of augmented
+    Poisson cells per item, which makes the fixed point of E[lambda_i]
+    recover 1 / sum_km sigma(f_ikm), the quantity the exponential
+    integral identity introduces lambda for.  A smaller rate gives the
+    gamma/a loop a gain above one and the sweep diverges geometrically.
     """
     state.a = state.gamma.sum(axis=(1, 2)) + 1.0
-    state.b = np.full(state.a.shape, float(state.rho.shape[1] * state.rho.shape[2]))
     return state
 
 

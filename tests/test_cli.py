@@ -168,6 +168,11 @@ def test_aggregate_flags_single_class_fit(tmp_path, capsys):
         assert (warning in capsys.readouterr().err) is (classes == 1)
         record = json.loads((tmp_path / f"{method}.json.run.json").read_text())
         assert record["predicted_classes"] == classes
+        # exp(entropy of the predicted class shares): 1 when collapsed, K when balanced
+        if classes == 1:
+            assert record["effective_classes"] == 1.0
+        else:
+            assert 3.5 < record["effective_classes"] <= 4.0
         predictions = json.loads(out.read_text())
         assert len({entry["prediction"] for entry in predictions.values()}) == classes
         assert all(set(entry) == {"prediction", "probs"} for entry in predictions.values())
@@ -254,12 +259,25 @@ _COUNT_FLAG_CASES = [
     # --psi and --psi-range exclude each other
     pytest.param("synth", "--psi-range", "1 3 --psi 1.5", id="synth-both-psi"),
     pytest.param("study-corr", "--psi-range", "1 3 --psi 1.5", id="study-corr-both-psi"),
+    # sizes below the four classes of the synthetic benchmark, and widths out of range
+    pytest.param("synth", "--size", "3", id="synth-size-3"),
+    pytest.param("synth", "--size", "0", id="synth-size-0"),
+    pytest.param("study-corr", "--size", "2", id="study-corr-size-2"),
+    pytest.param("synth", "--psi", "0", id="synth-psi-0"),
+    pytest.param("study-corr", "--psi", "-1", id="study-corr-psi--1"),
+    pytest.param("bench-size", "--psi", "-1", id="bench-size-psi--1"),
+    pytest.param("bench-size", "--psi", "nan", id="bench-size-psi-nan"),
+    pytest.param("synth", "--psi-range", "3 1", id="synth-psi-range-reversed"),
+    pytest.param("study-corr", "--psi-range", "3 1", id="study-corr-psi-range-reversed"),
+    pytest.param("synth", "--psi-range", "0 2", id="synth-psi-range-zero"),
+    pytest.param("study-corr", "--psi-range", "-1 2", id="study-corr-psi-range-negative"),
 ]
 
 
 @pytest.mark.parametrize("command, flag, value", _COUNT_FLAG_CASES)
 def test_study_corr_rejects_too_few_trials_as_usage_error(tmp_path, capsys, command, flag, value):
-    # every count flag out of range is a usage error, found before any data is read
+    # every count, size or width flag out of range is a usage error, found
+    # before any data is read
     out = tmp_path / "out"
     rest = {
         "study-corr": ["--size", "40"],

@@ -1,5 +1,8 @@
 """The feature-aware model: init, update blocks, and full fits."""
 
+import copy
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import psi as digamma
@@ -15,7 +18,16 @@ from fable import (
     fable_init,
     logistic_softmax,
 )
-from fable.baselines import ebcc_update_assignments, ebcc_update_confusion, ebcc_update_tau
+from fable.baselines import (
+    _confusion_counts,
+    _vote_log_scores,
+    ebcc_fit,
+    ebcc_update_assignments,
+    ebcc_update_confusion,
+    ebcc_update_pi,
+    ebcc_update_tau,
+)
+from fable.linalg import _PG_SMALL_TILT, dirichlet_log_expectation, lowrank_posterior
 from fable.model import (
     _CONFUSION_SCALE,
     _XI_FLOOR,
@@ -354,3 +366,133 @@ def test_fuzzed_instances_stay_finite():
         post = fable_fit(d, config, seed=seed)
         assert np.all(np.isfinite(post.probs))
         assert np.allclose(post.probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+# ------------------------------------------------- exact reference sweep
+#
+# The update expressions as first written, one numpy reduction or
+# temporary per step.  The sweep functions compute the same operations in
+# the same order with fewer passes, so every field must match bit for bit.
+
+
+def _reference_assignments(state, elog_pi):
+    elog_tau = dirichlet_log_expectation(state.nu)
+    elog_v = dirichlet_log_expectation(state.mu, axis=-1)
+    scores = elog_tau[None, :, None] + elog_pi
+    scores = scores + _vote_log_scores(elog_v, state.onehot)
+    flat = scores.reshape(scores.shape[0], -1)
+    flat = flat - flat.max(axis=1, keepdims=True)
+    weights = np.exp(flat)
+    weights /= weights.sum(axis=1, keepdims=True)
+    state.rho = weights.reshape(scores.shape)
+
+
+def _reference_core(state):
+    state.nu = state.alpha + state.rho.sum(axis=(0, 2))
+    state.mu = state.beta[None, :, None, :] + _confusion_counts(state.rho, state.onehot)
+
+
+def _reference_pg_mean(b, c):
+    b, c = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
+    small = np.abs(c) < _PG_SMALL_TILT
+    safe = np.where(small, 1.0, c)
+    return np.where(small, b / 4.0, b * np.tanh(safe / 2.0) / (2.0 * safe))
+
+
+def reference_fable_sweep(state):
+    """One sweep of ``fable_fit`` in the reference expressions; returns q(z)."""
+    n, k, m = state.rho.shape
+    _reference_assignments(state, digamma(state.phi) - np.log(state.xi))
+    _reference_core(state)
+    state.phi = state.rho + 1.0
+    raw = np.log(2.0) - state.m_hat / 2.0
+    state.xi_clamps += int((raw < _XI_FLOOR).sum())
+    state.xi = np.maximum(raw, _XI_FLOOR)
+    epi = state.phi / state.xi
+    omega = _reference_pg_mean(epi + state.gamma, state.c).reshape(n, -1)
+    post = lowrank_posterior(state.kernel, omega)
+    state.m_hat = 0.5 * post.apply((epi - state.gamma).reshape(omega.shape)).reshape(n, k, m)
+    state.sigma_diag = post.diagonal().reshape(n, k, m)
+    state.c = np.sqrt(state.m_hat ** 2 + state.sigma_diag)
+    half = np.abs(state.c / 2.0)
+    log_cosh = half + np.log1p(np.exp(-2.0 * half)) - np.log(2.0)
+    log_gamma = (
+        digamma(state.a)[:, None, None]
+        - state.m_hat / 2.0
+        - np.log(state.b)[:, None, None]
+        - np.log(2.0)
+        - log_cosh
+    )
+    state.gamma = np.exp(np.minimum(log_gamma, 700.0))
+    state.a = state.gamma.sum(axis=(1, 2)) + 1.0
+    state.b = np.full(n, float(k * m))
+    return state.rho.sum(axis=2)
+
+
+def reference_ebcc_sweep(state):
+    """One sweep of ``ebcc_fit`` in the reference expressions; returns q(z)."""
+    _reference_assignments(state, dirichlet_log_expectation(state.eta, axis=-1))
+    state.nu = state.alpha + state.rho.sum(axis=(0, 2))
+    state.eta = state.a_pi + state.rho.sum(axis=0)
+    state.mu = state.beta[None, :, None, :] + _confusion_counts(state.rho, state.onehot)
+    return state.rho.sum(axis=2)
+
+
+def _oracle_cases():
+    """Seeded small datasets: N 1-40, K 2-5, M 1-4, some items with no votes."""
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        n, k, m = int(rng.integers(1, 41)), int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        d = random_dataset(seed, n=n, k=k, abstain_rate=0.5)
+        votes = d.lf_labels.copy()
+        votes[rng.integers(0, n)] = -1
+        yield seed, Dataset(features=d.features, lf_labels=votes, num_classes=k), m
+
+
+def _arrays(state):
+    return {name: value for name, value in vars(state).items() if isinstance(value, np.ndarray)}
+
+
+def _assert_same_state(got, expected):
+    assert _arrays(got).keys() == _arrays(expected).keys()
+    for name, value in _arrays(expected).items():
+        assert np.array_equal(getattr(got, name), value), name
+    assert np.array_equal(got.qz, expected.rho.sum(axis=2))
+    for (a, x), (b, y) in itertools.combinations(_arrays(got).items(), 2):
+        assert not np.shares_memory(x, y), (a, b)
+
+
+def test_fable_sweep_matches_reference_bit_for_bit():
+    for seed, d, m in _oracle_cases():
+        config = FableConfig(subtypes=m, max_iters=1)
+        state = fable_init(d, config, seed=seed)
+        # push some GP means past the clamp and some tilts to the b/4 limit
+        rng = np.random.default_rng(seed)
+        state.m_hat = state.m_hat * rng.choice([1.0, 3.0], size=state.m_hat.shape)
+        state.c = np.where(rng.random(state.c.shape) < 0.2, 0.0, state.c)
+        expected = copy.deepcopy(state)
+        reference_fable_sweep(expected)
+        run_one_sweep(state)
+        _assert_same_state(state, expected)
+        assert state.xi_clamps == expected.xi_clamps
+
+        # the fit itself: one sweep from the seeded start
+        expected = fable_init(d, config, seed=seed)
+        qz = reference_fable_sweep(expected)
+        post = fable_fit(d, config, seed=seed)
+        assert np.array_equal(post.probs, qz / qz.sum(axis=1, keepdims=True))
+        assert post.diagnostics["xi_clamps"] == expected.xi_clamps
+
+
+def test_ebcc_sweep_matches_reference_bit_for_bit():
+    for seed, d, m in _oracle_cases():
+        state = ebcc_init(d, subtypes=m, seed=seed)
+        expected = copy.deepcopy(state)
+        qz = reference_ebcc_sweep(expected)
+        ebcc_update_assignments(state)
+        ebcc_update_tau(state)
+        ebcc_update_pi(state)
+        ebcc_update_confusion(state)
+        _assert_same_state(state, expected)
+        post = ebcc_fit(d, subtypes=m, seed=seed, max_iters=1)
+        assert np.array_equal(post.probs, qz / qz.sum(axis=1, keepdims=True))

@@ -1,5 +1,7 @@
 """Kernels, the exact posterior solve, and the special-function expectations."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,11 +230,34 @@ def test_pg_mean_known_values():
     assert pg_mean(0.0, 5.0) == 0.0
     assert pg_mean(1.0, 2.0) == pytest.approx(np.tanh(1.0) / 4.0, abs=1e-15)
     assert pg_mean(1.0, 2.0) == pytest.approx(0.1903985389889412, abs=1e-15)
+    # 0-d inputs of either kind give a plain float
+    for b, c in ((1.0, 0.0), (np.float64(1.0), np.array(2.0)), (np.array(3.0), -1e-9)):
+        assert type(pg_mean(b, c)) is float
 
 
 def test_pg_mean_continuous_at_zero():
     for b in (0.5, 1.0, 7.0):
         assert abs(pg_mean(b, 1e-9) - b / 4.0) < 1e-10
+
+
+# tilts on both sides of the small-tilt switch, signed zeros, huge and negative
+_MIXED_TILTS = np.array([0.0, -0.0, 5e-9, -5e-9, 1e-8, 3e-8, 0.7, -2.5, 40.0, 1e4, -1e4, 1e300])
+
+
+def test_pg_mean_mixed_tilts_match_the_scalar_formula(rng):
+    b = rng.uniform(0.1, 5.0, size=_MIXED_TILTS.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pg_mean(b, _MIXED_TILTS)
+        # the same cells without any small tilt take the path with no np.where
+        large = np.abs(_MIXED_TILTS) >= 1e-8
+        assert np.array_equal(pg_mean(b[large], _MIXED_TILTS[large]), out[large])
+    small = ~large
+    assert np.array_equal(out[small], b[small] / 4.0)
+    safe = _MIXED_TILTS[large]
+    assert np.array_equal(out[large], b[large] * np.tanh(safe / 2.0) / (2.0 * safe))
+    for bi, ci, oi in zip(b, _MIXED_TILTS, out):
+        assert pg_mean(bi, ci) == oi
 
 
 def test_pg_mean_broadcasts(rng):
@@ -241,6 +266,13 @@ def test_pg_mean_broadcasts(rng):
     out = pg_mean(b, c)
     assert out.shape == (3, 4)
     assert np.all(out >= 0.0)
+    # a scalar b against an array c, with and without a small tilt
+    for tilts in (c, np.where(c > 0.5, 0.0, c)):
+        out = pg_mean(2.0, tilts)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out, pg_mean(np.full((3, 4), 2.0), tilts))
+    assert pg_mean(b, 0.0).shape == (3, 4)
+    assert np.array_equal(pg_mean(b, 0.0), b / 4.0)
 
 
 @settings(deadline=None, max_examples=50)
