@@ -248,7 +248,7 @@ def pg_mean(b, c):
     np.tanh(out, out=out)
     out *= b_arr
     out /= 2.0 * safe
-    if safe is not c_arr:
+    if safe is not c_arr:  # some tilt is below the switch
         np.copyto(out, b_arr / 4.0, where=small)
     if out.ndim == 0:
         return float(out)
