@@ -8,14 +8,12 @@ transductively on seeded numpy; see the command-line interface in
 """
 
 from .baselines import (
-    EbccPriors,
     EbccState,
     Posterior,
     dawid_skene,
     ebcc_elbo,
     ebcc_fit,
     ebcc_init,
-    ibcc_fit,
     majority_vote,
 )
 from .data import (
@@ -23,7 +21,6 @@ from .data import (
     Dataset,
     DatasetError,
     SyntheticSpec,
-    ValidationReport,
     default_synthetic_spec,
     generate_synthetic,
     load_csv,
@@ -52,7 +49,6 @@ from .model import (
     FableState,
     fable_fit,
     fable_init,
-    logistic_softmax,
 )
 from .studies import correlation_study, fit_method, select_metric, size_study
 
@@ -63,7 +59,6 @@ __all__ = [
     "Dataset",
     "DatasetError",
     "SyntheticSpec",
-    "ValidationReport",
     "default_synthetic_spec",
     "generate_synthetic",
     "load_csv",
@@ -85,17 +80,14 @@ __all__ = [
     "Posterior",
     "majority_vote",
     "dawid_skene",
-    "EbccPriors",
     "EbccState",
     "ebcc_init",
     "ebcc_elbo",
     "ebcc_fit",
-    "ibcc_fit",
     "FableConfig",
     "FableState",
     "fable_init",
     "fable_fit",
-    "logistic_softmax",
     "correlation_study",
     "size_study",
     "fit_method",

@@ -42,7 +42,6 @@ __all__ = [
     "vote_onehot",
     "majority_vote",
     "dawid_skene",
-    "EbccPriors",
     "SubtypeBccState",
     "EbccState",
     "ebcc_init",
@@ -52,8 +51,20 @@ __all__ = [
     "ebcc_update_confusion",
     "ebcc_elbo",
     "ebcc_fit",
-    "ibcc_fit",
 ]
+
+# Dawid-Skene pseudocount: keeps every class prior and confusion entry positive
+_DS_SMOOTHING = 1e-9
+# The BCC confusion prior puts _BETA_DIAG on agreeing votes and
+# _BETA_OFFDIAG elsewhere, encoding that labeling functions beat random
+# guessing.  With sparse one-class labeling functions the vote likelihood
+# is nearly uninformative given coverage, so the diagonal boost carries
+# the class signal until the observed counts swamp it; 200 is sized to
+# stay informative at a few thousand items.
+_BETA_DIAG = 200.0
+_BETA_OFFDIAG = 1.0
+# symmetric Dirichlet prior of the EBCC subtype weights
+_A_PI = 1.0
 
 
 @dataclass
@@ -170,25 +181,21 @@ def _iterate(qz: np.ndarray, sweep, max_iters: int, tol: float):
     return qz, len(deltas), {"converged": converged, "delta_trace": deltas}
 
 
-def dawid_skene(
-    dataset: Dataset,
-    max_iters: int = 500,
-    tol: float = 1e-6,
-    smoothing: float = 1e-9,
-) -> Posterior:
+def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Posterior:
     """Confusion-matrix EM over maximum-likelihood point estimates.
 
-    Starts from the majority-vote posterior; the smoothing pseudocount
-    keeps every confusion entry strictly positive.  The recorded trace is
-    the observed-data log-likelihood at each iteration's parameters.
+    Starts from the majority-vote posterior; the ``_DS_SMOOTHING``
+    pseudocount keeps every confusion entry strictly positive.  The
+    recorded trace is the observed-data log-likelihood at each
+    iteration's parameters.
     """
     onehot = vote_onehot(dataset.lf_labels, dataset.num_classes)
     trace = []
 
     def sweep(qz):
-        prior = qz.sum(axis=0) + smoothing
+        prior = qz.sum(axis=0) + _DS_SMOOTHING
         prior /= prior.sum()
-        counts = smoothing + _confusion_counts(qz[:, :, None], onehot)[:, :, 0, :]
+        counts = _DS_SMOOTHING + _confusion_counts(qz[:, :, None], onehot)[:, :, 0, :]
         theta = counts / counts.sum(axis=2, keepdims=True)
         log_theta = np.log(theta)[:, :, None, :]
         scores = np.log(prior) + _vote_log_scores(log_theta, onehot)[:, :, 0]
@@ -200,30 +207,6 @@ def dawid_skene(
 
     qz, n_iters, diag = _iterate(majority_vote(dataset).probs, sweep, max_iters, tol)
     return _finish(qz, n_iters, elbo_trace=trace, **diag)
-
-
-@dataclass(frozen=True)
-class EbccPriors:
-    """Dirichlet hyperparameters for the BCC family.
-
-    ``alpha`` defaults to the majority-vote class masses when None.  The
-    confusion prior puts ``beta_diag`` on agreeing votes and
-    ``beta_offdiag`` elsewhere, encoding that labeling functions beat
-    random guessing.  With sparse one-class labeling functions the vote
-    likelihood is nearly uninformative given coverage, so the diagonal
-    boost carries the class signal until the observed counts swamp it;
-    the default is sized to stay informative at a few thousand items.
-    """
-
-    alpha: np.ndarray | None = None
-    a_pi: float = 1.0
-    beta_diag: float = 200.0
-    beta_offdiag: float = 1.0
-
-    def beta_matrix(self, num_classes: int) -> np.ndarray:
-        beta = np.full((num_classes, num_classes), float(self.beta_offdiag))
-        np.fill_diagonal(beta, float(self.beta_diag))
-        return beta
 
 
 @dataclass
@@ -268,13 +251,15 @@ def _confusion_counts(rho: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarray:
 
 
 def _subtype_start(
-    dataset: Dataset, subtypes: int, priors: EbccPriors, rng: np.random.Generator
+    dataset: Dataset, subtypes: int, beta_diag: float, rng: np.random.Generator
 ) -> SubtypeBccState:
     """Majority-vote start: rho = MV posterior times a per-item Dirichlet draw.
 
-    The class prior alpha defaults to the MV class masses.  Returns the
-    core state with nu and mu updated from that rho; the draw advances
-    ``rng``, so a caller can continue the same stream.
+    The class prior alpha is the MV class masses, with count 1 for a class
+    no vote gives mass; the confusion prior has ``beta_diag`` on its
+    diagonal and ``_BETA_OFFDIAG`` elsewhere.  Returns the core state
+    with nu and mu updated from that rho; the draw advances ``rng``, so a
+    caller can continue the same stream.
     """
     if subtypes < 1:
         raise ValueError("need at least one subtype")
@@ -283,15 +268,16 @@ def _subtype_start(
     subtype_weights = rng.dirichlet(np.ones(subtypes), size=n)
     rho = mv[:, :, None] * subtype_weights[:, None, :]
     rho /= rho.sum(axis=(1, 2), keepdims=True)
-    alpha = np.asarray(priors.alpha, dtype=float) if priors.alpha is not None else mv.sum(axis=0)
-    if alpha.shape != (k,) or np.any(alpha <= 0):
-        raise ValueError("alpha prior must be positive with one entry per class")
+    alpha = mv.sum(axis=0)
+    alpha[alpha == 0] = 1.0
+    beta = np.full((k, k), _BETA_OFFDIAG)
+    np.fill_diagonal(beta, beta_diag)
     state = SubtypeBccState(
         rho=rho,
         nu=np.zeros(k),
         mu=np.zeros((dataset.n_lfs, k, subtypes, k)),
         alpha=alpha,
-        beta=priors.beta_matrix(k),
+        beta=beta,
         onehot=vote_onehot(dataset.lf_labels, k),
     )
     ebcc_update_tau(state)
@@ -314,19 +300,13 @@ def _subtype_assignments(state: SubtypeBccState, elog_pi: np.ndarray) -> Subtype
     return state
 
 
-def ebcc_init(
-    dataset: Dataset,
-    subtypes: int = 3,
-    priors: EbccPriors | None = None,
-    seed: int = 0,
-) -> EbccState:
+def ebcc_init(dataset: Dataset, subtypes: int = 3, seed: int = 0) -> EbccState:
     """The shared majority-vote start plus the subtype Dirichlets eta."""
-    priors = priors or EbccPriors()
-    core = _subtype_start(dataset, subtypes, priors, np.random.default_rng(seed))
+    core = _subtype_start(dataset, subtypes, _BETA_DIAG, np.random.default_rng(seed))
     state = EbccState(
         **vars(core),
         eta=np.zeros((dataset.num_classes, subtypes)),
-        a_pi=float(priors.a_pi),
+        a_pi=_A_PI,
     )
     ebcc_update_pi(state)
     return state
@@ -411,14 +391,16 @@ def ebcc_elbo(state: EbccState) -> float:
 def ebcc_fit(
     dataset: Dataset,
     subtypes: int = 3,
-    priors: EbccPriors | None = None,
     seed: int = 0,
     max_iters: int = 500,
     tol: float = 1e-6,
     record_elbo: bool = False,
 ) -> Posterior:
-    """Coordinate-ascent fit; stops when max |change in q(z)| < tol."""
-    state = ebcc_init(dataset, subtypes=subtypes, priors=priors, seed=seed)
+    """Coordinate-ascent fit; stops when max |change in q(z)| < tol.
+
+    ``subtypes=1`` is the conditionally independent model, iBCC.
+    """
+    state = ebcc_init(dataset, subtypes=subtypes, seed=seed)
     trace = []
 
     def sweep(_qz):
@@ -436,24 +418,4 @@ def ebcc_fit(
         n_iters,
         elbo_trace=trace if record_elbo else None,
         **diag,
-    )
-
-
-def ibcc_fit(
-    dataset: Dataset,
-    priors: EbccPriors | None = None,
-    seed: int = 0,
-    max_iters: int = 500,
-    tol: float = 1e-6,
-    record_elbo: bool = False,
-) -> Posterior:
-    """Conditionally independent BCC: the subtype model with M = 1."""
-    return ebcc_fit(
-        dataset,
-        subtypes=1,
-        priors=priors,
-        seed=seed,
-        max_iters=max_iters,
-        tol=tol,
-        record_elbo=record_elbo,
     )

@@ -67,7 +67,7 @@ class RunRecord:
             fh.write("\n")
 
 
-def _load_dataset(path_str: str, num_classes=None):
+def _load_dataset(path_str: str):
     path = Path(path_str)
     if path.is_dir():
         gold = path / "gold.csv"
@@ -75,10 +75,9 @@ def _load_dataset(path_str: str, num_classes=None):
             path / "features.csv",
             path / "labels.csv",
             gold_path=gold if gold.exists() else None,
-            num_classes=num_classes,
             name=path.name,
         )
-    return load_json(path, num_classes=num_classes)
+    return load_json(path)
 
 
 def _write_predictions(path, ids, posterior) -> None:

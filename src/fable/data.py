@@ -22,7 +22,6 @@ __all__ = [
     "ABSTAIN",
     "DatasetError",
     "Dataset",
-    "ValidationReport",
     "validate",
     "load_json",
     "save_json",
@@ -83,29 +82,11 @@ class Dataset:
         return self.features.shape[0]
 
     @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def n_lfs(self) -> int:
         return self.lf_labels.shape[1]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Summary statistics produced by :func:`validate`."""
-
-    n_items: int
-    n_lfs: int
-    n_features: int
-    num_classes: int
-    coverage: np.ndarray
-    all_abstain_items: int
-    has_gold: bool
-    gold_balance: np.ndarray | None
-
-
-def validate(dataset: Dataset) -> ValidationReport:
+def validate(dataset: Dataset) -> None:
     """Check every dataset invariant; raise DatasetError on violation."""
     if dataset.n_items < 1:
         raise DatasetError("dataset must contain at least one item")
@@ -129,21 +110,6 @@ def validate(dataset: Dataset) -> ValidationReport:
             raise DatasetError("ids must have one entry per item")
         if len(set(dataset.ids)) != dataset.n_items:
             raise DatasetError("ids must be unique")
-    covered = votes != ABSTAIN
-    coverage = covered.mean(axis=0)
-    balance = None
-    if dataset.gold is not None:
-        balance = np.bincount(dataset.gold, minlength=dataset.num_classes)
-    return ValidationReport(
-        n_items=dataset.n_items,
-        n_lfs=dataset.n_lfs,
-        n_features=dataset.n_features,
-        num_classes=dataset.num_classes,
-        coverage=coverage,
-        all_abstain_items=int((~covered.any(axis=1)).sum()),
-        has_gold=dataset.gold is not None,
-        gold_balance=balance,
-    )
 
 
 def _infer_num_classes(votes: np.ndarray, gold: np.ndarray | None) -> int:
@@ -330,7 +296,6 @@ class SyntheticSpec:
     """
 
     num_classes: int
-    dims: int
     class_means: tuple
     class_stds: tuple
     psi: tuple
@@ -339,18 +304,16 @@ class SyntheticSpec:
     name: str = "synthetic"
 
     def __post_init__(self):
-        if self.dims != 2:
-            raise DatasetError("the unipolar design uses exactly 2 feature dimensions")
         if self.num_classes < 2:
             raise DatasetError("need at least two classes")
         if self.size < self.num_classes:
             raise DatasetError("need at least one item per class")
         means = np.asarray(self.class_means, dtype=float)
         stds = np.asarray(self.class_stds, dtype=float)
-        if means.shape != (self.num_classes, self.dims):
-            raise DatasetError("class_means must be (num_classes, dims)")
-        if stds.shape != (self.num_classes, self.dims):
-            raise DatasetError("class_stds must be (num_classes, dims)")
+        if means.shape != (self.num_classes, 2):
+            raise DatasetError("class_means must be (num_classes, 2)")
+        if stds.shape != (self.num_classes, 2):
+            raise DatasetError("class_stds must be (num_classes, 2)")
         if np.any(stds <= 0):
             raise DatasetError("class_stds must be positive")
         psi = np.asarray(self.psi, dtype=float)
@@ -390,7 +353,6 @@ def default_synthetic_spec(size: int, seed: int, psi=None, psi_range=None) -> Sy
             psi_arr = np.full(8, float(psi_arr))
     return SyntheticSpec(
         num_classes=4,
-        dims=2,
         class_means=means,
         class_stds=tuple(tuple(row) for row in stds),
         psi=tuple(psi_arr),
@@ -418,7 +380,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     gold_blocks = []
     for c in range(k):
         feature_blocks.append(
-            means[c] + stds[c] * rng.standard_normal((counts[c], spec.dims))
+            means[c] + stds[c] * rng.standard_normal((counts[c], 2))
         )
         gold_blocks.append(np.full(counts[c], c, dtype=np.int64))
     features = np.concatenate(feature_blocks, axis=0)
@@ -427,8 +389,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     n_lfs = 2 * k
     votes = np.full((spec.size, n_lfs), ABSTAIN, dtype=np.int64)
     for c in range(k):
-        for dim in range(spec.dims):
-            j = c * spec.dims + dim
+        for dim in range(2):
+            j = c * 2 + dim
             width = spec.psi[j] * stds[c, dim]
             lo = means[c, dim] - width
             hi = means[c, dim] + width

