@@ -236,11 +236,10 @@ class SubtypeBccState:
 class EbccState(SubtypeBccState):
     """The subtype BCC state with per-class Dirichlet mixture weights.
 
-    eta: (K, M) subtype Dirichlets; a_pi: their symmetric prior.
+    eta: (K, M) subtype Dirichlets, each with the symmetric prior ``_A_PI``.
     """
 
     eta: np.ndarray
-    a_pi: float
 
 
 def _confusion_counts(rho: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarray:
@@ -303,11 +302,7 @@ def _subtype_assignments(state: SubtypeBccState, elog_pi: np.ndarray) -> Subtype
 def ebcc_init(dataset: Dataset, subtypes: int = 3, seed: int = 0) -> EbccState:
     """The shared majority-vote start plus the subtype Dirichlets eta."""
     core = _subtype_start(dataset, subtypes, _BETA_DIAG, np.random.default_rng(seed))
-    state = EbccState(
-        **vars(core),
-        eta=np.zeros((dataset.num_classes, subtypes)),
-        a_pi=_A_PI,
-    )
+    state = EbccState(**vars(core), eta=np.zeros((dataset.num_classes, subtypes)))
     ebcc_update_pi(state)
     return state
 
@@ -323,7 +318,7 @@ def ebcc_update_tau(state: SubtypeBccState) -> SubtypeBccState:
 
 
 def ebcc_update_pi(state: EbccState) -> EbccState:
-    state.eta = state.a_pi + state.rho.sum(axis=0)
+    state.eta = _A_PI + state.rho.sum(axis=0)
     return state
 
 
@@ -372,8 +367,8 @@ def ebcc_elbo(state: EbccState) -> float:
         + (qz.sum(axis=0) * elog_tau).sum()
     )
     value += float(
-        (state.a_pi - 1.0) * elog_pi.sum()
-        - k * _log_beta(np.full(m, state.a_pi))
+        (_A_PI - 1.0) * elog_pi.sum()
+        - k * _log_beta(np.full(m, _A_PI))
         + (rho.sum(axis=0) * elog_pi).sum()
     )
     value += float(

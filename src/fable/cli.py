@@ -123,7 +123,8 @@ def cmd_aggregate(args) -> int:
             f"warning: {args.method} stopped after {posterior.n_iters} sweeps without converging",
             file=sys.stderr,
         )
-    if posterior.diagnostics["predicted_classes"] == 1:
+    # with one item a single predicted class is the only possible outcome
+    if posterior.diagnostics["predicted_classes"] == 1 and dataset.n_items > 1:
         print(f"warning: {args.method} put every item in one class", file=sys.stderr)
 
     metric_name = metric_value = None

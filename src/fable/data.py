@@ -8,6 +8,10 @@ train/test split.
 
 ``save_json`` streams the canonical JSON form entry by entry rather than
 through ``json.dump``; the bytes are the same.
+
+The synthetic benchmark has one fixed layout, four 2-D Gaussian classes
+with eight window LFs; a ``SyntheticSpec`` sets only its size, seed and
+LF widths.
 """
 
 from __future__ import annotations
@@ -34,11 +38,19 @@ __all__ = [
 # sentinel vote meaning "no opinion"; kept as -1 so vote arrays stay integer
 ABSTAIN = -1
 
-# salts separating the RNG streams used for drawing a spec's stds, for
-# drawing its LF widths from a range, and for sampling the data itself
+# salts separating the RNG streams used for drawing the class stds, for
+# drawing the LF widths from a range, and for sampling the data itself
 _SPEC_STREAM = 1
 _DATA_STREAM = 2
 _PSI_STREAM = 3
+
+# centres of the synthetic benchmark's four classes, one row per class;
+# each entry has its own labeling function.  The separation keeps the
+# clusters substantially overlapping, so labeling-function correctness is
+# genuinely noisy given features; with wide separation correctness becomes
+# a near-deterministic function of position and the feature/correctness
+# dependence stops varying across window widths.
+_CLASS_MEANS = np.array([(1.4, 1.4), (1.4, -1.4), (-1.4, 1.4), (-1.4, -1.4)])
 
 
 class DatasetError(ValueError):
@@ -124,7 +136,7 @@ def _infer_num_classes(votes: np.ndarray, gold: np.ndarray | None) -> int:
     return num_classes
 
 
-def load_json(path, num_classes: int | None = None, name: str | None = None) -> Dataset:
+def load_json(path, num_classes: int | None = None) -> Dataset:
     """Read a dataset from the JSON weak-label interchange format.
 
     The file is one object mapping item id to an entry with ``label``
@@ -177,7 +189,7 @@ def load_json(path, num_classes: int | None = None, name: str | None = None) -> 
         lf_labels=votes_arr,
         num_classes=num_classes,
         gold=gold,
-        name=name if name is not None else path.stem,
+        name=path.stem,
         ids=tuple(ids),
     )
     validate(dataset)
@@ -285,81 +297,54 @@ def load_csv(
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for the seeded Gaussian-mixture benchmark.
+    """Size, seed and LF widths of the seeded four-class Gaussian benchmark.
 
-    Items are drawn from one 2-D Gaussian per class with equal class
-    proportions; each class contributes two unipolar labeling functions,
-    one per feature dimension.  LF ``(c, k)`` votes ``c`` exactly when the
-    item's k-th coordinate falls inside mean +- psi * std of class ``c``
-    in that dimension, and abstains otherwise; ``psi`` holds one width
-    multiplier per LF, ordered class-major.
+    The layout is fixed: items are drawn from one 2-D Gaussian per class
+    with equal class proportions, centred at ``_CLASS_MEANS`` with stds
+    drawn from ``seed`` by ``_class_stds``.  Each class contributes two
+    unipolar labeling functions, one per feature dimension.  LF ``(c, d)``
+    votes ``c`` exactly when the item's d-th coordinate falls inside
+    mean +- psi * std of class ``c`` in that dimension, and abstains
+    otherwise; ``psi`` holds one width multiplier per LF, ordered
+    class-major.
     """
 
-    num_classes: int
-    class_means: tuple
-    class_stds: tuple
-    psi: tuple
     size: int
     seed: int
-    name: str = "synthetic"
+    psi: tuple
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise DatasetError("need at least two classes")
-        if self.size < self.num_classes:
+        if self.size < len(_CLASS_MEANS):
             raise DatasetError("need at least one item per class")
-        means = np.asarray(self.class_means, dtype=float)
-        stds = np.asarray(self.class_stds, dtype=float)
-        if means.shape != (self.num_classes, 2):
-            raise DatasetError("class_means must be (num_classes, 2)")
-        if stds.shape != (self.num_classes, 2):
-            raise DatasetError("class_stds must be (num_classes, 2)")
-        if np.any(stds <= 0):
-            raise DatasetError("class_stds must be positive")
         psi = np.asarray(self.psi, dtype=float)
-        if psi.shape != (2 * self.num_classes,):
+        if psi.shape != (_CLASS_MEANS.size,):
             raise DatasetError("psi must hold one width per labeling function")
-        if np.any(psi <= 0):
+        if not np.all(psi > 0):
             raise DatasetError("psi entries must be positive")
 
 
+def _class_stds(seed: int) -> np.ndarray:
+    """One std per class and dimension, U(0.8, 1.6) on their own stream."""
+    return np.random.default_rng([seed, _SPEC_STREAM]).uniform(0.8, 1.6, size=_CLASS_MEANS.shape)
+
+
 def default_synthetic_spec(size: int, seed: int, psi=None, psi_range=None) -> SyntheticSpec:
-    """The four-class benchmark layout: means at (+-1.4, +-1.4), stds ~ U(0.8, 1.6).
+    """The benchmark spec with LF widths from ``psi`` or ``psi_range``.
 
     ``psi`` may be None (all widths 1), a scalar, or one value per LF;
     ``psi_range = (lo, hi)`` instead draws one width per LF uniformly
-    from [lo, hi].  Giving both is a ValueError.  The stds and the
-    widths are drawn from streams derived from ``seed`` that are
-    separate from the data-sampling stream.  The mean separation keeps
-    the class clusters substantially overlapping so labeling-function
-    correctness is genuinely noisy given features; with wide separation
-    correctness becomes a near-deterministic function of position and
-    the feature/correctness dependence stops varying across window
-    widths.
+    from [lo, hi], on a stream derived from ``seed`` that is separate
+    from the std and data-sampling streams.  Giving both is a ValueError.
     """
-    means = ((1.4, 1.4), (1.4, -1.4), (-1.4, 1.4), (-1.4, -1.4))
-    rng = np.random.default_rng([seed, _SPEC_STREAM])
-    stds = rng.uniform(0.8, 1.6, size=(4, 2))
     if psi_range is not None:
         if psi is not None:
             raise ValueError("give psi or psi_range, not both")
         lo, hi = psi_range
-        psi = np.random.default_rng([seed, _PSI_STREAM]).uniform(lo, hi, size=8)
-    if psi is None:
-        psi_arr = np.ones(8)
-    else:
-        psi_arr = np.asarray(psi, dtype=float)
-        if psi_arr.ndim == 0:
-            psi_arr = np.full(8, float(psi_arr))
-    return SyntheticSpec(
-        num_classes=4,
-        class_means=means,
-        class_stds=tuple(tuple(row) for row in stds),
-        psi=tuple(psi_arr),
-        size=size,
-        seed=seed,
-        name=f"synthetic-n{size}-s{seed}",
-    )
+        psi = np.random.default_rng([seed, _PSI_STREAM]).uniform(lo, hi, size=_CLASS_MEANS.size)
+    psi_arr = np.asarray(1.0 if psi is None else psi, dtype=float)
+    if psi_arr.ndim == 0:
+        psi_arr = np.full(_CLASS_MEANS.size, float(psi_arr))
+    return SyntheticSpec(size=size, seed=seed, psi=tuple(psi_arr))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -368,39 +353,23 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     Class sizes are balanced, with any remainder going to the lowest
     class indices.  Items are laid out class by class.
     """
-    k = spec.num_classes
-    means = np.asarray(spec.class_means, dtype=float)
-    stds = np.asarray(spec.class_stds, dtype=float)
-    base, extra = divmod(spec.size, k)
-    counts = np.full(k, base, dtype=int)
-    counts[:extra] += 1
+    k = len(_CLASS_MEANS)
+    classes = np.arange(k)
+    gold = np.repeat(classes, spec.size // k + (classes < spec.size % k))
+    stds = _class_stds(spec.seed)
+    z = np.random.default_rng([spec.seed, _DATA_STREAM]).standard_normal((spec.size, 2))
+    features = _CLASS_MEANS[gold] + stds[gold] * z
 
-    rng = np.random.default_rng([spec.seed, _DATA_STREAM])
-    feature_blocks = []
-    gold_blocks = []
-    for c in range(k):
-        feature_blocks.append(
-            means[c] + stds[c] * rng.standard_normal((counts[c], 2))
-        )
-        gold_blocks.append(np.full(counts[c], c, dtype=np.int64))
-    features = np.concatenate(feature_blocks, axis=0)
-    gold = np.concatenate(gold_blocks)
-
-    n_lfs = 2 * k
-    votes = np.full((spec.size, n_lfs), ABSTAIN, dtype=np.int64)
-    for c in range(k):
-        for dim in range(2):
-            j = c * 2 + dim
-            width = spec.psi[j] * stds[c, dim]
-            lo = means[c, dim] - width
-            hi = means[c, dim] + width
-            inside = (features[:, dim] > lo) & (features[:, dim] < hi)
-            votes[inside, j] = c
-
+    # LF j = 2c + dim tests coordinate dim, column j of the tiled features,
+    # against class c's window
+    width = np.asarray(spec.psi).reshape(k, 2) * stds
+    coords = np.tile(features, k)
+    inside = (coords > (_CLASS_MEANS - width).ravel()) & (coords < (_CLASS_MEANS + width).ravel())
+    votes = np.where(inside, np.repeat(classes, 2), ABSTAIN)
     return Dataset(
         features=features,
         lf_labels=votes,
         num_classes=k,
         gold=gold,
-        name=spec.name,
+        name=f"synthetic-n{spec.size}-s{spec.seed}",
     )

@@ -95,7 +95,6 @@ def size_study(
             trial_seed = seed ^ run
             spec = default_synthetic_spec(size=size, seed=trial_seed, psi=psi)
             dataset = generate_synthetic(spec)
-            name, score = select_metric(dataset.num_classes)
             for method in methods:
                 posterior = fit_method(dataset, method, seed=trial_seed, **fit)
                 rows.append(
@@ -104,8 +103,8 @@ def size_study(
                         "size": int(size),
                         "run": run,
                         "seed": trial_seed,
-                        "metric": name,
-                        "value": float(score(posterior.predictions, dataset.gold)),
+                        "metric": "accuracy",
+                        "value": accuracy(posterior.predictions, dataset.gold),
                         "n_iters": posterior.n_iters,
                     }
                 )
@@ -115,7 +114,6 @@ def size_study(
 def summarize_size_study(rows: list[dict]) -> list[dict]:
     """Mean and standard deviation per (method, size), in first-seen order."""
     groups: dict[tuple, list[float]] = {}
-    metric = rows[0]["metric"] if rows else "accuracy"
     for row in rows:
         groups.setdefault((row["method"], row["size"]), []).append(row["value"])
     summary = []
@@ -126,7 +124,7 @@ def summarize_size_study(rows: list[dict]) -> list[dict]:
                 "method": method,
                 "size": size,
                 "runs": len(values),
-                "metric": metric,
+                "metric": "accuracy",
                 "mean": float(arr.mean()),
                 "std": float(arr.std()),
             }
@@ -160,18 +158,17 @@ def correlation_study(
         trial_seed = seed ^ trial
         spec = default_synthetic_spec(size=size, seed=trial_seed, psi=psi, psi_range=psi_range)
         dataset = generate_synthetic(spec)
-        name, score = select_metric(dataset.num_classes)
         corr = feature_lf_correlation(dataset)
         ebcc_post = fit_method(dataset, "ebcc", seed=trial_seed, **fit)
         fable_post = fit_method(dataset, "fable", seed=trial_seed, **fit)
-        ebcc_value = float(score(ebcc_post.predictions, dataset.gold))
-        fable_value = float(score(fable_post.predictions, dataset.gold))
+        ebcc_value = accuracy(ebcc_post.predictions, dataset.gold)
+        fable_value = accuracy(fable_post.predictions, dataset.gold)
         rows.append(
             {
                 "trial": trial,
                 "seed": trial_seed,
                 "corr": float(corr),
-                "metric": name,
+                "metric": "accuracy",
                 "ebcc": ebcc_value,
                 "fable": fable_value,
                 "delta": fable_value - ebcc_value,

@@ -16,6 +16,7 @@ from fable import (
     majority_vote,
 )
 from fable.baselines import (
+    _A_PI,
     _confusion_counts,
     _vote_log_scores,
     ebcc_update_assignments,
@@ -96,7 +97,7 @@ def test_ebcc_init_state_invariants(small_synthetic):
     assert np.allclose(state.rho.sum(axis=(1, 2)), 1.0, atol=1e-9)
     assert np.all(state.rho >= 0.0)
     assert np.all(state.nu >= state.alpha - 1e-12)
-    assert np.all(state.eta >= state.a_pi - 1e-12)
+    assert np.all(state.eta >= _A_PI - 1e-12)
     assert np.all(state.mu >= state.beta[None, :, None, :] - 1e-12)
 
 
@@ -155,11 +156,11 @@ def test_ebcc_pi_update_counts_subtype_mass(small_synthetic):
     n, k = small_synthetic.n_items, small_synthetic.num_classes
     state.rho = np.zeros((n, k, 3))
     ebcc_update_pi(state)
-    assert np.allclose(state.eta, state.a_pi, atol=1e-12)
+    assert np.allclose(state.eta, _A_PI, atol=1e-12)
 
     state.rho = np.full((n, k, 3), 1.0 / (k * 3))
     ebcc_update_pi(state)
-    assert np.allclose(state.eta, state.a_pi + n / (k * 3), atol=1e-9)
+    assert np.allclose(state.eta, _A_PI + n / (k * 3), atol=1e-9)
 
 
 def test_ebcc_confusion_update_silent_lf_keeps_prior():

@@ -168,8 +168,8 @@ def test_aggregate_edge_inputs(tmp_path, capsys, case, method):
         assert collapsed
 
 
-@pytest.mark.parametrize("method", ["ibcc", "ebcc", "fable"])
-def test_aggregate_one_item_dataset(tmp_path, method):
+@pytest.mark.parametrize("method", studies.METHODS)
+def test_aggregate_one_item_dataset(tmp_path, capsys, method):
     # one item voted class 1, so class 0 has no MV mass and takes prior count 1
     data = tmp_path / "one.json"
     data.write_text(json.dumps(
@@ -179,6 +179,9 @@ def test_aggregate_one_item_dataset(tmp_path, method):
     code = main(["aggregate", "--method", method, "--dataset", str(data), "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["a"]["prediction"] == 1
+    # one predicted class is the only possible outcome, so it is recorded but not warned of
+    assert "one class" not in capsys.readouterr().err
+    assert json.loads((tmp_path / "preds.json.run.json").read_text())["predicted_classes"] == 1
 
 
 def test_aggregate_warns_when_fit_stops_unconverged(tmp_path, capsys):

@@ -17,6 +17,7 @@ from fable import (
     save_json,
     validate,
 )
+from fable.data import _CLASS_MEANS, _class_stds
 
 # probability that a Gaussian draw lands within +-1 (resp. +-3) stds of
 # its own mean, which is exactly the own-class coverage of a window LF
@@ -273,34 +274,11 @@ def test_load_csv_rejects_fractional_votes(tmp_path):
 
 
 def test_synthetic_spec_validation():
-    good = default_synthetic_spec(size=100, seed=0)
     with pytest.raises(DatasetError):
-        SyntheticSpec(
-            num_classes=4,
-            class_means=good.class_means,
-            class_stds=good.class_stds,
-            psi=(1.0,) * 7,  # one width short
-            size=100,
-            seed=0,
-        )
-    with pytest.raises(DatasetError):
-        SyntheticSpec(
-            num_classes=4,
-            class_means=good.class_means,
-            class_stds=((0.0, 1.0),) * 4,
-            psi=(1.0,) * 8,
-            size=100,
-            seed=0,
-        )
-    with pytest.raises(DatasetError):
-        SyntheticSpec(
-            num_classes=4,
-            class_means=tuple((x, y, 0.0) for x, y in good.class_means),  # 3-D
-            class_stds=good.class_stds,
-            psi=(1.0,) * 8,
-            size=100,
-            seed=0,
-        )
+        SyntheticSpec(size=100, seed=0, psi=(1.0,) * 7)  # one width short
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(DatasetError):
+            SyntheticSpec(size=100, seed=0, psi=(1.0,) * 7 + (bad,))
     with pytest.raises(DatasetError):
         default_synthetic_spec(size=3, seed=0)
 
@@ -360,11 +338,49 @@ def test_own_class_coverage_matches_gaussian_mass(psi, target, tolerance):
 def test_window_votes_match_direct_rule():
     spec = default_synthetic_spec(size=300, seed=9, psi=1.7)
     d = generate_synthetic(spec)
-    means = np.asarray(spec.class_means)
-    stds = np.asarray(spec.class_stds)
+    stds = _class_stds(spec.seed)
     for c in range(4):
         for dim in range(2):
             j = c * 2 + dim
             width = spec.psi[j] * stds[c, dim]
-            inside = np.abs(d.features[:, dim] - means[c, dim]) < width
+            inside = np.abs(d.features[:, dim] - _CLASS_MEANS[c, dim]) < width
             assert np.array_equal(d.lf_labels[:, j] == c, inside)
+
+
+def loop_generator_oracle(size, seed, psi):
+    """The class-by-class, LF-by-LF generator, with the layout and streams written out."""
+    means = np.array([(1.4, 1.4), (1.4, -1.4), (-1.4, 1.4), (-1.4, -1.4)])
+    stds = np.random.default_rng([seed, 1]).uniform(0.8, 1.6, size=(4, 2))
+    base, extra = divmod(size, 4)
+    counts = np.full(4, base)
+    counts[:extra] += 1
+    rng = np.random.default_rng([seed, 2])
+    features = np.concatenate(
+        [means[c] + stds[c] * rng.standard_normal((counts[c], 2)) for c in range(4)]
+    )
+    gold = np.concatenate([np.full(counts[c], c) for c in range(4)])
+    votes = np.full((size, 8), ABSTAIN)
+    for c in range(4):
+        for dim in range(2):
+            j = c * 2 + dim
+            width = psi[j] * stds[c, dim]
+            lo, hi = means[c, dim] - width, means[c, dim] + width
+            votes[(features[:, dim] > lo) & (features[:, dim] < hi), j] = c
+    return features, votes, gold
+
+
+@pytest.mark.parametrize("size", [4, 5, 203, 1001])
+@pytest.mark.parametrize(
+    "widths",
+    [{}, {"psi": 1.7}, {"psi": tuple(0.5 + 0.25 * j for j in range(8))}, {"psi_range": (1.0, 3.0)}],
+    ids=["default", "scalar", "per-lf", "range"],
+)
+def test_generator_matches_loop_oracle(size, widths):
+    seed = size % 7
+    spec = default_synthetic_spec(size=size, seed=seed, **widths)
+    d = generate_synthetic(spec)
+    features, votes, gold = loop_generator_oracle(size, seed, spec.psi)
+    assert np.array_equal(d.features, features)
+    assert np.array_equal(d.lf_labels, votes)
+    assert np.array_equal(d.gold, gold)
+    assert d.name == f"synthetic-n{size}-s{seed}"

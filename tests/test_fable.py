@@ -17,6 +17,7 @@ from fable import (
     fable_init,
 )
 from fable.baselines import (
+    _A_PI,
     _BETA_OFFDIAG,
     _confusion_counts,
     _vote_log_scores,
@@ -404,7 +405,7 @@ def reference_ebcc_sweep(state):
     """One sweep of ``ebcc_fit`` in the reference expressions; returns q(z)."""
     _reference_assignments(state, dirichlet_log_expectation(state.eta, axis=-1))
     state.nu = state.alpha + state.rho.sum(axis=(0, 2))
-    state.eta = state.a_pi + state.rho.sum(axis=0)
+    state.eta = _A_PI + state.rho.sum(axis=0)
     state.mu = state.beta[None, :, None, :] + _confusion_counts(state.rho, state.onehot)
     return state.rho.sum(axis=2)
 
