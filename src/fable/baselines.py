@@ -21,9 +21,10 @@ indicator of :func:`vote_onehot`, an (N, L*K) CSR matrix with a one in
 column j*K + y for each non-abstaining vote y_ij = y and nothing for an
 abstain.  Summing log confusion entries over an item's votes is then one
 product ``onehot @ table`` and the soft confusion counts are one product
-``onehot.T @ responsibilities``; the fits build the matrix once and keep
-it on their state, so a sweep never loops over labeling functions.
-Storage is one entry per non-abstaining vote.
+``onehot.T @ responsibilities``; the fits build the matrix and its
+transpose (as CSR, so no sweep converts it) once and keep them on their
+state, so a sweep never loops over labeling functions.  Storage is one
+entry per non-abstaining vote in each.
 """
 
 from __future__ import annotations
@@ -190,12 +191,13 @@ def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Po
     iteration's parameters.
     """
     onehot = vote_onehot(dataset.lf_labels, dataset.num_classes)
+    onehot_t = onehot.T.tocsr()
     trace = []
 
     def sweep(qz):
         prior = qz.sum(axis=0) + _DS_SMOOTHING
         prior /= prior.sum()
-        counts = _DS_SMOOTHING + _confusion_counts(qz[:, :, None], onehot)[:, :, 0, :]
+        counts = _DS_SMOOTHING + _confusion_counts(qz[:, :, None], onehot_t)[:, :, 0, :]
         theta = counts / counts.sum(axis=2, keepdims=True)
         log_theta = np.log(theta)[:, :, None, :]
         scores = np.log(prior) + _vote_log_scores(log_theta, onehot)[:, :, 0]
@@ -215,9 +217,10 @@ class SubtypeBccState:
 
     rho: (N, K, M) joint q(z_i = k, g_i = m); nu: (K,) class Dirichlet;
     mu: (L, K, M, K) confusion Dirichlets; alpha, beta echo their
-    priors; onehot: the :func:`vote_onehot` matrix of the dataset, built
-    once at the start.  The models differ only in their mixture weights
-    pi, whose posterior each subclass adds.
+    priors; onehot: the :func:`vote_onehot` matrix of the dataset and
+    onehot_t its transpose in CSR form, both built once at the start.
+    The models differ only in their mixture weights pi, whose posterior
+    each subclass adds.
     """
 
     rho: np.ndarray
@@ -226,6 +229,7 @@ class SubtypeBccState:
     alpha: np.ndarray
     beta: np.ndarray
     onehot: sparse.csr_matrix
+    onehot_t: sparse.csr_matrix
 
     @property
     def qz(self) -> np.ndarray:
@@ -242,10 +246,14 @@ class EbccState(SubtypeBccState):
     eta: np.ndarray
 
 
-def _confusion_counts(rho: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarray:
-    """sum_i rho_ikm [y_ij = l] for each LF j, as an (L, K, M, K) array."""
+def _confusion_counts(rho: np.ndarray, onehot_t: sparse.csr_matrix) -> np.ndarray:
+    """sum_i rho_ikm [y_ij = l] for each LF j, as an (L, K, M, K) array.
+
+    ``onehot_t`` is the transposed :func:`vote_onehot` matrix as CSR; its
+    rows list the items in order, so the sums run in item order.
+    """
     n, k, m = rho.shape
-    counts = onehot.T @ rho.reshape(n, k * m)
+    counts = onehot_t @ rho.reshape(n, k * m)
     return counts.reshape(-1, k, k, m).transpose(0, 2, 3, 1)
 
 
@@ -271,13 +279,15 @@ def _subtype_start(
     alpha[alpha == 0] = 1.0
     beta = np.full((k, k), _BETA_OFFDIAG)
     np.fill_diagonal(beta, beta_diag)
+    onehot = vote_onehot(dataset.lf_labels, k)
     state = SubtypeBccState(
         rho=rho,
         nu=np.zeros(k),
         mu=np.zeros((dataset.n_lfs, k, subtypes, k)),
         alpha=alpha,
         beta=beta,
-        onehot=vote_onehot(dataset.lf_labels, k),
+        onehot=onehot,
+        onehot_t=onehot.T.tocsr(),
     )
     ebcc_update_tau(state)
     ebcc_update_confusion(state)
@@ -323,8 +333,8 @@ def ebcc_update_pi(state: EbccState) -> EbccState:
 
 
 def ebcc_update_confusion(state: SubtypeBccState) -> SubtypeBccState:
-    """mu_jkm = beta_k + soft counts of LF j's votes, from ``state.onehot``."""
-    counts = _confusion_counts(state.rho, state.onehot)
+    """mu_jkm = beta_k + soft counts of LF j's votes, from ``state.onehot_t``."""
+    counts = _confusion_counts(state.rho, state.onehot_t)
     state.mu = state.beta[None, :, None, :] + counts
     return state
 
@@ -351,7 +361,7 @@ def ebcc_elbo(state: EbccState) -> float:
     Valid at any state, so it is non-decreasing across coordinate sweeps
     regardless of where in the cycle it is evaluated.  The vote term
     sum_ij rho_ikm E[log v_jkm,y_ij] is taken as soft confusion counts
-    against E[log v], from ``state.onehot``.
+    against E[log v], from ``state.onehot_t``.
     """
     elog_tau = dirichlet_log_expectation(state.nu)
     elog_pi = dirichlet_log_expectation(state.eta, axis=-1)
@@ -374,7 +384,7 @@ def ebcc_elbo(state: EbccState) -> float:
     value += float(
         ((state.beta[None, :, None, :] - 1.0) * elog_v).sum()
         - n_lf * m * _log_beta(state.beta, axis=-1).sum()
-        + (_confusion_counts(rho, state.onehot) * elog_v).sum()
+        + (_confusion_counts(rho, state.onehot_t) * elog_v).sum()
     )
     value -= float(xlogy(rho, rho).sum())
     value += float(_dirichlet_entropy(state.nu))

@@ -42,7 +42,12 @@ __all__ = ["main", "entry", "RunRecord"]
 
 @dataclasses.dataclass
 class RunRecord:
-    """Reproducibility trail written next to every aggregation output."""
+    """Reproducibility trail written next to every aggregation output.
+
+    ``delta_trace`` holds the largest change in q(z) of each sweep and
+    ``xi_clamp_rate`` the share of ``fable``'s rate-floor tests that
+    clamped; each is None for a method without it.
+    """
 
     command: str
     method: str
@@ -59,6 +64,8 @@ class RunRecord:
     gp_rank: int | None
     predicted_classes: int
     effective_classes: float
+    delta_trace: list[float] | None
+    xi_clamp_rate: float | None
     wall_time_ms: float
 
     def write(self, path) -> None:
@@ -150,6 +157,8 @@ def cmd_aggregate(args) -> int:
         gp_rank=posterior.diagnostics.get("gp_rank"),
         predicted_classes=posterior.diagnostics["predicted_classes"],
         effective_classes=posterior.diagnostics["effective_classes"],
+        delta_trace=posterior.diagnostics.get("delta_trace"),
+        xi_clamp_rate=posterior.diagnostics.get("xi_clamp_rate"),
         wall_time_ms=wall_ms,
     )
     record.write(args.record or f"{args.out}.run.json")

@@ -3,6 +3,9 @@
 The dependence score is a distance correlation computed in row chunks:
 no N x N distance matrix is formed, so its memory is O(N * chunk) with
 chunks of at most max(N, 2^17) floats (1 MB), the bound ``linalg`` uses.
+One pass over the feature distance rows serves every labeling function:
+each chunk is multiplied once by an (N, 2L) weight matrix, which adds
+O(N * L) memory.
 
 Only ``scipy.special`` and ``scipy.spatial.distance`` are imported:
 ``pearson_r`` computes its p-value in closed form rather than through
@@ -121,31 +124,53 @@ def distance_correlation(a, b) -> float:
     )
 
 
-def _indicator_dcor(features, correct: np.ndarray) -> float:
-    """``distance_correlation(features, correct)`` for a 0/1 vector ``correct``.
+def _indicator_dcors(m: np.ndarray, covered: np.ndarray, correct: np.ndarray) -> np.ndarray:
+    """dCor(m[covered[:, j]], correct[covered[:, j], j]) for every column j, in one pass.
 
-    With c the indicator, n1 its count and p = n1 / n, the B side is
+    ``covered`` is an (N, L) boolean mask and ``correct`` an (N, L) 0/1
+    array that is 0 off the mask.  For one column, with c the indicator
+    on the n covered rows, n1 its count and p = n1 / n, the B side is
     |c_i - c_j| and reduces to group sums: dCov^2 =
     -2 (c'Ac - 2 n1 a'c + n1^2 a) / n^2 with a_i the row means of A and
-    a their mean, and dVar_b = (2p(1 - p))^2.  So one distance block per
-    row chunk is enough, against two for the general form.
+    a their mean, and dVar_b = (2p(1 - p))^2.  The row means and the
+    products A c of every column are one product of each row chunk of
+    the full distance matrix with an (N, 2L) weight matrix, columns
+    covered_j / n_j and correct_j, so one distance pass serves all
+    columns.  A column with constant correctness (or fewer than two
+    covered rows) gives 0.
     """
-    m = _as_sample_matrix(features)
-    n = m.shape[0]
-    n1 = float(correct.sum())
-    p = n1 / n
-    var_b = (2.0 * p * (1.0 - p)) ** 2
-    if var_b == 0.0:
-        return 0.0
-    weights = np.stack([np.full(n, 1.0 / n), correct], axis=1)
-    row_means = np.empty(n)
-    row_dot_c = np.empty(n)
+    counts = covered.sum(axis=0)
+    hits = correct.sum(axis=0)
+    out = np.zeros(covered.shape[1])
+    active = np.flatnonzero((hits > 0) & (hits < counts))
+    if active.size == 0:
+        return out
+    weights = np.concatenate([covered[:, active] / counts[active], correct[:, active]], axis=1)
+    sums = np.empty_like(weights)
     for rows, d in _distance_blocks(m):
-        row_means[rows], row_dot_c[rows] = (d @ weights).T
-    dcov2 = -2.0 * (
-        correct @ row_dot_c - 2.0 * n1 * (row_means @ correct) + n1**2 * row_means.mean()
-    ) / n**2
-    return _dcor_from_moments(dcov2, _distance_variance(m, row_means), var_b)
+        sums[rows] = d @ weights
+    for t, j in enumerate(active):
+        mask = covered[:, j]
+        c = correct[mask, j]
+        n, n1 = float(counts[j]), float(hits[j])
+        p = n1 / n
+        row_means = sums[mask, t]
+        dcov2 = -2.0 * (
+            c @ sums[mask, active.size + t]
+            - 2.0 * n1 * (row_means @ c)
+            + n1**2 * row_means.mean()
+        ) / n**2
+        out[j] = _dcor_from_moments(
+            dcov2, _distance_variance(m[mask], row_means), (2.0 * p * (1.0 - p)) ** 2
+        )
+    return out
+
+
+def _indicator_dcor(features, correct: np.ndarray) -> float:
+    """``distance_correlation(features, correct)`` for a 0/1 vector ``correct``."""
+    m = _as_sample_matrix(features)
+    covered = np.ones((m.shape[0], 1), dtype=bool)
+    return float(_indicator_dcors(m, covered, np.asarray(correct, dtype=float)[:, None])[0])
 
 
 def feature_lf_correlation(dataset: Dataset) -> float:
@@ -155,19 +180,15 @@ def feature_lf_correlation(dataset: Dataset) -> float:
     pair their feature rows with the 0/1 indicator of agreement with the
     gold label, and average the resulting distance correlations over all
     LFs.  LFs covering fewer than two items (or with constant
-    correctness) contribute zero.
+    correctness) contribute zero.  One pass over the feature distance
+    rows serves every LF (:func:`_indicator_dcors`).
     """
     if dataset.gold is None:
         raise DatasetError("feature/LF correlation needs gold labels")
-    total = 0.0
-    for j in range(dataset.n_lfs):
-        votes = dataset.lf_labels[:, j]
-        mask = votes != ABSTAIN
-        if int(mask.sum()) < 2:
-            continue
-        correct = (votes[mask] == dataset.gold[mask]).astype(float)
-        total += _indicator_dcor(dataset.features[mask], correct)
-    return total / dataset.n_lfs
+    covered = dataset.lf_labels != ABSTAIN
+    correct = (covered & (dataset.lf_labels == dataset.gold[:, None])).astype(float)
+    m = _as_sample_matrix(dataset.features)
+    return float(_indicator_dcors(m, covered, correct).sum()) / dataset.n_lfs
 
 
 def _unit_centered(v: np.ndarray) -> np.ndarray:

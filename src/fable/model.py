@@ -216,7 +216,9 @@ def fable_fit(
     """Coordinate ascent over all blocks; stops when max |change in q(z)| < tol.
 
     Sweep order: assignments, class prior, confusions, mixture rates, GP
-    block, augmentation moments, normaliser.
+    block, augmentation moments, normaliser.  The diagnostics add the
+    ``xi_floor`` clamp count ``xi_clamps``, its share of cell tests
+    ``xi_clamp_rate`` and the GP factor rank ``gp_rank``.
     """
     config = config or FableConfig()
     state = fable_init(dataset, config, seed=seed)
@@ -237,5 +239,7 @@ def fable_fit(
         n_iters,
         **diag,
         xi_clamps=state.xi_clamps,
+        # the floor is tested on every cell once at the start and once per sweep
+        xi_clamp_rate=state.xi_clamps / ((n_iters + 1) * state.xi.size),
         gp_rank=int(state.kernel.factor.shape[1]),
     )

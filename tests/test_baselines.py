@@ -397,7 +397,9 @@ def test_vote_log_scores_match_mask_loop(case):
 def test_confusion_counts_match_mask_loop(case):
     votes, k, m, rng = case
     rho = rng.dirichlet(np.ones(k * m), size=votes.shape[0]).reshape(-1, k, m)
-    got = _confusion_counts(rho, vote_onehot(votes, k))
+    onehot = vote_onehot(votes, k)
+    got = _confusion_counts(rho, onehot.T.tocsr())
+    assert np.array_equal(got, _confusion_counts(rho, onehot.T))  # CSR = CSC product, bit for bit
     expected = _confusion_counts_oracle(rho, votes, k)
     assert got.shape == expected.shape
     assert np.allclose(got, expected, rtol=0, atol=1e-10)
@@ -428,12 +430,14 @@ def test_sweeps_leave_onehot_untouched(small_synthetic):
         (ebcc, ebcc_update_assignments, ebcc_update_confusion),
         (fable, fable_update_assignments, ebcc_update_confusion),
     ):
-        onehot = state.onehot
-        before = (onehot.data.copy(), onehot.indices.copy(), onehot.indptr.copy())
+        onehot, onehot_t = state.onehot, state.onehot_t
+        before = [(v.data.copy(), v.indices.copy(), v.indptr.copy()) for v in (onehot, onehot_t)]
         for _ in range(3):
             assign(state)
             confuse(state)
-        assert state.onehot is onehot
-        for arr, saved in zip((onehot.data, onehot.indices, onehot.indptr), before):
-            assert np.array_equal(arr, saved)
+        assert state.onehot is onehot and state.onehot_t is onehot_t
+        for v, saved in zip((onehot, onehot_t), before):
+            for arr, old in zip((v.data, v.indices, v.indptr), saved):
+                assert np.array_equal(arr, old)
         assert np.array_equal(onehot.toarray(), vote_onehot(d.lf_labels, d.num_classes).toarray())
+        assert np.array_equal(onehot_t.toarray(), onehot.toarray().T)

@@ -121,6 +121,33 @@ def test_aggregate_records_gp_rank_outside_predictions(tmp_path):
             assert set(entry) == {"prediction", "probs"}
 
 
+def test_aggregate_records_fit_telemetry(tmp_path):
+    data = run_synth(tmp_path, size=150, seed=2)
+    dataset = load_json(data)
+    for method in ("fable", "ebcc", "mv"):
+        out = tmp_path / f"{method}.json"
+        argv = ["aggregate", "--method", method, "--dataset", str(data), "--out", str(out),
+                "--max-iters", "6", "--subtypes", "2"]
+        assert main(argv) == 0
+        predictions = out.read_bytes()
+        record = json.loads((tmp_path / f"{method}.json.run.json").read_text())
+        assert main(argv) == 0
+        assert out.read_bytes() == predictions  # reruns write the same predictions
+        if method == "mv":
+            assert record["delta_trace"] is None and record["xi_clamp_rate"] is None
+            continue
+        post = studies.fit_method(dataset, method, max_iters=6, subtypes=2)
+        assert record["delta_trace"] == post.diagnostics["delta_trace"]
+        assert len(record["delta_trace"]) == record["n_iters"] == post.n_iters
+        if method == "ebcc":
+            assert record["xi_clamp_rate"] is None
+            continue
+        # one floor test per cell at the start and once per sweep, as perfbench/tracer.py counts
+        cell_tests = (post.n_iters + 1) * dataset.n_items * dataset.num_classes * 2
+        assert record["xi_clamp_rate"] == post.diagnostics["xi_clamps"] / cell_tests
+        assert 0.0 < record["xi_clamp_rate"] < 1.0
+
+
 def test_aggregate_zero_lf_dataset_is_data_error(tmp_path, capsys):
     data = tmp_path / "nolf.json"
     data.write_text(json.dumps({

@@ -19,7 +19,6 @@ from fable import (
 from fable.baselines import (
     _A_PI,
     _BETA_OFFDIAG,
-    _confusion_counts,
     _vote_log_scores,
     ebcc_fit,
     ebcc_update_assignments,
@@ -359,9 +358,16 @@ def _reference_assignments(state, elog_pi):
     state.rho = weights.reshape(scores.shape)
 
 
+def _reference_counts(state):
+    # the CSC product of the untransposed one-hot matrix, as first written
+    n, k, m = state.rho.shape
+    counts = state.onehot.T @ state.rho.reshape(n, k * m)
+    return counts.reshape(-1, k, k, m).transpose(0, 2, 3, 1)
+
+
 def _reference_core(state):
     state.nu = state.alpha + state.rho.sum(axis=(0, 2))
-    state.mu = state.beta[None, :, None, :] + _confusion_counts(state.rho, state.onehot)
+    state.mu = state.beta[None, :, None, :] + _reference_counts(state)
 
 
 def _reference_pg_mean(b, c):
@@ -406,7 +412,7 @@ def reference_ebcc_sweep(state):
     _reference_assignments(state, dirichlet_log_expectation(state.eta, axis=-1))
     state.nu = state.alpha + state.rho.sum(axis=(0, 2))
     state.eta = _A_PI + state.rho.sum(axis=0)
-    state.mu = state.beta[None, :, None, :] + _confusion_counts(state.rho, state.onehot)
+    state.mu = state.beta[None, :, None, :] + _reference_counts(state)
     return state.rho.sum(axis=2)
 
 

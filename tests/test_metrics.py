@@ -156,7 +156,7 @@ def test_dependence_scores_stay_off_the_n_by_n_matrix():
     n = 3000
     features = rng.standard_normal((n, 2))
     gold = rng.integers(0, 2, size=n)
-    votes = np.where(rng.random((n, 2)) < 0.2, -1, rng.integers(0, 2, size=(n, 2)))
+    votes = np.where(rng.random((n, 8)) < 0.2, -1, rng.integers(0, 2, size=(n, 8)))
     d = Dataset(features=features, lf_labels=votes, num_classes=2, gold=gold)
     assert _traced_peak_mb(feature_lf_correlation, d) < 16
     assert _traced_peak_mb(distance_correlation, features, rng.standard_normal((n, 2))) < 16
@@ -245,6 +245,41 @@ def test_feature_lf_correlation_is_mean_over_lfs(rng):
         correct = (votes[mask, j] == gold[mask]).astype(float)
         expected += distance_correlation(features[mask], correct)
     assert feature_lf_correlation(d) == pytest.approx(expected / 3, abs=1e-12)
+
+
+def _multi_lf_dataset(seed: int, n: int) -> Dataset:
+    """Random 3-class data whose LFs cover 0, 1, some and all items, one always right."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((5, 2))
+    features = points[rng.integers(0, 5, size=n)]  # duplicate rows
+    features[rng.random(n) < 0.2] = 0.0  # all-zero rows
+    gold = rng.integers(0, 3, size=n)
+    votes = np.where(rng.random((n, 7)) < 0.4, -1, rng.integers(0, 3, size=(n, 7)))
+    votes[:, 0] = -1  # covers nothing
+    votes[:, 1] = -1
+    votes[int(rng.integers(n)), 1] = 0  # covers one item
+    votes[:, 2] = np.where(rng.random(n) < 0.5, gold, -1)  # constant correctness
+    votes[:, 3] = rng.integers(0, 3, size=n)  # covers every item
+    return Dataset(features=features, lf_labels=votes, num_classes=3, gold=gold)
+
+
+def _per_lf_oracle(d: Dataset) -> float:
+    total = 0.0
+    for j in range(d.n_lfs):
+        mask = d.lf_labels[:, j] != -1
+        if mask.sum() < 2:
+            continue
+        correct = (d.lf_labels[mask, j] == d.gold[mask]).astype(float)
+        total += brute_force_dcor(d.features[mask], correct)
+    return total / d.n_lfs
+
+
+@pytest.mark.parametrize("seed, n, step", [(0, 23, 4), (1, 31, 3), (2, 17, 1), (3, 40, 40)])
+def test_shared_pass_matches_per_lf_oracle(monkeypatch, seed, n, step):
+    d = _multi_lf_dataset(seed, n)
+    monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", step * n)
+    assert len(list(metrics._distance_blocks(d.features))) == -(-n // step)
+    assert abs(feature_lf_correlation(d) - _per_lf_oracle(d)) < 1e-12
 
 
 def test_pearson_perfect_correlation():
