@@ -26,7 +26,6 @@ from .data import (
     load_csv,
     load_json,
     save_json,
-    validate,
 )
 from .linalg import (
     KernelMatrix,
@@ -64,7 +63,6 @@ __all__ = [
     "load_csv",
     "load_json",
     "save_json",
-    "validate",
     "accuracy",
     "f1_binary",
     "distance_correlation",

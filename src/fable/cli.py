@@ -263,7 +263,7 @@ def _size_list(text: str) -> list[int]:
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--max-iters", type=_int_at_least(1), default=None, help="sweep budget")
-    parser.add_argument("--tol", type=float, default=None, help="q(z) convergence tolerance")
+    parser.add_argument("--tol", type=_positive_float, default=None, help="q(z) convergence tolerance")
     parser.add_argument("--subtypes", type=_int_at_least(1), default=3,
                         help="mixture components per class")
     parser.add_argument("--lanczos-rank", type=_int_at_least(1), default=None,

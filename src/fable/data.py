@@ -6,6 +6,10 @@ labeling function declined to vote on.  Everything downstream treats the
 collection transductively: models see all items at once and there is no
 train/test split.
 
+Building a ``Dataset`` is the one place a dataset is checked: the
+loaders only parse their files and hand the raw arrays on, so JSON and
+CSV input pass or fail the same checks, with DatasetError.
+
 ``save_json`` streams the canonical JSON form entry by entry rather than
 through ``json.dump``; the bytes are the same.
 
@@ -26,7 +30,6 @@ __all__ = [
     "ABSTAIN",
     "DatasetError",
     "Dataset",
-    "validate",
     "load_json",
     "save_json",
     "load_csv",
@@ -57,6 +60,18 @@ class DatasetError(ValueError):
     """Malformed or inconsistent dataset content."""
 
 
+def _class_indices(values, what: str) -> np.ndarray:
+    """``values`` as int64: integer arrays pass unchanged, others must hold whole numbers."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    values = values.astype(float)
+    # the bound keeps the cast exact; NaN and infinities fail it too
+    if not np.all((np.abs(values) < 2.0**63) & (values == np.rint(values))):
+        raise DatasetError(f"{what} must be whole numbers")
+    return values.astype(np.int64)
+
+
 @dataclass(eq=False)
 class Dataset:
     """Feature matrix plus labeling-function votes for N items.
@@ -64,30 +79,62 @@ class Dataset:
     ``gold`` carries the true labels when known (synthetic data, labeled
     benchmarks) and is only used for evaluation, never by the models.
     ``ids`` preserves the item identifiers of a source file; when absent,
-    zero-padded row indices are used on save.
+    zero-padded row indices are used on save.  ``num_classes`` left at
+    None is inferred as one more than the largest class among the votes
+    and gold labels.
+
+    Construction converts every field and checks every invariant, so a
+    ``Dataset`` that exists is valid; any violation, unconvertible
+    entries included, raises DatasetError.
     """
 
     features: np.ndarray
     lf_labels: np.ndarray
-    num_classes: int
+    num_classes: int | None = None
     gold: np.ndarray | None = None
     name: str = ""
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.lf_labels = np.asarray(self.lf_labels, dtype=np.int64)
-        self.num_classes = int(self.num_classes)
-        if self.gold is not None:
-            self.gold = np.asarray(self.gold, dtype=np.int64)
-        if self.ids is not None:
-            self.ids = tuple(str(i) for i in self.ids)
-        if self.features.ndim != 2:
-            raise DatasetError("features must be a 2-D array")
-        if self.lf_labels.ndim != 2:
-            raise DatasetError("lf_labels must be a 2-D array")
+        try:
+            self.features = np.asarray(self.features, dtype=float)
+            self.lf_labels = _class_indices(self.lf_labels, "labeling-function votes")
+            if self.gold is not None:
+                self.gold = _class_indices(self.gold, "gold labels")
+            if self.num_classes is not None:
+                self.num_classes = int(self.num_classes)
+            if self.ids is not None:
+                self.ids = tuple(str(i) for i in self.ids)
+        except DatasetError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DatasetError(f"malformed dataset fields ({exc})") from exc
+        if self.features.ndim != 2 or self.lf_labels.ndim != 2:
+            raise DatasetError("features and lf_labels must be 2-D arrays")
         if self.features.shape[0] != self.lf_labels.shape[0]:
             raise DatasetError("features and lf_labels must cover the same items")
+        if self.n_items < 1:
+            raise DatasetError("dataset must contain at least one item")
+        if self.n_lfs < 1:
+            raise DatasetError("need at least one labeling function")
+        if not np.all(np.isfinite(self.features)):
+            raise DatasetError("features must be finite")
+        if self.gold is not None and self.gold.shape != (self.n_items,):
+            raise DatasetError("gold labels must have one entry per item")
+        if self.ids is not None and len(set(self.ids)) != self.n_items:
+            raise DatasetError("ids must be unique, one per item")
+        if self.num_classes is None:
+            # abstains (-1) never raise the maximum above an observed class
+            top = self.lf_labels.max()
+            if self.gold is not None:
+                top = max(top, self.gold.max())
+            self.num_classes = int(top) + 1
+        if self.num_classes < 2:
+            raise DatasetError("need at least two classes")
+        if np.any((self.lf_labels < ABSTAIN) | (self.lf_labels >= self.num_classes)):
+            raise DatasetError("labeling-function votes out of range")
+        if self.gold is not None and np.any((self.gold < 0) | (self.gold >= self.num_classes)):
+            raise DatasetError("gold labels out of range")
 
     @property
     def n_items(self) -> int:
@@ -96,44 +143,6 @@ class Dataset:
     @property
     def n_lfs(self) -> int:
         return self.lf_labels.shape[1]
-
-
-def validate(dataset: Dataset) -> None:
-    """Check every dataset invariant; raise DatasetError on violation."""
-    if dataset.n_items < 1:
-        raise DatasetError("dataset must contain at least one item")
-    if dataset.num_classes < 2:
-        raise DatasetError("need at least two classes")
-    if dataset.n_lfs < 1:
-        raise DatasetError("need at least one labeling function")
-    if not np.all(np.isfinite(dataset.features)):
-        raise DatasetError("features must be finite")
-    votes = dataset.lf_labels
-    bad = (votes != ABSTAIN) & ((votes < 0) | (votes >= dataset.num_classes))
-    if np.any(bad):
-        raise DatasetError("labeling-function votes out of range")
-    if dataset.gold is not None:
-        if dataset.gold.shape != (dataset.n_items,):
-            raise DatasetError("gold labels must have one entry per item")
-        if np.any((dataset.gold < 0) | (dataset.gold >= dataset.num_classes)):
-            raise DatasetError("gold labels out of range")
-    if dataset.ids is not None:
-        if len(dataset.ids) != dataset.n_items:
-            raise DatasetError("ids must have one entry per item")
-        if len(set(dataset.ids)) != dataset.n_items:
-            raise DatasetError("ids must be unique")
-
-
-def _infer_num_classes(votes: np.ndarray, gold: np.ndarray | None) -> int:
-    """One more than the largest class among the votes and gold labels; at least two."""
-    observed = votes[votes != ABSTAIN]
-    candidates = [observed.max() + 1 if observed.size else 0]
-    if gold is not None and gold.size:
-        candidates.append(int(gold.max()) + 1)
-    num_classes = max(candidates)
-    if num_classes < 2:
-        raise DatasetError("cannot infer the number of classes")
-    return num_classes
 
 
 def load_json(path, num_classes: int | None = None) -> Dataset:
@@ -160,40 +169,23 @@ def load_json(path, num_classes: int | None = None) -> Dataset:
         if not isinstance(entry, dict):
             raise DatasetError(f"{path}: item {item_id!r} is not an object")
         try:
-            weak = entry["weak_labels"]
-            feat = entry["data"]["feature"]
+            votes.append(entry["weak_labels"])
+            features.append(entry["data"]["feature"])
         except (KeyError, TypeError) as exc:
             raise DatasetError(f"{path}: item {item_id!r} missing {exc}") from exc
-        votes.append(weak)
-        features.append(feat)
         labels.append(entry.get("label"))
 
-    n_lf = len(votes[0])
-    n_feat = len(features[0])
-    if any(len(w) != n_lf for w in votes):
-        raise DatasetError(f"{path}: ragged weak_labels rows")
-    if any(len(f) != n_feat for f in features):
-        raise DatasetError(f"{path}: ragged feature rows")
-
-    gold = None
-    if all(lab is not None for lab in labels):
-        gold = np.asarray(labels, dtype=np.int64)
-    votes_arr = np.asarray(votes, dtype=np.int64)
-    if num_classes is None:
-        try:
-            num_classes = _infer_num_classes(votes_arr, gold)
-        except DatasetError as exc:
-            raise DatasetError(f"{path}: {exc}") from exc
-    dataset = Dataset(
-        features=np.asarray(features, dtype=float),
-        lf_labels=votes_arr,
-        num_classes=num_classes,
-        gold=gold,
-        name=path.stem,
-        ids=tuple(ids),
-    )
-    validate(dataset)
-    return dataset
+    try:
+        return Dataset(
+            features=features,
+            lf_labels=votes,
+            num_classes=num_classes,
+            gold=labels if all(lab is not None for lab in labels) else None,
+            name=path.stem,
+            ids=tuple(ids),
+        )
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
 
 
 def _json_list(items, indent: str) -> str:
@@ -229,7 +221,6 @@ def save_json(dataset: Dataset, path) -> None:
     plus a newline.  Loading the result reproduces the dataset exactly;
     saving it again reproduces the file byte for byte.
     """
-    validate(dataset)
     ids = dataset.ids
     if ids is None:
         ids = tuple(f"{i:08d}" for i in range(dataset.n_items))
@@ -251,14 +242,6 @@ def save_json(dataset: Dataset, path) -> None:
     _write_json_object(path, entries)
 
 
-def _load_int_csv(path, what: str) -> np.ndarray:
-    values = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    rounded = np.rint(values)
-    if not np.all(np.isfinite(values)) or np.any(np.abs(values - rounded) > 0):
-        raise DatasetError(f"{what} must contain integers")
-    return rounded.astype(np.int64)
-
-
 def load_csv(
     features_path,
     labels_path,
@@ -270,29 +253,22 @@ def load_csv(
 
     ``features_path`` holds one row of floats per item, ``labels_path``
     one row of votes per item (-1 = abstain), ``gold_path`` one true
-    label per line.
+    label per line.  Votes and labels are read as floats and must be
+    whole numbers.
     """
     try:
         features = np.loadtxt(features_path, delimiter=",", ndmin=2, dtype=float)
-        votes = _load_int_csv(labels_path, "labels")
-        gold = None
-        if gold_path is not None:
-            gold = _load_int_csv(gold_path, "gold").reshape(-1)
+        votes = np.loadtxt(labels_path, delimiter=",", ndmin=2, dtype=float)
+        gold = None if gold_path is None else np.loadtxt(gold_path, delimiter=",", ndmin=1, dtype=float)
     except (OSError, ValueError) as exc:
-        if isinstance(exc, DatasetError):
-            raise
         raise DatasetError(f"could not parse CSV input ({exc})") from exc
-    if num_classes is None:
-        num_classes = _infer_num_classes(votes, gold)
-    dataset = Dataset(
+    return Dataset(
         features=features,
         lf_labels=votes,
         num_classes=num_classes,
         gold=gold,
         name=name,
     )
-    validate(dataset)
-    return dataset
 
 
 @dataclass(frozen=True)

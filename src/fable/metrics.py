@@ -166,13 +166,6 @@ def _indicator_dcors(m: np.ndarray, covered: np.ndarray, correct: np.ndarray) ->
     return out
 
 
-def _indicator_dcor(features, correct: np.ndarray) -> float:
-    """``distance_correlation(features, correct)`` for a 0/1 vector ``correct``."""
-    m = _as_sample_matrix(features)
-    covered = np.ones((m.shape[0], 1), dtype=bool)
-    return float(_indicator_dcors(m, covered, np.asarray(correct, dtype=float)[:, None])[0])
-
-
 def feature_lf_correlation(dataset: Dataset) -> float:
     """Mean over LFs of dCor(covered features, correctness indicator).
 

@@ -75,20 +75,18 @@ class FableConfig:
 class FableState(SubtypeBccState):
     """The subtype BCC state with GP-driven mixture weights, shapes (N, K, M) unless noted.
 
-    phi/xi: Gamma shape and rate of q(pi); m_hat/sigma_diag: GP
-    posterior means and covariance diagonals; c: Polya-Gamma tilts;
-    gamma: Poisson means; a/b: (N,) Gamma parameters of the normaliser
-    q(lambda); kernel: shared GP prior.
+    xi: Gamma rate of q(pi), whose shape is rho + 1; m_hat/sigma_diag:
+    GP posterior means and covariance diagonals; c: Polya-Gamma tilts;
+    gamma: Poisson means; a: (N,) Gamma shape of the normaliser
+    q(lambda), whose rate is the constant K * M; kernel: shared GP prior.
     """
 
-    phi: np.ndarray
     xi: np.ndarray
     m_hat: np.ndarray
     sigma_diag: np.ndarray
     c: np.ndarray
     gamma: np.ndarray
     a: np.ndarray
-    b: np.ndarray
     kernel: KernelMatrix
     xi_clamps: int = 0
 
@@ -109,8 +107,8 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     The GP covariance starts at the cosine kernel itself, whose factor is
     truncated to ``lanczos_rank`` columns when the features are wider;
     m_hat and a are Uniform(0, 1), drawn from the stream that spread rho
-    over subtypes; b is the augmented cell count K * M.  The confusion
-    prior diagonal is N * M * ``_CONFUSION_SCALE``.
+    over subtypes.  The confusion prior diagonal is N * M *
+    ``_CONFUSION_SCALE``.
     """
     n, k, m = dataset.n_items, dataset.num_classes, config.subtypes
     rng = np.random.default_rng(seed)
@@ -118,14 +116,12 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     kernel = cosine_kernel(dataset.features).truncated(config.lanczos_rank)
     state = FableState(
         **vars(core),
-        phi=np.zeros((n, k, m)),
         xi=np.zeros((n, k, m)),
         m_hat=rng.uniform(size=(n, k, m)),
         sigma_diag=np.broadcast_to(kernel.diagonal()[:, None, None], (n, k, m)).copy(),
         c=np.zeros((n, k, m)),
         gamma=np.zeros((n, k, m)),
         a=rng.uniform(size=n),
-        b=np.full(n, float(k * m)),
         kernel=kernel,
     )
     fable_update_pi(state)
@@ -134,19 +130,18 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
 
 
 def fable_update_assignments(state: FableState) -> FableState:
-    """Assignments with the Gamma E[log pi_ikm] = psi(phi) - log(xi)."""
-    elog_pi = psi(state.phi)
+    """Assignments with the Gamma E[log pi_ikm] = psi(rho + 1) - log(xi)."""
+    elog_pi = psi(state.rho + 1.0)
     elog_pi -= np.log(state.xi)
     return _subtype_assignments(state, elog_pi)
 
 
 def fable_update_pi(state: FableState) -> FableState:
-    """Gamma posterior of pi: shape rho + 1, rate log 2 - m_hat / 2.
+    """Gamma rate of q(pi), log 2 - m_hat / 2; its shape rho + 1 is not stored.
 
     The rate is clamped at ``_XI_FLOOR`` (counted in ``xi_clamps``) since
     GP means above 2 log 2 would otherwise drive it nonpositive.
     """
-    state.phi = state.rho + 1.0
     xi = state.m_hat / 2.0
     np.subtract(np.log(2.0), xi, out=xi)
     state.xi_clamps += int(np.count_nonzero(xi < _XI_FLOOR))
@@ -158,11 +153,12 @@ def fable_update_gp(state: FableState) -> FableState:
     """Gaussian block: Sigma_hat = (Sigma^-1 + diag E[omega])^-1, m_hat = Sigma_hat rhs / 2.
 
     E[omega_ikm] is the Polya-Gamma mean with shape E[pi] + gamma and
-    tilt c; the right-hand side is E[pi] - E[upsilon] = phi/xi - gamma.
+    tilt c; the right-hand side is E[pi] - E[upsilon] = (rho + 1)/xi - gamma.
     One batched solve covers every class/subtype pair, one column each.
     """
     shape = state.m_hat.shape
-    epi = state.phi / state.xi
+    epi = state.rho + 1.0
+    epi /= state.xi
     omega = pg_mean(epi + state.gamma, state.c).reshape(shape[0], -1)
     post = lowrank_posterior(state.kernel, omega)
     rhs = np.subtract(epi, state.gamma, out=epi).reshape(omega.shape)
@@ -175,7 +171,7 @@ def fable_update_gp(state: FableState) -> FableState:
 def fable_update_augmentation(state: FableState) -> FableState:
     """Polya-Gamma tilts c = sqrt(m_hat^2 + Sigma_hat_ii) and Poisson means gamma.
 
-    gamma_ikm = exp(psi(a_i) - m_hat/2) / (b_i * 2 cosh(c/2)), evaluated
+    gamma_ikm = exp(psi(a_i) - m_hat/2) / (K * M * 2 cosh(c/2)), evaluated
     in log space so large tilts cannot overflow.  The 2 cosh(c/2) factor
     is exp(-E[log sigmoid(-f)] - f/2): gamma approximates
     E[lambda] * sigmoid(-m_hat), the posterior count of the exponential
@@ -187,7 +183,8 @@ def fable_update_augmentation(state: FableState) -> FableState:
     state.c = np.sqrt(c, out=c)
     log_gamma = state.m_hat / 2.0
     np.subtract(psi(state.a)[:, None, None], log_gamma, out=log_gamma)
-    log_gamma -= np.log(state.b)[:, None, None]
+    # the rate of q(lambda) is the cell count K * M of every item
+    log_gamma -= np.log(float(state.m_hat[0].size))
     log_gamma -= np.log(2.0)
     log_gamma -= _log_cosh(c / 2.0)
     np.minimum(log_gamma, 700.0, out=log_gamma)
@@ -196,13 +193,14 @@ def fable_update_augmentation(state: FableState) -> FableState:
 
 
 def fable_update_lambda(state: FableState) -> FableState:
-    """Gamma posterior of the normaliser: a_i = sum_km gamma_ikm + 1, b_i = K * M.
+    """Gamma posterior of the normaliser: shape a_i = sum_km gamma_ikm + 1, rate K * M.
 
-    The rate is the constant ``fable_init`` set, the number of augmented
-    Poisson cells per item, which makes the fixed point of E[lambda_i]
-    recover 1 / sum_km sigma(f_ikm), the quantity the exponential
-    integral identity introduces lambda for.  A smaller rate gives the
-    gamma/a loop a gain above one and the sweep diverges geometrically.
+    The rate is a constant, the number of augmented Poisson cells per
+    item, so only the shape is stored.  That rate makes the fixed point
+    of E[lambda_i] recover 1 / sum_km sigma(f_ikm), the quantity the
+    exponential integral identity introduces lambda for.  A smaller rate
+    gives the gamma/a loop a gain above one and the sweep diverges
+    geometrically.
     """
     state.a = state.gamma.sum(axis=(1, 2)) + 1.0
     return state

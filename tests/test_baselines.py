@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fable import (
     Dataset,
+    DatasetError,
     accuracy,
     dawid_skene,
     ebcc_elbo,
@@ -378,8 +379,8 @@ def test_vote_onehot_rejects_out_of_range_votes(bad):
     votes = np.array([[0, 1], [bad, -1]])
     with pytest.raises(ValueError, match="votes must be"):
         vote_onehot(votes, 3)
-    with pytest.raises(ValueError, match="votes must be"):
-        ebcc_fit(_dataset(votes, k=3), max_iters=2)
+    with pytest.raises(DatasetError, match="votes out of range"):
+        _dataset(votes, k=3)
 
 
 @_ORACLE_SETTINGS

@@ -109,6 +109,37 @@ def test_aggregate_malformed_dataset_is_data_error(tmp_path):
     assert code == 3
 
 
+# one field of the first item replaced; the second item stays well formed
+MALFORMED_ENTRIES = {
+    "half-vote": ("weak_labels", [0.5, 1]),
+    "half-label": ("label", 0.5),
+    "scalar-votes": ("weak_labels", 5),
+    "huge-vote": ("weak_labels", [10**30, 1]),
+    "string-vote": ("weak_labels", ["x", 1]),
+    "string-feature": ("data", {"feature": ["x"]}),
+    "string-label": ("label", "x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
+def test_aggregate_malformed_entries_are_data_errors(tmp_path, capsys, case):
+    entries = {
+        "a": {"label": 0, "weak_labels": [0, 1], "data": {"feature": [0.0]}},
+        "b": {"label": 1, "weak_labels": [1, 1], "data": {"feature": [1.0]}},
+    }
+    field, value = MALFORMED_ENTRIES[case]
+    entries["a"][field] = value
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(entries))
+    out = tmp_path / "preds.json"
+    code = main(["aggregate", "--method", "mv", "--dataset", str(data), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {data}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_aggregate_records_gp_rank_outside_predictions(tmp_path):
     data = run_synth(tmp_path, size=60, seed=1)
     for method, rank in (("fable", 2), ("mv", None)):
@@ -331,6 +362,10 @@ _COUNT_FLAG_CASES = [
     pytest.param("aggregate", "--subtypes", "0", id="aggregate-subtypes-0"),
     pytest.param("aggregate", "--lanczos-rank", "0", id="aggregate-lanczos-rank-0"),
     pytest.param("aggregate", "--max-iters", "-1", id="aggregate-max-iters--1"),
+    # the fit stops on delta < tol, which no tolerance of zero or below can meet
+    pytest.param("aggregate", "--tol", "0", id="aggregate-tol-0"),
+    pytest.param("aggregate", "--tol", "-1", id="aggregate-tol--1"),
+    pytest.param("aggregate", "--tol", "nan", id="aggregate-tol-nan"),
     pytest.param("bench-size", "--runs", "0", id="bench-size-runs-0"),
     # --psi and --psi-range exclude each other
     pytest.param("synth", "--psi-range", "1 3 --psi 1.5", id="synth-both-psi"),

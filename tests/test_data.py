@@ -15,7 +15,6 @@ from fable import (
     load_csv,
     load_json,
     save_json,
-    validate,
 )
 from fable.data import _CLASS_MEANS, _class_stds
 
@@ -25,79 +24,73 @@ INSIDE_ONE_STD = 0.6826894921370859
 INSIDE_THREE_STD = 0.9973002039367398
 
 
-def test_validate_full_coverage():
-    d = Dataset(
-        features=np.zeros((3, 2)),
-        lf_labels=np.array([[0, 1], [1, 1], [0, 0]]),
-        num_classes=2,
-    )
-    validate(d)
+@pytest.mark.parametrize(
+    "fields, num_classes",
+    [
+        ({"lf_labels": [[0, 1], [1, 1], [0, 0]], "num_classes": 2}, 2),
+        ({"lf_labels": [[ABSTAIN], [0]], "num_classes": 2}, 2),  # an all-abstain item
+        ({"lf_labels": [[0], [0], [0], [0]], "num_classes": 3, "gold": [0, 0, 1, 2]}, 3),
+        # num_classes left out: one more than the largest vote or gold label
+        ({"lf_labels": [[0, ABSTAIN], [2, 1]]}, 3),
+        ({"lf_labels": [[ABSTAIN], [0]], "gold": [1, 0]}, 2),
+        # whole-number floats are class indices
+        ({"lf_labels": np.array([[1.0], [-1.0]]), "gold": np.array([1.0, 0.0])}, 2),
+    ],
+    ids=["full-coverage", "all-abstain-item", "gold-balance", "inferred-from-votes",
+         "inferred-from-gold", "whole-floats"],
+)
+def test_dataset_accepts_valid_fields(fields, num_classes):
+    n = len(fields["lf_labels"])
+    d = Dataset(features=np.zeros((n, 2)), **fields)
+    assert d.num_classes == num_classes
+    assert d.lf_labels.dtype == np.int64
+    assert np.array_equal(d.lf_labels, np.asarray(fields["lf_labels"]))
+    if "gold" in fields:
+        assert d.gold.dtype == np.int64
 
 
-def test_validate_counts_abstains():
-    d = Dataset(
-        features=np.zeros((2, 1)),
-        lf_labels=np.array([[ABSTAIN], [0]]),
-        num_classes=2,
-    )
-    validate(d)  # an all-abstain item is valid
-
-
-def test_validate_gold_balance():
-    d = Dataset(
-        features=np.zeros((4, 1)),
-        lf_labels=np.zeros((4, 1), dtype=int),
-        num_classes=3,
-        gold=np.array([0, 0, 1, 2]),
-    )
-    validate(d)
-
-
-def test_validate_rejects_out_of_range_votes():
-    d = Dataset(features=np.zeros((1, 1)), lf_labels=np.array([[5]]), num_classes=2)
-    with pytest.raises(DatasetError):
-        validate(d)
-
-
-def test_validate_rejects_zero_lfs():
-    d = Dataset(features=np.zeros((2, 1)), lf_labels=np.zeros((2, 0), dtype=int), num_classes=2)
-    with pytest.raises(DatasetError, match="at least one labeling function"):
-        validate(d)
-
-
-def test_validate_rejects_bad_gold():
-    d = Dataset(
-        features=np.zeros((2, 1)),
-        lf_labels=np.zeros((2, 1), dtype=int),
-        num_classes=2,
-        gold=np.array([0, 2]),
-    )
-    with pytest.raises(DatasetError):
-        validate(d)
-    d = Dataset(
-        features=np.zeros((2, 1)),
-        lf_labels=np.zeros((2, 1), dtype=int),
-        num_classes=2,
-        gold=np.array([0]),
-    )
-    with pytest.raises(DatasetError):
-        validate(d)
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"lf_labels": [[0], [5]]}, "votes out of range"),
+        ({"lf_labels": [[0], [-2]]}, "votes out of range"),
+        ({"lf_labels": np.zeros((2, 0), dtype=int)}, "at least one labeling function"),
+        ({"gold": [0, 2]}, "gold labels out of range"),
+        ({"gold": [0]}, "one entry per item"),
+        ({"ids": ("a", "a")}, "ids must be unique"),
+        ({"ids": ("a",)}, "ids must be unique"),
+        ({"features": np.zeros((0, 1)), "lf_labels": np.zeros((0, 1), dtype=int)}, "at least one item"),
+        ({"num_classes": 1}, "at least two classes"),
+        ({"lf_labels": [[ABSTAIN], [ABSTAIN]], "num_classes": None}, "at least two classes"),
+        ({"features": [[np.nan], [0.0]]}, "finite"),
+        ({"features": [0.0, 1.0]}, "must be 2-D arrays"),
+        ({"lf_labels": [0, 1]}, "must be 2-D arrays"),
+        ({"lf_labels": [[0.5], [1]]}, "votes must be whole numbers"),
+        ({"gold": [0.5, 1]}, "gold labels must be whole numbers"),
+        ({"lf_labels": [[1e30], [0]]}, "votes must be whole numbers"),
+        ({"lf_labels": [[10**30], [0]]}, "votes must be whole numbers"),
+        ({"lf_labels": [[np.nan], [0]]}, "votes must be whole numbers"),
+        ({"lf_labels": [["a"], [0]]}, "malformed"),
+        ({"features": [["x"], [0.0]]}, "malformed"),
+        ({"gold": ["x", 0]}, "malformed"),
+        ({"lf_labels": [[0, 1], [0]]}, "malformed"),
+        ({"num_classes": "two"}, "malformed"),
+    ],
+    ids=["vote-out-of-range", "vote-below-abstain", "zero-lfs", "gold-out-of-range",
+         "gold-length", "duplicate-ids", "ids-length", "zero-items", "one-class",
+         "nothing-to-infer", "nan-feature", "1d-features", "1d-votes", "half-vote",
+         "half-gold", "1e30-vote", "huge-int-vote", "nan-vote", "string-vote",
+         "string-feature", "string-gold", "ragged-votes", "string-num-classes"],
+)
+def test_dataset_rejects_invalid_fields(fields, message):
+    base = {"features": np.zeros((2, 1)), "lf_labels": np.zeros((2, 1), dtype=int), "num_classes": 2}
+    with pytest.raises(DatasetError, match=message):
+        Dataset(**{**base, **fields})
 
 
 def test_dataset_rejects_row_mismatch():
     with pytest.raises(DatasetError):
         Dataset(features=np.zeros((3, 2)), lf_labels=np.zeros((2, 1), dtype=int), num_classes=2)
-
-
-def test_validate_rejects_duplicate_ids():
-    d = Dataset(
-        features=np.zeros((2, 1)),
-        lf_labels=np.zeros((2, 1), dtype=int),
-        num_classes=2,
-        ids=("a", "a"),
-    )
-    with pytest.raises(DatasetError):
-        validate(d)
 
 
 def test_load_json_single_item(tmp_path):
@@ -265,12 +258,24 @@ def test_load_csv_round_trip(tmp_path):
 
 
 def test_load_csv_rejects_fractional_votes(tmp_path):
-    features = tmp_path / "features.csv"
-    labels = tmp_path / "labels.csv"
-    features.write_text("0.5\n1.0\n")
-    labels.write_text("0.5\n1\n")
-    with pytest.raises(DatasetError):
-        load_csv(features, labels)
+    # and rejects them as load_json does, bar the path prefix
+    (tmp_path / "features.csv").write_text("0.5\n1.0\n")
+    (tmp_path / "labels.csv").write_text("0.5\n1\n")
+    path = tmp_path / "d.json"
+    path.write_text(
+        json.dumps(
+            {
+                "0": {"label": None, "weak_labels": [0.5], "data": {"feature": [0.5]}},
+                "1": {"label": None, "weak_labels": [1], "data": {"feature": [1.0]}},
+            }
+        )
+    )
+    with pytest.raises(DatasetError) as from_csv:
+        load_csv(tmp_path / "features.csv", tmp_path / "labels.csv")
+    with pytest.raises(DatasetError) as from_json:
+        load_json(path)
+    assert str(from_csv.value) == "labeling-function votes must be whole numbers"
+    assert str(from_json.value) == f"{path}: {from_csv.value}"
 
 
 def test_synthetic_spec_validation():

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -57,10 +58,9 @@ def run_one_sweep(state):
 def test_init_invariants(small_synthetic):
     config = FableConfig()
     state = fable_init(small_synthetic, config, seed=3)
-    n, k, m = small_synthetic.n_items, small_synthetic.num_classes, config.subtypes
+    n, m = small_synthetic.n_items, config.subtypes
     assert np.allclose(state.rho.sum(axis=(1, 2)), 1.0, atol=1e-9)
     assert state.alpha.sum() == pytest.approx(n, rel=1e-12)
-    assert np.array_equal(state.b, np.full(n, float(k * m)))
     assert np.all((state.a > 0.0) & (state.a < 1.0))
     assert state.beta[0, 0] == pytest.approx(n * m * _CONFUSION_SCALE)
     assert state.beta[0, 1] == _BETA_OFFDIAG
@@ -81,16 +81,13 @@ def test_init_is_deterministic(small_synthetic):
 def test_sweep_maintains_coupled_invariants(small_synthetic):
     config = FableConfig(lanczos_rank=40)
     state = fable_init(small_synthetic, config, seed=0)
-    k, m = small_synthetic.num_classes, config.subtypes
     for _ in range(3):
         run_one_sweep(state)
         assert np.allclose(state.rho.sum(axis=(1, 2)), 1.0, atol=1e-9)
-        assert np.array_equal(state.phi, state.rho + 1.0)
         assert np.allclose(state.c**2, state.m_hat**2 + state.sigma_diag, atol=1e-9)
         assert np.allclose(state.a, state.gamma.sum(axis=(1, 2)) + 1.0, atol=1e-12)
-        assert np.array_equal(state.b, np.full(state.a.shape, float(k * m)))
         assert np.all(state.xi >= _XI_FLOOR)
-        for name in ("rho", "nu", "mu", "phi", "xi", "m_hat", "sigma_diag", "c", "gamma", "a", "b"):
+        for name in ("rho", "nu", "mu", "xi", "m_hat", "sigma_diag", "c", "gamma", "a"):
             assert np.all(np.isfinite(getattr(state, name))), name
 
 
@@ -100,7 +97,6 @@ def test_pi_update_values_and_clamp(small_synthetic):
     state.m_hat = np.zeros_like(state.m_hat)
     clamps_before = state.xi_clamps
     fable_update_pi(state)
-    assert np.allclose(state.phi, 1.0, atol=1e-15)
     assert np.allclose(state.xi, np.log(2.0), atol=1e-15)
     assert state.xi_clamps == clamps_before
 
@@ -129,13 +125,14 @@ def test_assignments_match_scalar_formula():
     )
     config = FableConfig(subtypes=2)
     state = fable_init(d, config, seed=2)
+    pi_shape = state.rho + 1.0  # the Gamma shape of q(pi) before the update
     fable_update_assignments(state)
     elog_tau = digamma(state.nu) - digamma(state.nu.sum())
     expected = np.zeros((2, 2, 2))
     for i in range(2):
         for k in range(2):
             for m in range(2):
-                score = elog_tau[k] + digamma(state.phi[i, k, m]) - np.log(state.xi[i, k, m])
+                score = elog_tau[k] + digamma(pi_shape[i, k, m]) - np.log(state.xi[i, k, m])
                 vote = d.lf_labels[i, 0]
                 if vote != -1:
                     score += digamma(state.mu[0, k, m, vote]) - digamma(state.mu[0, k, m].sum())
@@ -148,7 +145,7 @@ def test_assignments_match_scalar_formula():
 def test_gp_update_balanced_evidence_gives_zero_mean(small_synthetic):
     config = FableConfig(lanczos_rank=240)
     state = fable_init(small_synthetic, config, seed=0)
-    state.gamma = state.phi / state.xi  # rhs = E[pi] - gamma = 0
+    state.gamma = (state.rho + 1.0) / state.xi  # rhs = E[pi] - gamma = 0
     fable_update_gp(state)
     assert np.allclose(state.m_hat, 0.0, atol=1e-9)
     assert np.all(state.sigma_diag > 0.0)
@@ -158,7 +155,7 @@ def test_gp_update_matches_dense_oracle():
     d = random_dataset(17, n=30, k=2)
     config = FableConfig(subtypes=2, lanczos_rank=30)
     state = fable_init(d, config, seed=1)
-    epi = state.phi / state.xi
+    epi = (state.rho + 1.0) / state.xi
     expected_m = np.zeros_like(state.m_hat)
     expected_diag = np.zeros_like(state.sigma_diag)
     prior = state.kernel.values
@@ -176,28 +173,32 @@ def test_gp_update_matches_dense_oracle():
 
 
 def test_augmentation_zero_signal_cell(small_synthetic):
-    state = fable_init(small_synthetic, FableConfig(), seed=0)
+    config = FableConfig()
+    state = fable_init(small_synthetic, config, seed=0)
     state.m_hat = np.zeros_like(state.m_hat)
     state.sigma_diag = np.zeros_like(state.sigma_diag)
     state.a = np.ones_like(state.a)
-    state.b = np.full_like(state.b, 2.0)
     fable_update_augmentation(state)
     assert np.allclose(state.c, 0.0, atol=1e-12)
-    # exp(psi(1)) / (2 * 2 cosh(0)): the Poisson mean carries the 2^-count
-    # factor of the augmented likelihood, halving the naive exp(psi(a))/b
-    assert np.allclose(state.gamma, np.exp(digamma(1.0)) / 4.0, atol=1e-12)
+    # exp(psi(1)) / (b * 2 cosh(0)) with b = K * M: the Poisson mean carries
+    # the 2^-count factor of the augmented likelihood, halving the naive
+    # exp(psi(a))/b
+    b = small_synthetic.num_classes * config.subtypes
+    assert np.allclose(state.gamma, np.exp(digamma(1.0)) / (2.0 * b), atol=1e-12)
 
 
 def test_augmentation_hand_value(small_synthetic):
-    state = fable_init(small_synthetic, FableConfig(), seed=0)
+    config = FableConfig()
+    state = fable_init(small_synthetic, config, seed=0)
     state.m_hat = np.ones_like(state.m_hat)
     state.sigma_diag = np.zeros_like(state.sigma_diag)
     state.a = np.ones_like(state.a)
-    state.b = np.full_like(state.b, 2.0)
     fable_update_augmentation(state)
     assert np.allclose(state.c, 1.0, atol=1e-12)
-    # exp(psi(1) - 1/2) / (2 * 2 cosh(1/2)), frozen from scalar arithmetic
-    assert np.allclose(state.gamma, 0.07549985577607077, atol=1e-12)
+    # exp(psi(1) - 1/2) / (b * 2 cosh(1/2)) with b = K * M, in scalar arithmetic
+    b = small_synthetic.num_classes * config.subtypes
+    expected = math.exp(digamma(1.0) - 0.5) / (b * 2.0 * math.cosh(0.5))
+    assert np.allclose(state.gamma, expected, atol=1e-12)
 
 
 def test_augmentation_even_in_gp_mean(small_synthetic):
@@ -225,9 +226,6 @@ def test_lambda_update_sums_poisson_mass(small_synthetic):
     state.gamma = np.zeros_like(state.gamma)
     fable_update_lambda(state)
     assert np.allclose(state.a, 1.0, atol=1e-15)
-    assert np.array_equal(
-        state.b, np.full(small_synthetic.n_items, float(small_synthetic.num_classes * config.subtypes))
-    )
 
     rng = np.random.default_rng(1)
     state.gamma = rng.uniform(size=state.gamma.shape)
@@ -250,7 +248,7 @@ def test_matches_subtype_model_when_mixture_terms_tie():
     bcc = ebcc_init(d, subtypes=2, seed=8)
     bcc.nu = fab.nu.copy()
     bcc.mu = fab.mu.copy()
-    fab.phi = np.ones_like(fab.phi)
+    fab.rho = np.zeros_like(fab.rho)  # Gamma shape rho + 1 = 1 everywhere
     fab.xi = np.full_like(fab.xi, 0.7)
     bcc.eta = np.ones_like(bcc.eta)
     fable_update_assignments(fab)
@@ -380,13 +378,12 @@ def _reference_pg_mean(b, c):
 def reference_fable_sweep(state):
     """One sweep of ``fable_fit`` in the reference expressions; returns q(z)."""
     n, k, m = state.rho.shape
-    _reference_assignments(state, digamma(state.phi) - np.log(state.xi))
+    _reference_assignments(state, digamma(state.rho + 1.0) - np.log(state.xi))
     _reference_core(state)
-    state.phi = state.rho + 1.0
     raw = np.log(2.0) - state.m_hat / 2.0
     state.xi_clamps += int((raw < _XI_FLOOR).sum())
     state.xi = np.maximum(raw, _XI_FLOOR)
-    epi = state.phi / state.xi
+    epi = (state.rho + 1.0) / state.xi
     omega = _reference_pg_mean(epi + state.gamma, state.c).reshape(n, -1)
     post = lowrank_posterior(state.kernel, omega)
     state.m_hat = 0.5 * post.apply((epi - state.gamma).reshape(omega.shape)).reshape(n, k, m)
@@ -397,13 +394,12 @@ def reference_fable_sweep(state):
     log_gamma = (
         digamma(state.a)[:, None, None]
         - state.m_hat / 2.0
-        - np.log(state.b)[:, None, None]
+        - np.log(float(k * m))
         - np.log(2.0)
         - log_cosh
     )
     state.gamma = np.exp(np.minimum(log_gamma, 700.0))
     state.a = state.gamma.sum(axis=(1, 2)) + 1.0
-    state.b = np.full(n, float(k * m))
     return state.rho.sum(axis=2)
 
 

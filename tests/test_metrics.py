@@ -132,13 +132,15 @@ def test_dcor_across_uneven_row_chunks(monkeypatch, name, features, correct):
     monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", step * n)
     assert len(list(metrics._distance_blocks(features))) == -(-n // step) > 1
     expected = brute_force_dcor(features, correct)
+    # the one-pass per-LF scores, with a single LF covering every item
+    indicator = metrics._indicator_dcors(features, np.ones((n, 1), bool), correct[:, None])[0]
     assert abs(distance_correlation(features, correct) - expected) < 1e-12
-    assert abs(metrics._indicator_dcor(features, correct) - expected) < 1e-12
+    assert abs(indicator - expected) < 1e-12
     other = features @ np.ones((features.shape[1], 1)) + correct[:, None]
     assert abs(distance_correlation(features, other) - brute_force_dcor(features, other)) < 1e-12
     if name in ("zero feature columns", "all correct"):
         assert distance_correlation(features, correct) == 0.0
-        assert metrics._indicator_dcor(features, correct) == 0.0
+        assert indicator == 0.0
 
 
 def _traced_peak_mb(fn, *args) -> float:
