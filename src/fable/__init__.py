@@ -49,7 +49,7 @@ from .model import (
     fable_fit,
     fable_init,
 )
-from .studies import correlation_study, fit_method, select_metric, size_study
+from .studies import correlation_study, fit_method, size_study
 
 __version__ = "0.1.0"
 
@@ -89,6 +89,5 @@ __all__ = [
     "correlation_study",
     "size_study",
     "fit_method",
-    "select_metric",
     "__version__",
 ]

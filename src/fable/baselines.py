@@ -75,10 +75,12 @@ class Posterior:
     ``probs`` holds the per-item class distribution and ``predictions``
     its argmax (ties broken toward the lowest class index).
     ``elbo_trace`` carries one objective value per sweep when the fit was
-    asked to record it; ``diagnostics`` carries convergence details and
-    ``predicted_classes``, the number of distinct predicted classes, which
-    is 1 when the fit put every item in one class, and ``effective_classes``,
-    exp(entropy of the predicted class shares): 1.0 then, K when balanced.
+    asked to record it; ``diagnostics`` carries the settings an iterative
+    fit ran with (``max_iters``, ``tol``, and ``subtypes`` for the subtype
+    models), convergence details and ``predicted_classes``, the number of
+    distinct predicted classes, which is 1 when the fit put every item in
+    one class, and ``effective_classes``, exp(entropy of the predicted
+    class shares): 1.0 then, K when balanced.
     """
 
     probs: np.ndarray
@@ -109,10 +111,9 @@ def _finish(probs, n_iters, elbo_trace=None, **diag) -> Posterior:
 
 def majority_vote(dataset: Dataset) -> Posterior:
     """Normalized vote counts per class; all-abstain items get a uniform row."""
-    n, k = dataset.n_items, dataset.num_classes
-    counts = np.zeros((n, k))
-    for c in range(k):
-        counts[:, c] = (dataset.lf_labels == c).sum(axis=1)
+    n_lf, k = dataset.n_lfs, dataset.num_classes
+    # summing the one-hot columns j*K + c over the LFs j counts the votes for c
+    counts = vote_onehot(dataset.lf_labels, k) @ np.tile(np.eye(k), (n_lf, 1))
     totals = counts.sum(axis=1)
     silent = totals == 0
     counts[silent] = 1.0
@@ -168,8 +169,9 @@ def _iterate(qz: np.ndarray, sweep, max_iters: int, tol: float):
     """Run ``sweep`` until max |change in q(z)| < tol or ``max_iters`` sweeps.
 
     ``sweep`` maps the current q(z) to the next one.  Returns the last
-    q(z), the number of sweeps, and the ``converged`` flag and per-sweep
-    ``delta_trace`` as a diagnostics dict.
+    q(z), the number of sweeps, and a diagnostics dict of the
+    ``converged`` flag, the per-sweep ``delta_trace`` and the
+    ``max_iters`` and ``tol`` the loop ran with.
     """
     deltas = []
     for _ in range(max_iters):
@@ -179,7 +181,8 @@ def _iterate(qz: np.ndarray, sweep, max_iters: int, tol: float):
         if deltas[-1] < tol:
             break
     converged = bool(deltas) and deltas[-1] < tol
-    return qz, len(deltas), {"converged": converged, "delta_trace": deltas}
+    diag = {"converged": converged, "delta_trace": deltas, "max_iters": max_iters, "tol": tol}
+    return qz, len(deltas), diag
 
 
 def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Posterior:
@@ -423,4 +426,5 @@ def ebcc_fit(
         n_iters,
         elbo_trace=trace if record_elbo else None,
         **diag,
+        subtypes=subtypes,
     )

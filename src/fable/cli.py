@@ -28,11 +28,11 @@ from .data import (
     save_json,
 )
 from .linalg import NumericalError
+from .metrics import accuracy, f1_binary
 from .studies import (
     METHODS,
     correlation_study,
     fit_method,
-    select_metric,
     size_study,
     summarize_size_study,
 )
@@ -44,9 +44,11 @@ __all__ = ["main", "entry", "RunRecord"]
 class RunRecord:
     """Reproducibility trail written next to every aggregation output.
 
-    ``delta_trace`` holds the largest change in q(z) of each sweep and
-    ``xi_clamp_rate`` the share of ``fable``'s rate-floor tests that
-    clamped; each is None for a method without it.
+    ``params`` holds the settings the fit ran with (sweep budget
+    ``max_iters``, tolerance ``tol`` and ``subtypes``, each only for a
+    method that has it); ``delta_trace`` holds the largest change in q(z)
+    of each sweep and ``xi_clamp_rate`` the share of ``fable``'s
+    rate-floor tests that clamped; each is None for a method without it.
     """
 
     command: str
@@ -109,12 +111,7 @@ def _write_predictions(path, ids, posterior) -> None:
 
 def _fit_knobs(args) -> dict:
     """The knobs set by ``_add_fit_flags``, keyed as :func:`fit_method` takes them."""
-    return {
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "subtypes": args.subtypes,
-        "lanczos_rank": args.lanczos_rank,
-    }
+    return {"max_iters": args.max_iters, "tol": args.tol, "subtypes": args.subtypes}
 
 
 def cmd_aggregate(args) -> int:
@@ -136,9 +133,8 @@ def cmd_aggregate(args) -> int:
 
     metric_name = metric_value = None
     if dataset.gold is not None:
-        metric_name, score = select_metric(
-            dataset.num_classes, args.metric, args.positive_class
-        )
+        # binary tasks score F1 of class 1, multiclass ones accuracy
+        metric_name, score = ("f1", f1_binary) if dataset.num_classes == 2 else ("accuracy", accuracy)
         metric_value = float(score(posterior.predictions, dataset.gold))
         print(f"{metric_name}={metric_value:.4f}")
     record = RunRecord(
@@ -149,7 +145,7 @@ def cmd_aggregate(args) -> int:
         n_lfs=dataset.n_lfs,
         num_classes=dataset.num_classes,
         seed=args.seed,
-        params=_fit_knobs(args),
+        params={k: v for k, v in posterior.diagnostics.items() if k in ("max_iters", "tol", "subtypes")},
         metric=metric_name,
         metric_value=metric_value,
         n_iters=posterior.n_iters,
@@ -192,6 +188,9 @@ def cmd_study_corr(args) -> int:
         **_fit_knobs(args),
     )
     _write_csv(args.out, ["trial", "seed", "corr", "metric", "ebcc", "fable", "delta"], rows)
+    if np.isnan(r):
+        print("warning: the dependence score or the gain is the same in every trial, "
+              "so it has no correlation", file=sys.stderr)
     print(f"pearson_r={r:.4f} p_value={p:.6g} trials={len(rows)}")
     return 0
 
@@ -266,8 +265,6 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=_positive_float, default=None, help="q(z) convergence tolerance")
     parser.add_argument("--subtypes", type=_int_at_least(1), default=3,
                         help="mixture components per class")
-    parser.add_argument("--lanczos-rank", type=_int_at_least(1), default=None,
-                        help="max rank of the GP kernel factor; wider features are SVD-truncated")
 
 
 def _add_psi_flags(parser: argparse.ArgumentParser, psi_help: str) -> None:
@@ -289,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     agg.add_argument("--method", required=True, choices=METHODS)
     agg.add_argument("--out", required=True, help="predictions JSON path")
     agg.add_argument("--record", default=None, help="run-record path (default: <out>.run.json)")
-    agg.add_argument("--metric", default="auto", choices=["auto", "accuracy", "f1"])
-    agg.add_argument("--positive-class", type=int, default=1)
     _add_fit_flags(agg)
     agg.set_defaults(func=cmd_aggregate)
 

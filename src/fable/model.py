@@ -50,23 +50,24 @@ __all__ = [
 _CONFUSION_SCALE = 1000.0
 # keeps the Gamma rate of q(pi) positive when the GP mean drifts above 2 log 2
 _XI_FLOOR = 0.2
+# bounds the rank of the kernel factor, which sets the cost of each GP
+# solve: features wider than 100 are cut once per fit to their 100 leading
+# singular directions (thin SVD); narrower features are solved exactly
+_GP_RANK = 100
 
 
 @dataclass(frozen=True)
 class FableConfig:
     """Knobs of the feature-aware model.
 
-    ``lanczos_rank`` caps the rank r of the kernel factor behind the GP
-    solve: features with more than r dimensions are replaced once per fit
-    by their thin SVD truncated to r, and with at most r dimensions the
-    solve is exact.  The fixed parts of the model are module constants:
-    the confusion prior diagonal N * M * ``_CONFUSION_SCALE`` (the
-    off-diagonal is the BCC ``_BETA_OFFDIAG``), the rate floor
-    ``_XI_FLOOR`` of q(pi), and the ``cosine_kernel`` default jitter.
+    The fixed parts of the model are module constants: the confusion
+    prior diagonal N * M * ``_CONFUSION_SCALE`` (the off-diagonal is the
+    BCC ``_BETA_OFFDIAG``), the rate floor ``_XI_FLOOR`` of q(pi), the
+    kernel factor rank cap ``_GP_RANK``, and the ``cosine_kernel``
+    default jitter.
     """
 
     subtypes: int = 3
-    lanczos_rank: int = 100
     max_iters: int = 100
     tol: float = 1e-6
 
@@ -105,7 +106,7 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     """The shared majority-vote start plus uninformative draws for the GP block.
 
     The GP covariance starts at the cosine kernel itself, whose factor is
-    truncated to ``lanczos_rank`` columns when the features are wider;
+    truncated to ``_GP_RANK`` columns when the features are wider;
     m_hat and a are Uniform(0, 1), drawn from the stream that spread rho
     over subtypes.  The confusion prior diagonal is N * M *
     ``_CONFUSION_SCALE``.
@@ -113,7 +114,7 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     n, k, m = dataset.n_items, dataset.num_classes, config.subtypes
     rng = np.random.default_rng(seed)
     core = _subtype_start(dataset, m, float(n) * m * _CONFUSION_SCALE, rng)
-    kernel = cosine_kernel(dataset.features).truncated(config.lanczos_rank)
+    kernel = cosine_kernel(dataset.features).truncated(_GP_RANK)
     state = FableState(
         **vars(core),
         xi=np.zeros((n, k, m)),
@@ -214,9 +215,9 @@ def fable_fit(
     """Coordinate ascent over all blocks; stops when max |change in q(z)| < tol.
 
     Sweep order: assignments, class prior, confusions, mixture rates, GP
-    block, augmentation moments, normaliser.  The diagnostics add the
-    ``xi_floor`` clamp count ``xi_clamps``, its share of cell tests
-    ``xi_clamp_rate`` and the GP factor rank ``gp_rank``.
+    block, augmentation moments, normaliser.  The diagnostics add
+    ``subtypes``, the ``xi_floor`` clamp count ``xi_clamps``, its share of
+    cell tests ``xi_clamp_rate`` and the GP factor rank ``gp_rank``.
     """
     config = config or FableConfig()
     state = fable_init(dataset, config, seed=seed)
@@ -236,6 +237,7 @@ def fable_fit(
         qz,
         n_iters,
         **diag,
+        subtypes=config.subtypes,
         xi_clamps=state.xi_clamps,
         # the floor is tested on every cell once at the start and once per sweep
         xi_clamp_rate=state.xi_clamps / ((n_iters + 1) * state.xi.size),

@@ -12,30 +12,18 @@ import numpy as np
 
 from .baselines import Posterior, dawid_skene, ebcc_fit, majority_vote
 from .data import Dataset, default_synthetic_spec, generate_synthetic
-from .metrics import accuracy, f1_binary, feature_lf_correlation, pearson_r
+from .metrics import accuracy, feature_lf_correlation, pearson_r
 from .model import FableConfig, fable_fit
 
 __all__ = [
     "METHODS",
     "fit_method",
-    "select_metric",
     "size_study",
     "summarize_size_study",
     "correlation_study",
 ]
 
 METHODS = ("mv", "ds", "ibcc", "ebcc", "fable")
-
-
-def select_metric(num_classes: int, metric: str = "auto", positive_class: int = 1):
-    """Resolve a metric name: binary tasks score F1, multiclass accuracy."""
-    if metric == "auto":
-        metric = "f1" if num_classes == 2 else "accuracy"
-    if metric == "accuracy":
-        return "accuracy", accuracy
-    if metric == "f1":
-        return "f1", lambda pred, gold: f1_binary(pred, gold, positive_class)
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 def fit_method(
@@ -45,7 +33,6 @@ def fit_method(
     max_iters: int | None = None,
     tol: float | None = None,
     subtypes: int = 3,
-    lanczos_rank: int | None = None,
 ) -> Posterior:
     """Run one aggregation method; a knob left at None keeps the method's default.
 
@@ -64,8 +51,6 @@ def fit_method(
     if method == "ebcc":
         return ebcc_fit(dataset, subtypes=subtypes, seed=seed, **iters)
     if method == "fable":
-        if lanczos_rank is not None:
-            iters["lanczos_rank"] = lanczos_rank
         return fable_fit(dataset, FableConfig(subtypes=subtypes, **iters), seed=seed)
     raise ValueError(f"unknown method {method!r}")
 
@@ -147,7 +132,8 @@ def correlation_study(
     generates a dataset, computes Corr(X, LFs), and fits the subtype
     model with and without features, each with the :func:`fit_method`
     knobs in ``fit``.  Returns the per-trial rows plus the Pearson r and
-    p-value between the dependence score and the accuracy gain.
+    p-value between the dependence score and the accuracy gain, both NaN
+    when either is the same in every trial.
     """
     if trials < 3:
         raise ValueError("need at least three trials for a correlation")
@@ -174,5 +160,10 @@ def correlation_study(
                 "delta": fable_value - ebcc_value,
             }
         )
-    r, p = pearson_r([row["corr"] for row in rows], [row["delta"] for row in rows])
+    scores = [row["corr"] for row in rows]
+    gains = [row["delta"] for row in rows]
+    # a constant sample (say, every LF abstains in every trial) has no correlation
+    if np.ptp(scores) == 0.0 or np.ptp(gains) == 0.0:
+        return rows, float("nan"), float("nan")
+    r, p = pearson_r(scores, gains)
     return rows, r, p

@@ -19,6 +19,7 @@ from fable import (
 from fable.baselines import (
     _A_PI,
     _confusion_counts,
+    _finish,
     _vote_log_scores,
     ebcc_update_assignments,
     ebcc_update_confusion,
@@ -409,6 +410,22 @@ def test_confusion_counts_match_mask_loop(case):
     by_counts = (got * elog_v).sum()
     by_items = (rho * _vote_log_scores_oracle(elog_v, votes)).sum()
     assert by_counts == pytest.approx(by_items, rel=1e-10, abs=1e-10)
+
+
+@_ORACLE_SETTINGS
+@given(_votes())
+def test_majority_vote_matches_mask_loop(case):
+    votes, k, _, _ = case
+    counts = np.stack([(votes == c).sum(axis=1) for c in range(k)], axis=1).astype(float)
+    totals = counts.sum(axis=1)
+    silent = totals == 0
+    counts[silent] = 1.0
+    totals[silent] = k
+    expected = _finish(counts / totals[:, None], n_iters=0)
+    post = majority_vote(_dataset(votes, k=k))
+    # the counts are whole numbers either way, so every bit agrees
+    assert np.array_equal(post.probs, expected.probs)
+    assert np.array_equal(post.predictions, expected.predictions)
 
 
 @_ORACLE_SETTINGS

@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fable import ABSTAIN, load_json, studies
+from fable import ABSTAIN, f1_binary, load_json, save_json, studies
 from fable.baselines import _finish
 from fable.cli import _write_predictions, main
+
+from conftest import random_dataset
 
 
 def run_synth(tmp_path, name="d.json", size=200, seed=0, extra=()):
@@ -80,7 +82,7 @@ def test_aggregate_every_method_runs(tmp_path):
         out = tmp_path / f"{method}.json"
         code = main(
             ["aggregate", "--method", method, "--dataset", str(data), "--out", str(out),
-             "--max-iters", "4", "--lanczos-rank", "20"]
+             "--max-iters", "4"]
         )
         assert code == 0
         assert out.exists()
@@ -177,6 +179,41 @@ def test_aggregate_records_fit_telemetry(tmp_path):
         cell_tests = (post.n_iters + 1) * dataset.n_items * dataset.num_classes * 2
         assert record["xi_clamp_rate"] == post.diagnostics["xi_clamps"] / cell_tests
         assert 0.0 < record["xi_clamp_rate"] < 1.0
+
+
+@pytest.mark.parametrize(
+    "method, flags, params",
+    [
+        ("mv", [], {}),
+        ("ds", [], {"max_iters": 500, "tol": 1e-6}),
+        ("ibcc", [], {"max_iters": 500, "tol": 1e-6, "subtypes": 1}),
+        ("ebcc", ["--tol", "0.01"], {"max_iters": 500, "tol": 0.01, "subtypes": 3}),
+        ("fable", [], {"max_iters": 100, "tol": 1e-6, "subtypes": 3}),
+        ("fable", ["--max-iters", "6", "--subtypes", "2"], {"max_iters": 6, "tol": 1e-6, "subtypes": 2}),
+    ],
+)
+def test_run_record_params_are_the_settings_the_fit_ran_with(tmp_path, method, flags, params):
+    data = run_synth(tmp_path, size=60, seed=4)
+    out = tmp_path / "preds.json"
+    assert main(["aggregate", "--method", method, "--dataset", str(data), "--out", str(out), *flags]) == 0
+    record = json.loads((tmp_path / "preds.json.run.json").read_text())
+    assert record["params"] == params
+    assert record["n_iters"] <= params.get("max_iters", 0)
+
+
+def test_aggregate_scores_binary_data_by_f1_of_class_one(tmp_path, capsys):
+    data = tmp_path / "binary.json"
+    save_json(random_dataset(5, n=50, k=2), data)
+    out = tmp_path / "preds.json"
+    assert main(["aggregate", "--method", "mv", "--dataset", str(data), "--out", str(out)]) == 0
+    dataset = load_json(data)
+    payload = json.loads(out.read_text())
+    predictions = np.array([payload[i]["prediction"] for i in dataset.ids])
+    record = json.loads((tmp_path / "preds.json.run.json").read_text())
+    assert record["metric"] == "f1"
+    assert record["metric_value"] == f1_binary(predictions, dataset.gold, positive_class=1)
+    assert record["metric_value"] != f1_binary(predictions, dataset.gold, positive_class=0)
+    assert capsys.readouterr().out == f"f1={record['metric_value']:.4f}\n"
 
 
 def test_aggregate_zero_lf_dataset_is_data_error(tmp_path, capsys):
@@ -345,7 +382,7 @@ def test_study_corr_writes_one_row_per_trial(tmp_path, capsys):
     out = tmp_path / "corr.csv"
     code = main(
         ["study-corr", "--trials", "3", "--size", "160", "--max-iters", "4",
-         "--lanczos-rank", "20", "--out", str(out)]
+         "--out", str(out)]
     )
     assert code == 0
     with out.open() as fh:
@@ -356,11 +393,25 @@ def test_study_corr_writes_one_row_per_trial(tmp_path, capsys):
     assert "pearson_r=" in printed
 
 
+def test_study_corr_with_a_constant_score_writes_every_trial(tmp_path, capsys):
+    # at psi 0.001 every LF abstains, so the dependence score is 0 in every
+    # trial and has no correlation with the gain
+    out = tmp_path / "corr.csv"
+    code = main(["study-corr", "--trials", "3", "--size", "40", "--psi", "0.001",
+                 "--max-iters", "2", "--out", str(out)])
+    assert code == 0
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["corr"] for row in rows] == ["0.0"] * 3
+    captured = capsys.readouterr()
+    assert captured.out == "pearson_r=nan p_value=nan trials=3\n"
+    assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
+
+
 _COUNT_FLAG_CASES = [
     pytest.param("study-corr", "--trials", trials, id=trials) for trials in ("2", "0", "-1", "three")
 ] + [
     pytest.param("aggregate", "--subtypes", "0", id="aggregate-subtypes-0"),
-    pytest.param("aggregate", "--lanczos-rank", "0", id="aggregate-lanczos-rank-0"),
     pytest.param("aggregate", "--max-iters", "-1", id="aggregate-max-iters--1"),
     # the fit stops on delta < tol, which no tolerance of zero or below can meet
     pytest.param("aggregate", "--tol", "0", id="aggregate-tol-0"),

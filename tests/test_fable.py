@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import psi as digamma
 
+import fable.model
 from fable import (
     Dataset,
     FableConfig,
@@ -79,8 +80,7 @@ def test_init_is_deterministic(small_synthetic):
 
 
 def test_sweep_maintains_coupled_invariants(small_synthetic):
-    config = FableConfig(lanczos_rank=40)
-    state = fable_init(small_synthetic, config, seed=0)
+    state = fable_init(small_synthetic, FableConfig(), seed=0)
     for _ in range(3):
         run_one_sweep(state)
         assert np.allclose(state.rho.sum(axis=(1, 2)), 1.0, atol=1e-9)
@@ -143,8 +143,7 @@ def test_assignments_match_scalar_formula():
 
 
 def test_gp_update_balanced_evidence_gives_zero_mean(small_synthetic):
-    config = FableConfig(lanczos_rank=240)
-    state = fable_init(small_synthetic, config, seed=0)
+    state = fable_init(small_synthetic, FableConfig(), seed=0)
     state.gamma = (state.rho + 1.0) / state.xi  # rhs = E[pi] - gamma = 0
     fable_update_gp(state)
     assert np.allclose(state.m_hat, 0.0, atol=1e-9)
@@ -153,7 +152,7 @@ def test_gp_update_balanced_evidence_gives_zero_mean(small_synthetic):
 
 def test_gp_update_matches_dense_oracle():
     d = random_dataset(17, n=30, k=2)
-    config = FableConfig(subtypes=2, lanczos_rank=30)
+    config = FableConfig(subtypes=2)
     state = fable_init(d, config, seed=1)
     epi = (state.rho + 1.0) / state.xi
     expected_m = np.zeros_like(state.m_hat)
@@ -276,7 +275,8 @@ def test_fit_posterior_rows_normalized(small_synthetic):
     assert post.diagnostics["gp_rank"] == small_synthetic.features.shape[1]
 
 
-def test_fit_truncates_wide_features_to_rank():
+def test_fit_truncates_wide_features_to_rank(monkeypatch):
+    monkeypatch.setattr(fable.model, "_GP_RANK", 5)
     d = random_dataset(3, n=40, k=2)
     wide = Dataset(
         features=np.random.default_rng(3).standard_normal((40, 12)),
@@ -284,7 +284,7 @@ def test_fit_truncates_wide_features_to_rank():
         num_classes=2,
         gold=d.gold,
     )
-    config = FableConfig(subtypes=2, max_iters=3, lanczos_rank=5)
+    config = FableConfig(subtypes=2, max_iters=3)
     assert fable_init(wide, config, seed=0).kernel.factor.shape == (40, 5)
     post = fable_fit(wide, config, seed=0)
     assert post.diagnostics["gp_rank"] == 5
@@ -321,14 +321,14 @@ def test_fit_improves_on_majority_vote(small_synthetic):
 
     mv_acc = accuracy(majority_vote(small_synthetic).predictions, small_synthetic.gold)
     fab_acc = accuracy(
-        fable_fit(small_synthetic, FableConfig(lanczos_rank=60), seed=0).predictions,
+        fable_fit(small_synthetic, FableConfig(), seed=0).predictions,
         small_synthetic.gold,
     )
     assert fab_acc >= mv_acc - 0.01
 
 
 def test_fuzzed_instances_stay_finite():
-    config = FableConfig(subtypes=2, max_iters=4, lanczos_rank=20)
+    config = FableConfig(subtypes=2, max_iters=4)
     for seed in range(12):
         n = 10 + (seed * 7) % 41
         d = random_dataset(seed, n=n, k=2 + seed % 2, abstain_rate=0.5)
