@@ -8,8 +8,6 @@ transductively on seeded numpy; see the command-line interface in
 """
 
 from .baselines import (
-    EbccState,
-    Posterior,
     dawid_skene,
     ebcc_elbo,
     ebcc_fit,
@@ -30,7 +28,6 @@ from .data import (
 from .linalg import (
     KernelMatrix,
     NumericalError,
-    SymmetricApprox,
     cosine_kernel,
     dirichlet_log_expectation,
     lowrank_posterior,
@@ -45,13 +42,10 @@ from .metrics import (
 )
 from .model import (
     FableConfig,
-    FableState,
     fable_fit,
     fable_init,
 )
 from .studies import correlation_study, fit_method, size_study
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ABSTAIN",
@@ -70,24 +64,19 @@ __all__ = [
     "pearson_r",
     "KernelMatrix",
     "NumericalError",
-    "SymmetricApprox",
     "cosine_kernel",
     "lowrank_posterior",
     "pg_mean",
     "dirichlet_log_expectation",
-    "Posterior",
     "majority_vote",
     "dawid_skene",
-    "EbccState",
     "ebcc_init",
     "ebcc_elbo",
     "ebcc_fit",
     "FableConfig",
-    "FableState",
     "fable_init",
     "fable_fit",
     "correlation_study",
     "size_study",
     "fit_method",
-    "__version__",
 ]

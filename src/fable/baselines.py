@@ -17,14 +17,14 @@ explicit adds and running maxima, several times faster there than
 numpy's reductions and rounded alike for fewer than eight subtypes.
 
 Every vote statistic goes through one representation: the sparse one-hot
-indicator of :func:`vote_onehot`, an (N, L*K) CSR matrix with a one in
-column j*K + y for each non-abstaining vote y_ij = y and nothing for an
-abstain.  Summing log confusion entries over an item's votes is then one
-product ``onehot @ table`` and the soft confusion counts are one product
-``onehot.T @ responsibilities``; the fits build the matrix and its
-transpose (as CSR, so no sweep converts it) once and keep them on their
-state, so a sweep never loops over labeling functions.  Storage is one
-entry per non-abstaining vote in each.
+indicator :attr:`fable.data.Dataset.onehot`, an (N, L*K) CSR matrix with
+a one in column j*K + y for each non-abstaining vote y_ij = y and nothing
+for an abstain.  Summing log confusion entries over an item's votes is
+then one product ``onehot @ table`` and the soft confusion counts are one
+product ``onehot_t @ responsibilities``; the dataset builds the matrix
+and its transpose (as CSR, so no sweep converts it) once, however many
+fits read them, so a sweep never loops over labeling functions.  Storage
+is one entry per non-abstaining vote in each.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ import numpy as np
 from scipy import sparse
 from scipy.special import gammaln, psi, xlogy
 
-from .data import ABSTAIN, Dataset
+from .data import Dataset
 from .linalg import NumericalError, dirichlet_log_expectation
 
 __all__ = [
     "Posterior",
-    "vote_onehot",
     "majority_vote",
     "dawid_skene",
     "SubtypeBccState",
@@ -113,7 +112,7 @@ def majority_vote(dataset: Dataset) -> Posterior:
     """Normalized vote counts per class; all-abstain items get a uniform row."""
     n_lf, k = dataset.n_lfs, dataset.num_classes
     # summing the one-hot columns j*K + c over the LFs j counts the votes for c
-    counts = vote_onehot(dataset.lf_labels, k) @ np.tile(np.eye(k), (n_lf, 1))
+    counts = dataset.onehot @ np.tile(np.eye(k), (n_lf, 1))
     totals = counts.sum(axis=1)
     silent = totals == 0
     counts[silent] = 1.0
@@ -121,31 +120,11 @@ def majority_vote(dataset: Dataset) -> Posterior:
     return _finish(counts / totals[:, None], n_iters=0)
 
 
-def vote_onehot(lf_labels: np.ndarray, k: int) -> sparse.csr_matrix:
-    """(N, L*K) indicator of the votes: column j*K + y is 1 where LF j voted y.
-
-    Abstains set nothing, so an item's row holds one entry per LF that
-    voted on it.  Entries are stored row by row in increasing column
-    order, so products with the matrix add an item's votes in LF order.
-    Votes outside {ABSTAIN, 0..K-1} raise ValueError: sparse products do
-    not check column indices, so such a vote would read out of bounds.
-    """
-    if np.any((lf_labels < ABSTAIN) | (lf_labels >= k)):
-        raise ValueError(f"votes must be {ABSTAIN} (abstain) or a class in 0..{k - 1}")
-    n, n_lf = lf_labels.shape
-    voted = lf_labels != ABSTAIN
-    columns = (np.arange(n_lf) * k + lf_labels)[voted]
-    indptr = np.concatenate(([0], np.cumsum(voted.sum(axis=1))))
-    return sparse.csr_matrix(
-        (np.ones(columns.size), columns, indptr), shape=(n, n_lf * k)
-    )
-
-
 def _vote_log_scores(elog_v: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarray:
     """sum_j E[log v_{jkm, y_ij}] over each item's non-abstaining LFs.
 
-    ``elog_v`` has shape (L, K, M, K) and ``onehot`` is the
-    :func:`vote_onehot` matrix; the result has shape (N, K, M).
+    ``elog_v`` has shape (L, K, M, K) and ``onehot`` is the dataset's
+    vote matrix ``Dataset.onehot``; the result has shape (N, K, M).
     """
     n_lf, k, m, n_votes = elog_v.shape
     table = elog_v.transpose(0, 3, 1, 2).reshape(n_lf * n_votes, k * m)
@@ -193,8 +172,7 @@ def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Po
     recorded trace is the observed-data log-likelihood at each
     iteration's parameters.
     """
-    onehot = vote_onehot(dataset.lf_labels, dataset.num_classes)
-    onehot_t = onehot.T.tocsr()
+    onehot, onehot_t = dataset.onehot, dataset.onehot_t
     trace = []
 
     def sweep(qz):
@@ -220,8 +198,8 @@ class SubtypeBccState:
 
     rho: (N, K, M) joint q(z_i = k, g_i = m); nu: (K,) class Dirichlet;
     mu: (L, K, M, K) confusion Dirichlets; alpha, beta echo their
-    priors; onehot: the :func:`vote_onehot` matrix of the dataset and
-    onehot_t its transpose in CSR form, both built once at the start.
+    priors; onehot and onehot_t: the dataset's ``Dataset.onehot`` vote
+    matrix and its CSR transpose ``Dataset.onehot_t``, not copies.
     The models differ only in their mixture weights pi, whose posterior
     each subclass adds.
     """
@@ -252,7 +230,7 @@ class EbccState(SubtypeBccState):
 def _confusion_counts(rho: np.ndarray, onehot_t: sparse.csr_matrix) -> np.ndarray:
     """sum_i rho_ikm [y_ij = l] for each LF j, as an (L, K, M, K) array.
 
-    ``onehot_t`` is the transposed :func:`vote_onehot` matrix as CSR; its
+    ``onehot_t`` is the transposed vote matrix ``Dataset.onehot_t``; its
     rows list the items in order, so the sums run in item order.
     """
     n, k, m = rho.shape
@@ -282,15 +260,14 @@ def _subtype_start(
     alpha[alpha == 0] = 1.0
     beta = np.full((k, k), _BETA_OFFDIAG)
     np.fill_diagonal(beta, beta_diag)
-    onehot = vote_onehot(dataset.lf_labels, k)
     state = SubtypeBccState(
         rho=rho,
         nu=np.zeros(k),
         mu=np.zeros((dataset.n_lfs, k, subtypes, k)),
         alpha=alpha,
         beta=beta,
-        onehot=onehot,
-        onehot_t=onehot.T.tocsr(),
+        onehot=dataset.onehot,
+        onehot_t=dataset.onehot_t,
     )
     ebcc_update_tau(state)
     ebcc_update_confusion(state)
@@ -304,7 +281,7 @@ def _subtype_assignments(state: SubtypeBccState, elog_pi: np.ndarray) -> Subtype
     votes are read from ``state.onehot``.
     """
     elog_tau = dirichlet_log_expectation(state.nu)
-    elog_v = dirichlet_log_expectation(state.mu, axis=-1)
+    elog_v = dirichlet_log_expectation(state.mu)
     elog_pi += elog_tau[:, None]
     scores = _vote_log_scores(elog_v, state.onehot)
     scores += elog_pi
@@ -322,7 +299,7 @@ def ebcc_init(dataset: Dataset, subtypes: int = 3, seed: int = 0) -> EbccState:
 
 def ebcc_update_assignments(state: EbccState) -> EbccState:
     """Assignments with the Dirichlet E[log pi_km] of the subtype weights eta."""
-    return _subtype_assignments(state, dirichlet_log_expectation(state.eta, axis=-1))
+    return _subtype_assignments(state, dirichlet_log_expectation(state.eta))
 
 
 def ebcc_update_tau(state: SubtypeBccState) -> SubtypeBccState:
@@ -342,19 +319,19 @@ def ebcc_update_confusion(state: SubtypeBccState) -> SubtypeBccState:
     return state
 
 
-def _log_beta(params: np.ndarray, axis: int = -1) -> np.ndarray:
+def _log_beta(params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=float)
-    return gammaln(params).sum(axis=axis) - gammaln(params.sum(axis=axis))
+    return gammaln(params).sum(axis=-1) - gammaln(params.sum(axis=-1))
 
 
-def _dirichlet_entropy(params: np.ndarray, axis: int = -1) -> np.ndarray:
+def _dirichlet_entropy(params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=float)
-    total = params.sum(axis=axis)
-    dim = params.shape[axis]
+    total = params.sum(axis=-1)
+    dim = params.shape[-1]
     return (
-        _log_beta(params, axis=axis)
+        _log_beta(params)
         + (total - dim) * psi(total)
-        - ((params - 1.0) * psi(params)).sum(axis=axis)
+        - ((params - 1.0) * psi(params)).sum(axis=-1)
     )
 
 
@@ -367,8 +344,8 @@ def ebcc_elbo(state: EbccState) -> float:
     against E[log v], from ``state.onehot_t``.
     """
     elog_tau = dirichlet_log_expectation(state.nu)
-    elog_pi = dirichlet_log_expectation(state.eta, axis=-1)
-    elog_v = dirichlet_log_expectation(state.mu, axis=-1)
+    elog_pi = dirichlet_log_expectation(state.eta)
+    elog_v = dirichlet_log_expectation(state.mu)
     rho = state.rho
     qz = state.qz
     k, m = state.eta.shape
@@ -386,13 +363,13 @@ def ebcc_elbo(state: EbccState) -> float:
     )
     value += float(
         ((state.beta[None, :, None, :] - 1.0) * elog_v).sum()
-        - n_lf * m * _log_beta(state.beta, axis=-1).sum()
+        - n_lf * m * _log_beta(state.beta).sum()
         + (_confusion_counts(rho, state.onehot_t) * elog_v).sum()
     )
     value -= float(xlogy(rho, rho).sum())
     value += float(_dirichlet_entropy(state.nu))
-    value += float(_dirichlet_entropy(state.eta, axis=-1).sum())
-    value += float(_dirichlet_entropy(state.mu, axis=-1).sum())
+    value += float(_dirichlet_entropy(state.eta).sum())
+    value += float(_dirichlet_entropy(state.mu).sum())
     return value
 
 

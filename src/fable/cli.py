@@ -84,7 +84,6 @@ def _load_dataset(path_str: str):
             path / "features.csv",
             path / "labels.csv",
             gold_path=gold if gold.exists() else None,
-            name=path.name,
         )
     return load_json(path)
 

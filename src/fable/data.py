@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "ABSTAIN",
@@ -85,7 +87,8 @@ class Dataset:
 
     Construction converts every field and checks every invariant, so a
     ``Dataset`` that exists is valid; any violation, unconvertible
-    entries included, raises DatasetError.
+    entries included, raises DatasetError.  A Dataset is not modified
+    after it is built, so its vote matrices are built once, on first use.
     """
 
     features: np.ndarray
@@ -143,6 +146,26 @@ class Dataset:
     @property
     def n_lfs(self) -> int:
         return self.lf_labels.shape[1]
+
+    @cached_property
+    def onehot(self) -> sparse.csr_matrix:
+        """(N, L*K) indicator of the votes: column j*K + y is 1 where LF j voted y.
+
+        Abstains set nothing, so an item's row holds one entry per LF that
+        voted on it.  Entries are stored row by row in increasing column
+        order, so products with the matrix add an item's votes in LF order.
+        Sparse products do not check column indices; construction did.
+        """
+        (n, n_lf), k = self.lf_labels.shape, self.num_classes
+        voted = self.lf_labels != ABSTAIN
+        columns = (np.arange(n_lf) * k + self.lf_labels)[voted]
+        indptr = np.concatenate(([0], np.cumsum(voted.sum(axis=1))))
+        return sparse.csr_matrix((np.ones(columns.size), columns, indptr), shape=(n, n_lf * k))
+
+    @cached_property
+    def onehot_t(self) -> sparse.csr_matrix:
+        """``onehot`` transposed, as CSR: its rows list the items in order."""
+        return self.onehot.T.tocsr()
 
 
 def load_json(path, num_classes: int | None = None) -> Dataset:
@@ -247,14 +270,14 @@ def load_csv(
     labels_path,
     gold_path=None,
     num_classes: int | None = None,
-    name: str = "",
 ) -> Dataset:
     """Read the CSV alternative: features, votes, and optional gold labels.
 
     ``features_path`` holds one row of floats per item, ``labels_path``
     one row of votes per item (-1 = abstain), ``gold_path`` one true
     label per line.  Votes and labels are read as floats and must be
-    whole numbers.
+    whole numbers.  The dataset is named after the directory holding
+    ``features_path``.
     """
     try:
         features = np.loadtxt(features_path, delimiter=",", ndmin=2, dtype=float)
@@ -267,7 +290,7 @@ def load_csv(
         lf_labels=votes,
         num_classes=num_classes,
         gold=gold,
-        name=name,
+        name=Path(features_path).parent.name,
     )
 
 

@@ -35,6 +35,8 @@ __all__ = [
 
 # relative tilt below which the PG mean switches to its c -> 0 limit b/4
 _PG_SMALL_TILT = 1e-8
+# added to the cosine kernel's diagonal, keeping it strictly positive definite
+_KERNEL_JITTER = 1e-4
 # posterior columns are batched in chunks whose N x r temporaries, one
 # per column, hold at most this many floats together (1 MB): this bounds
 # memory for any number of columns, and at N = 10k, r = 2 it batched 30
@@ -130,8 +132,8 @@ class KernelMatrix:
         return core + w * ((inner_diag + self.noise) ** 2 - inner_diag ** 2)
 
 
-def cosine_kernel(features: np.ndarray, jitter: float = 1e-4) -> KernelMatrix:
-    """Pairwise cosine similarity of feature rows plus ``jitter`` on the diagonal.
+def cosine_kernel(features: np.ndarray) -> KernelMatrix:
+    """Pairwise cosine similarity of feature rows plus ``_KERNEL_JITTER`` on the diagonal.
 
     All-zero feature rows have no direction, so they get similarity 0 to
     every other item and 1 to themselves, keeping the diagonal at
@@ -142,12 +144,10 @@ def cosine_kernel(features: np.ndarray, jitter: float = 1e-4) -> KernelMatrix:
         raise ValueError("features must be a nonempty 2-D array")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
-    if jitter < 0:
-        raise ValueError("jitter must be nonnegative")
     norms = np.linalg.norm(x, axis=1)
     zero = norms == 0.0
     normalized = x / np.where(zero, 1.0, norms)[:, None]
-    return KernelMatrix(factor=normalized, noise=zero.astype(float) + float(jitter))
+    return KernelMatrix(factor=normalized, noise=zero.astype(float) + _KERNEL_JITTER)
 
 
 def _column_chunks(n: int, r: int, p: int):
@@ -255,10 +255,10 @@ def pg_mean(b, c):
     return out
 
 
-def dirichlet_log_expectation(alpha: np.ndarray, axis: int = -1) -> np.ndarray:
+def dirichlet_log_expectation(alpha: np.ndarray) -> np.ndarray:
     """E[log x] under Dirichlet(alpha): psi(alpha_k) - psi(sum alpha).
 
-    Works over the given axis so batched parameter arrays evaluate in one
+    Works over the last axis so batched parameter arrays evaluate in one
     call.
     """
     a = np.asarray(alpha, dtype=float)
@@ -266,4 +266,4 @@ def dirichlet_log_expectation(alpha: np.ndarray, axis: int = -1) -> np.ndarray:
         raise ValueError("alpha must be nonempty")
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise ValueError("alpha entries must be positive and finite")
-    return psi(a) - psi(a.sum(axis=axis, keepdims=True))
+    return psi(a) - psi(a.sum(axis=-1, keepdims=True))

@@ -47,12 +47,12 @@ def accuracy(predictions, gold) -> float:
     return float(np.mean(p == g))
 
 
-def f1_binary(predictions, gold, positive_class: int = 1) -> float:
-    """F1 of the positive class; 0 when no positives exist anywhere."""
+def f1_binary(predictions, gold) -> float:
+    """F1 of class 1; 0 when no item is in class 1 in either input."""
     p, g = _check_label_pair(predictions, gold)
-    tp = int(np.sum((p == positive_class) & (g == positive_class)))
-    fp = int(np.sum((p == positive_class) & (g != positive_class)))
-    fn = int(np.sum((p != positive_class) & (g == positive_class)))
+    tp = int(np.sum((p == 1) & (g == 1)))
+    fp = int(np.sum((p == 1) & (g != 1)))
+    fn = int(np.sum((p != 1) & (g == 1)))
     denom = 2 * tp + fp + fn
     if denom == 0:
         return 0.0

@@ -63,8 +63,8 @@ class FableConfig:
     The fixed parts of the model are module constants: the confusion
     prior diagonal N * M * ``_CONFUSION_SCALE`` (the off-diagonal is the
     BCC ``_BETA_OFFDIAG``), the rate floor ``_XI_FLOOR`` of q(pi), the
-    kernel factor rank cap ``_GP_RANK``, and the ``cosine_kernel``
-    default jitter.
+    kernel factor rank cap ``_GP_RANK``, and the kernel jitter
+    ``linalg._KERNEL_JITTER``.
     """
 
     subtypes: int = 3

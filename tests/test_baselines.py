@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fable.data
 from fable import (
     Dataset,
-    DatasetError,
     accuracy,
     dawid_skene,
+    default_synthetic_spec,
     ebcc_elbo,
     ebcc_fit,
     ebcc_init,
     fit_method,
+    generate_synthetic,
     majority_vote,
 )
 from fable.baselines import (
@@ -25,10 +27,9 @@ from fable.baselines import (
     ebcc_update_confusion,
     ebcc_update_pi,
     ebcc_update_tau,
-    vote_onehot,
 )
 from fable.data import ABSTAIN
-from fable.model import FableConfig, fable_init, fable_update_assignments
+from fable.model import FableConfig, fable_fit, fable_init, fable_update_assignments
 
 from conftest import random_dataset
 
@@ -89,6 +90,15 @@ def test_dawid_skene_loglik_monotone():
         trace = post.elbo_trace
         assert trace is not None and len(trace) >= 2
         assert np.all(np.diff(trace) >= -1e-8)
+
+
+def test_dawid_skene_gives_every_item_the_class_prior_on_one_class_lfs():
+    # each synthetic LF votes one class or abstains, and DS models only the
+    # votes cast, so every learned confusion row is the same point mass:
+    # the votes carry no class signal and every posterior row is the prior
+    post = dawid_skene(generate_synthetic(default_synthetic_spec(size=200, seed=0)))
+    assert np.ptp(post.probs, axis=0).max() < 1e-9
+    assert post.diagnostics["predicted_classes"] == 1
 
 
 # ---------------------------------------------------------------- ebcc ops
@@ -366,7 +376,7 @@ _ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 def test_vote_onehot_marks_one_column_per_vote():
     votes = np.array([[1, -1, 0], [-1, -1, -1], [0, 2, 2]])
-    onehot = vote_onehot(votes, 3)
+    onehot = _dataset(votes, k=3).onehot
     expected = np.zeros((3, 9))
     expected[0, [1, 6]] = 1.0
     expected[2, [0, 5, 8]] = 1.0
@@ -375,21 +385,12 @@ def test_vote_onehot_marks_one_column_per_vote():
     assert np.array_equal(onehot.toarray(), expected)
 
 
-@pytest.mark.parametrize("bad", [-2, 3])
-def test_vote_onehot_rejects_out_of_range_votes(bad):
-    votes = np.array([[0, 1], [bad, -1]])
-    with pytest.raises(ValueError, match="votes must be"):
-        vote_onehot(votes, 3)
-    with pytest.raises(DatasetError, match="votes out of range"):
-        _dataset(votes, k=3)
-
-
 @_ORACLE_SETTINGS
 @given(_votes())
 def test_vote_log_scores_match_mask_loop(case):
     votes, k, m, rng = case
     elog_v = np.log(rng.dirichlet(np.ones(k), size=(votes.shape[1], k, m)))
-    got = _vote_log_scores(elog_v, vote_onehot(votes, k))
+    got = _vote_log_scores(elog_v, _dataset(votes, k=k).onehot)
     assert got.shape == (votes.shape[0], k, m)
     assert np.allclose(got, _vote_log_scores_oracle(elog_v, votes), rtol=0, atol=1e-10)
 
@@ -399,8 +400,9 @@ def test_vote_log_scores_match_mask_loop(case):
 def test_confusion_counts_match_mask_loop(case):
     votes, k, m, rng = case
     rho = rng.dirichlet(np.ones(k * m), size=votes.shape[0]).reshape(-1, k, m)
-    onehot = vote_onehot(votes, k)
-    got = _confusion_counts(rho, onehot.T.tocsr())
+    d = _dataset(votes, k=k)
+    onehot = d.onehot
+    got = _confusion_counts(rho, d.onehot_t)
     assert np.array_equal(got, _confusion_counts(rho, onehot.T))  # CSR = CSC product, bit for bit
     expected = _confusion_counts_oracle(rho, votes, k)
     assert got.shape == expected.shape
@@ -440,6 +442,26 @@ def test_dawid_skene_matches_mask_loop(case):
     assert np.allclose(post.elbo_trace, trace, rtol=1e-12, atol=1e-10)
 
 
+def test_every_fit_reads_the_one_vote_matrix_of_its_dataset(small_synthetic, monkeypatch):
+    builds = []
+    real_csr = fable.data.sparse.csr_matrix
+
+    def counting_csr(*args, **kwargs):
+        builds.append(args)
+        return real_csr(*args, **kwargs)
+
+    monkeypatch.setattr(fable.data.sparse, "csr_matrix", counting_csr)
+    d = Dataset(features=small_synthetic.features, lf_labels=small_synthetic.lf_labels)
+    assert builds == []  # building a Dataset does not build its vote matrix
+    majority_vote(d)
+    dawid_skene(d, max_iters=3)
+    ebcc_fit(d, max_iters=3)
+    fable_fit(d, FableConfig(max_iters=3))
+    assert ebcc_init(d).onehot is d.onehot
+    assert fable_init(d, FableConfig()).onehot_t is d.onehot_t
+    assert len(builds) == 1
+
+
 def test_sweeps_leave_onehot_untouched(small_synthetic):
     d = small_synthetic
     ebcc = ebcc_init(d, subtypes=2, seed=0)
@@ -457,5 +479,5 @@ def test_sweeps_leave_onehot_untouched(small_synthetic):
         for v, saved in zip((onehot, onehot_t), before):
             for arr, old in zip((v.data, v.indices, v.indptr), saved):
                 assert np.array_equal(arr, old)
-        assert np.array_equal(onehot.toarray(), vote_onehot(d.lf_labels, d.num_classes).toarray())
+        assert np.array_equal(onehot.toarray(), _dataset(d.lf_labels, k=d.num_classes).onehot.toarray())
         assert np.array_equal(onehot_t.toarray(), onehot.toarray().T)

@@ -211,8 +211,8 @@ def test_aggregate_scores_binary_data_by_f1_of_class_one(tmp_path, capsys):
     predictions = np.array([payload[i]["prediction"] for i in dataset.ids])
     record = json.loads((tmp_path / "preds.json.run.json").read_text())
     assert record["metric"] == "f1"
-    assert record["metric_value"] == f1_binary(predictions, dataset.gold, positive_class=1)
-    assert record["metric_value"] != f1_binary(predictions, dataset.gold, positive_class=0)
+    assert record["metric_value"] == f1_binary(predictions, dataset.gold)
+    assert record["metric_value"] != f1_binary(1 - predictions, 1 - dataset.gold)
     assert capsys.readouterr().out == f"f1={record['metric_value']:.4f}\n"
 
 

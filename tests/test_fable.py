@@ -346,7 +346,7 @@ def test_fuzzed_instances_stay_finite():
 
 def _reference_assignments(state, elog_pi):
     elog_tau = dirichlet_log_expectation(state.nu)
-    elog_v = dirichlet_log_expectation(state.mu, axis=-1)
+    elog_v = dirichlet_log_expectation(state.mu)
     scores = elog_tau[None, :, None] + elog_pi
     scores = scores + _vote_log_scores(elog_v, state.onehot)
     flat = scores.reshape(scores.shape[0], -1)
@@ -405,7 +405,7 @@ def reference_fable_sweep(state):
 
 def reference_ebcc_sweep(state):
     """One sweep of ``ebcc_fit`` in the reference expressions; returns q(z)."""
-    _reference_assignments(state, dirichlet_log_expectation(state.eta, axis=-1))
+    _reference_assignments(state, dirichlet_log_expectation(state.eta))
     state.nu = state.alpha + state.rho.sum(axis=(0, 2))
     state.eta = _A_PI + state.rho.sum(axis=0)
     state.mu = state.beta[None, :, None, :] + _reference_counts(state)

@@ -71,8 +71,9 @@ def test_f1_examples():
 def test_f1_positive_class_flag():
     pred = [0, 0, 1, 1]
     gold = [0, 1, 1, 1]
-    assert f1_binary(pred, gold, positive_class=1) == pytest.approx(4.0 / 5.0)
-    assert f1_binary(pred, gold, positive_class=0) == pytest.approx(2.0 / 3.0)
+    assert f1_binary(pred, gold) == pytest.approx(4.0 / 5.0)
+    # F1 of class 0 is F1 of class 1 with the labels swapped
+    assert f1_binary(1 - np.array(pred), 1 - np.array(gold)) == pytest.approx(2.0 / 3.0)
 
 
 def test_dcor_self_is_one(rng):
