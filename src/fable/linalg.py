@@ -164,6 +164,8 @@ class SymmetricApprox:
     ``core_inv`` the inverted r x r cores, shape (P, r, r).  ``apply``
     and ``diagonal`` work column by column and keep that shape, so a
     1-D omega gives 1-D results.  ``rank`` is r, the factor width used.
+    ``apply`` and ``diagonal`` allocate their result and one temporary
+    of shape (N, P); every other temporary is O(N * r) or chunk-bounded.
     """
 
     prior: KernelMatrix
@@ -179,7 +181,10 @@ class SymmetricApprox:
         t = self.scale.reshape(self.prior.n, -1)
         tv = t * v.reshape(t.shape)
         inner = np.matmul(self.core_inv, (f.T @ tv).T[:, :, None])[:, :, 0]
-        out = self.prior.noise[:, None] * tv + t * (f @ inner.T)
+        out = f @ inner.T
+        out *= t
+        tv *= self.prior.noise[:, None]
+        out += tv
         return out.reshape(v.shape)
 
     def diagonal(self) -> np.ndarray:
@@ -189,8 +194,11 @@ class SymmetricApprox:
         quad = np.empty_like(t)
         for chunk in _column_chunks(n, r, t.shape[1]):
             quad[:, chunk] = np.einsum("prn,rn->np", self.core_inv[chunk] @ f_rows, f_rows)
-        diag = self.prior.noise[:, None] * t + t * t * quad
-        return np.maximum(diag, 0.0).reshape(self.scale.shape)
+        diag = t * t
+        diag *= quad
+        np.multiply(self.prior.noise[:, None], t, out=quad)
+        diag += quad
+        return np.maximum(diag, 0.0, out=diag).reshape(self.scale.shape)
 
 
 def lowrank_posterior(
@@ -218,8 +226,10 @@ def lowrank_posterior(
     n, r = f.shape
     cols = w.reshape(n, -1)
     p = cols.shape[1]
-    t = 1.0 / (1.0 + prior.noise[:, None] * cols)
-    weights = np.ascontiguousarray((cols * t).T)
+    t = prior.noise[:, None] * cols
+    t += 1.0
+    np.divide(1.0, t, out=t)
+    weights = np.multiply(cols.T, t.T, out=np.empty((p, n)))
     f_rows = np.ascontiguousarray(f.T)
     core = np.empty((p, r, r))
     for chunk in _column_chunks(n, r, p):

@@ -7,15 +7,16 @@ One pass over the feature distance rows serves every labeling function:
 each chunk is multiplied once by an (N, 2L) weight matrix, which adds
 O(N * L) memory.
 
-Only ``scipy.special`` and ``scipy.spatial.distance`` are imported:
-``pearson_r`` computes its p-value in closed form rather than through
-``scipy.stats``, whose import alone takes about 0.4 s (2-core VM).
+Importing this module loads only ``scipy.special`` from scipy.
+``scipy.spatial.distance`` is imported on the first distance pass, so
+only the dependence score pays for it, and ``pearson_r`` computes its
+p-value in closed form rather than through ``scipy.stats``, whose
+import alone takes about 0.4 s (2-core VM).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.special import betainc
 
 from .data import ABSTAIN, Dataset, DatasetError
@@ -72,6 +73,10 @@ def _as_sample_matrix(a) -> np.ndarray:
 
 def _distance_blocks(m: np.ndarray):
     """Yield ``(rows, cdist(m[rows], m))`` over chunks of max(N, _CHUNK_ELEMENTS) floats at most."""
+    # imported here: scipy.spatial also loads scipy.linalg, about 0.1 s and
+    # 10 MB that every command would pay while only the dependence score uses it
+    from scipy.spatial.distance import cdist
+
     n = m.shape[0]
     step = max(1, _CHUNK_ELEMENTS // n)
     for start in range(0, n, step):

@@ -330,18 +330,41 @@ def test_synth_bytes_are_pinned(tmp_path):
     assert digest == "242fee3efbf60e95ad57fa91cdde23f547811e38b8a19677361a0d4e5bf8a657"
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs about 0.4 s to import, paid by every command
-    code = (
-        "import sys, fable, fable.cli; "
-        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats')); "
-        "print(' '.join(loaded))"
-    )
+_IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+
+def unused():
+    packages = ("scipy.stats", "scipy.spatial", "scipy.linalg")
+    return sorted(m for m in sys.modules if ".".join(m.split(".")[:2]) in packages)
+
+import fable, fable.cli
+after_import = unused()
+data, out = Path(sys.argv[1], "d.json"), Path(sys.argv[1], "p.json")
+assert fable.cli.main(["synth", "--size", "60", "--seed", "0", "--out", str(data)]) == 0
+for method in ("mv", "ds", "ibcc", "ebcc", "fable"):
+    code = fable.cli.main(["aggregate", "--dataset", str(data), "--method", method,
+                           "--max-iters", "5", "--out", str(out)])
+    assert code == 0
+after_aggregate = unused()
+fable.feature_lf_correlation(fable.load_json(data))
+print(json.dumps([after_import, after_aggregate, "scipy.spatial.distance" in sys.modules]))
+"""
+
+
+def test_cli_loads_no_unused_scipy_module(tmp_path):
+    # scipy.stats costs about 0.4 s to import and scipy.spatial (which loads
+    # scipy.linalg) about 0.1 s and 10 MB, so no command loads one it never calls
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    after_import, after_aggregate, distance_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    assert after_aggregate == []
+    # the dependence score imports cdist when it first runs
+    assert distance_loaded
 
 
 @pytest.mark.parametrize("k", [2, 5])

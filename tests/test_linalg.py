@@ -185,6 +185,59 @@ def test_posterior_chunked_columns_match_one_chunk(rng, monkeypatch):
     assert np.allclose(chunked.apply(rhs), whole.apply(rhs), rtol=1e-13, atol=1e-13)
 
 
+def reference_posterior(prior: KernelMatrix, omega: np.ndarray):
+    """scale, core_inv, apply and diagonal written as plain expressions, each temporary a new array."""
+    f = prior.factor
+    n, r = f.shape
+    cols = omega.reshape(n, -1)
+    t = 1.0 / (1.0 + prior.noise[:, None] * cols)
+    weights = np.ascontiguousarray((cols * t).T)
+    f_rows = np.ascontiguousarray(f.T)
+    core = np.empty((cols.shape[1], r, r))
+    for chunk in linalg._column_chunks(n, r, cols.shape[1]):
+        core[chunk] = (f_rows * weights[chunk, None, :]) @ f
+    core_inv = np.linalg.inv(core + np.eye(r))
+
+    def apply(v):
+        tv = t * v.reshape(t.shape)
+        inner = np.matmul(core_inv, (f.T @ tv).T[:, :, None])[:, :, 0]
+        return (prior.noise[:, None] * tv + t * (f @ inner.T)).reshape(v.shape)
+
+    def diagonal():
+        quad = np.empty_like(t)
+        for chunk in linalg._column_chunks(n, r, t.shape[1]):
+            quad[:, chunk] = np.einsum("prn,rn->np", core_inv[chunk] @ f_rows, f_rows)
+        return np.maximum(prior.noise[:, None] * t + t * t * quad, 0.0).reshape(omega.shape)
+
+    return t.reshape(omega.shape), core_inv, apply, diagonal
+
+
+@pytest.mark.parametrize("r", [1, 2, 5])
+@pytest.mark.parametrize("p", [None, 70])
+def test_posterior_in_place_forms_are_bit_identical(rng, r, p):
+    # 70 columns span two _column_chunks blocks at N = 2000 for every r here
+    n = 2000
+    zero_rows = rng.random(n) < 0.05
+    factor = rng.standard_normal((n, r)) / np.sqrt(r)
+    factor[zero_rows] = 0.0
+    # cosine_kernel's noise: the jitter, plus 1 on items with all-zero features
+    kernel = KernelMatrix(factor=factor, noise=zero_rows + linalg._KERNEL_JITTER)
+    shape = (n,) if p is None else (n, p)
+    omega = rng.uniform(0.0, 3.0, size=shape)
+    omega[rng.random(shape) < 0.2] = 0.0
+    v = rng.standard_normal(shape)
+    omega_before, v_before = omega.copy(), v.copy()
+
+    post = lowrank_posterior(kernel, omega)
+    scale, core_inv, apply, diagonal = reference_posterior(kernel, omega)
+    assert np.array_equal(omega, omega_before)
+    assert np.array_equal(post.scale, scale)
+    assert np.array_equal(post.core_inv, core_inv)
+    assert np.array_equal(post.apply(v), apply(v))
+    assert np.array_equal(v, v_before)
+    assert np.array_equal(post.diagonal(), diagonal())
+
+
 def test_posterior_rank_caps_wide_cosine_kernel(rng):
     kernel = cosine_kernel(rng.standard_normal((80, 30)))
     omega = rng.uniform(0.0, 2.0, size=(80, 3))
