@@ -8,13 +8,15 @@ M = 1 recovers the conditionally independent model.  Inference is
 mean-field coordinate ascent with Dirichlet posteriors throughout.
 The start, class-prior, confusion and assignment updates form a core
 over :class:`SubtypeBccState` that the feature-aware model in
-:mod:`fable.model` shares; each model supplies only the posterior of
-its mixture weights pi.  Every iterative fit runs one loop,
-:func:`_iterate`, which stops on the largest change in q(z).  A sweep
-makes one pass per cell quantity: each update writes into the arrays it
-allocated, and sums and maxima along the short subtype and cell axes are
-explicit adds and running maxima, several times faster there than
-numpy's reductions and rounded alike for fewer than eight subtypes.
+:mod:`fable.model` shares; each model supplies only the posterior of its
+mixture weights pi.  Every iterative fit states its sweep as a table of
+named update blocks, built per call, and runs it through one loop,
+:func:`_iterate`, which times each block and stops on the largest change
+in q(z).  A sweep makes one pass per cell quantity: each update writes
+into the arrays it allocated, and sums and maxima along the short
+subtype and cell axes are explicit adds and running maxima, several
+times faster there than numpy's reductions and rounded alike for fewer
+than eight subtypes.
 
 Every vote statistic goes through one representation: the sparse one-hot
 indicator :attr:`fable.data.Dataset.onehot`, an (N, L*K) CSR matrix with
@@ -29,7 +31,9 @@ is one entry per non-abstaining vote in each.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -144,24 +148,33 @@ def _normalize_log_scores(scores: np.ndarray) -> np.ndarray:
     return flat.reshape(scores.shape)
 
 
-def _iterate(qz: np.ndarray, sweep, max_iters: int, tol: float):
-    """Run ``sweep`` until max |change in q(z)| < tol or ``max_iters`` sweeps.
+def _iterate(state, blocks, max_iters: int, tol: float, elbo_trace=None, **extra) -> Posterior:
+    """Run the sweep on ``state`` until max |change in q(z)| < tol or ``max_iters`` sweeps.
 
-    ``sweep`` maps the current q(z) to the next one.  Returns the last
-    q(z), the number of sweeps, and a diagnostics dict of the
-    ``converged`` flag, the per-sweep ``delta_trace`` and the
-    ``max_iters`` and ``tol`` the loop ran with.
+    ``blocks`` is the sweep: ordered ``(name, update)`` pairs, each
+    update taking ``state``, which exposes q(z) as ``state.qz``.  The
+    diagnostics are the ``converged`` flag, the per-sweep
+    ``delta_trace``, the ``max_iters`` and ``tol`` the loop ran with,
+    ``extra``, and ``block_ms``: each block's milliseconds summed over
+    the sweeps, in sweep order.  Each fit builds its table per call, so
+    a wrapper patched over an update function is the one that runs.
     """
+    qz = state.qz
     deltas = []
+    block_ms = dict.fromkeys((name for name, _ in blocks), 0.0)
     for _ in range(max_iters):
-        new_qz = sweep(qz)
+        for name, update in blocks:
+            start = time.perf_counter()
+            update(state)
+            block_ms[name] += 1000.0 * (time.perf_counter() - start)
+        new_qz = state.qz
         deltas.append(float(np.max(np.abs(new_qz - qz))))
         qz = new_qz
         if deltas[-1] < tol:
             break
     converged = bool(deltas) and deltas[-1] < tol
-    diag = {"converged": converged, "delta_trace": deltas, "max_iters": max_iters, "tol": tol}
-    return qz, len(deltas), diag
+    return _finish(qz, len(deltas), elbo_trace, converged=converged, delta_trace=deltas,
+                   max_iters=max_iters, tol=tol, **extra, block_ms=block_ms)
 
 
 def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Posterior:
@@ -175,7 +188,8 @@ def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Po
     onehot, onehot_t = dataset.onehot, dataset.onehot_t
     trace = []
 
-    def sweep(qz):
+    def em(state):
+        qz = state.qz
         prior = qz.sum(axis=0) + _DS_SMOOTHING
         prior /= prior.sum()
         counts = _DS_SMOOTHING + _confusion_counts(qz[:, :, None], onehot_t)[:, :, 0, :]
@@ -186,10 +200,10 @@ def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Po
         weights = np.exp(shifted)
         norms = weights.sum(axis=1, keepdims=True)
         trace.append(float((np.log(norms[:, 0]) + scores.max(axis=1)).sum()))
-        return weights / norms
+        state.qz = weights / norms
 
-    qz, n_iters, diag = _iterate(majority_vote(dataset).probs, sweep, max_iters, tol)
-    return _finish(qz, n_iters, elbo_trace=trace, **diag)
+    state = SimpleNamespace(qz=majority_vote(dataset).probs)
+    return _iterate(state, (("em", em),), max_iters, tol, elbo_trace=trace)
 
 
 @dataclass
@@ -386,22 +400,13 @@ def ebcc_fit(
     ``subtypes=1`` is the conditionally independent model, iBCC.
     """
     state = ebcc_init(dataset, subtypes=subtypes, seed=seed)
-    trace = []
-
-    def sweep(_qz):
-        ebcc_update_assignments(state)
-        ebcc_update_tau(state)
-        ebcc_update_pi(state)
-        ebcc_update_confusion(state)
-        if record_elbo:
-            trace.append(ebcc_elbo(state))
-        return state.qz
-
-    qz, n_iters, diag = _iterate(state.qz, sweep, max_iters, tol)
-    return _finish(
-        qz,
-        n_iters,
-        elbo_trace=trace if record_elbo else None,
-        **diag,
-        subtypes=subtypes,
+    blocks = (
+        ("assignments", ebcc_update_assignments),
+        ("tau", ebcc_update_tau),
+        ("pi", ebcc_update_pi),
+        ("confusion", ebcc_update_confusion),
     )
+    trace = [] if record_elbo else None
+    if record_elbo:
+        blocks += (("elbo", lambda state: trace.append(ebcc_elbo(state))),)
+    return _iterate(state, blocks, max_iters, tol, elbo_trace=trace, subtypes=subtypes)

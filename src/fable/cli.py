@@ -47,8 +47,9 @@ class RunRecord:
     ``params`` holds the settings the fit ran with (sweep budget
     ``max_iters``, tolerance ``tol`` and ``subtypes``, each only for a
     method that has it); ``delta_trace`` holds the largest change in q(z)
-    of each sweep and ``xi_clamp_rate`` the share of ``fable``'s
-    rate-floor tests that clamped; each is None for a method without it.
+    of each sweep, ``xi_clamp_rate`` the share of ``fable``'s rate-floor
+    tests that clamped and ``block_ms`` the milliseconds of each update
+    block, summed over sweeps; each is None for a method without it.
     """
 
     command: str
@@ -68,6 +69,7 @@ class RunRecord:
     effective_classes: float
     delta_trace: list[float] | None
     xi_clamp_rate: float | None
+    block_ms: dict | None
     wall_time_ms: float
 
     def write(self, path) -> None:
@@ -121,13 +123,12 @@ def cmd_aggregate(args) -> int:
 
     ids = dataset.ids or tuple(f"{i:08d}" for i in range(dataset.n_items))
     _write_predictions(args.out, ids, posterior)
-    if posterior.diagnostics.get("converged") is False:
-        print(
-            f"warning: {args.method} stopped after {posterior.n_iters} sweeps without converging",
-            file=sys.stderr,
-        )
+    diag = posterior.diagnostics
+    if diag.get("converged") is False:
+        print(f"warning: {args.method} stopped after {posterior.n_iters} sweeps without converging "
+              f"(last change {diag['delta_trace'][-1]:.1e}, tol {diag['tol']:g})", file=sys.stderr)
     # with one item a single predicted class is the only possible outcome
-    if posterior.diagnostics["predicted_classes"] == 1 and dataset.n_items > 1:
+    if diag["predicted_classes"] == 1 and dataset.n_items > 1:
         print(f"warning: {args.method} put every item in one class", file=sys.stderr)
 
     metric_name = metric_value = None
@@ -144,16 +145,13 @@ def cmd_aggregate(args) -> int:
         n_lfs=dataset.n_lfs,
         num_classes=dataset.num_classes,
         seed=args.seed,
-        params={k: v for k, v in posterior.diagnostics.items() if k in ("max_iters", "tol", "subtypes")},
+        params={k: v for k, v in diag.items() if k in ("max_iters", "tol", "subtypes")},
         metric=metric_name,
         metric_value=metric_value,
         n_iters=posterior.n_iters,
-        converged=posterior.diagnostics.get("converged"),
-        gp_rank=posterior.diagnostics.get("gp_rank"),
-        predicted_classes=posterior.diagnostics["predicted_classes"],
-        effective_classes=posterior.diagnostics["effective_classes"],
-        delta_trace=posterior.diagnostics.get("delta_trace"),
-        xi_clamp_rate=posterior.diagnostics.get("xi_clamp_rate"),
+        predicted_classes=diag["predicted_classes"],
+        effective_classes=diag["effective_classes"],
+        **{k: diag.get(k) for k in ("converged", "gp_rank", "delta_trace", "xi_clamp_rate", "block_ms")},
         wall_time_ms=wall_ms,
     )
     record.write(args.record or f"{args.out}.run.json")

@@ -24,7 +24,6 @@ from scipy.special import psi
 from .baselines import (
     Posterior,
     SubtypeBccState,
-    _finish,
     _iterate,
     _subtype_assignments,
     _subtype_start,
@@ -76,15 +75,15 @@ class FableConfig:
 class FableState(SubtypeBccState):
     """The subtype BCC state with GP-driven mixture weights, shapes (N, K, M) unless noted.
 
-    xi: Gamma rate of q(pi), whose shape is rho + 1; m_hat/sigma_diag:
-    GP posterior means and covariance diagonals; c: Polya-Gamma tilts;
-    gamma: Poisson means; a: (N,) Gamma shape of the normaliser
-    q(lambda), whose rate is the constant K * M; kernel: shared GP prior.
+    xi: Gamma rate of q(pi), whose shape is rho + 1; m_hat: GP
+    posterior means; c: Polya-Gamma tilts sqrt(m_hat^2 + Sigma_hat_ii),
+    written with m_hat by the GP block; gamma: Poisson means; a: (N,)
+    Gamma shape of the normaliser q(lambda), whose rate is the constant
+    K * M; kernel: shared GP prior.
     """
 
     xi: np.ndarray
     m_hat: np.ndarray
-    sigma_diag: np.ndarray
     c: np.ndarray
     gamma: np.ndarray
     a: np.ndarray
@@ -108,19 +107,22 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     The GP covariance starts at the cosine kernel itself, whose factor is
     truncated to ``_GP_RANK`` columns when the features are wider;
     m_hat and a are Uniform(0, 1), drawn from the stream that spread rho
-    over subtypes.  The confusion prior diagonal is N * M *
+    over subtypes, and the tilts c follow from m_hat and the kernel
+    diagonal.  The confusion prior diagonal is N * M *
     ``_CONFUSION_SCALE``.
     """
     n, k, m = dataset.n_items, dataset.num_classes, config.subtypes
     rng = np.random.default_rng(seed)
     core = _subtype_start(dataset, m, float(n) * m * _CONFUSION_SCALE, rng)
     kernel = cosine_kernel(dataset.features).truncated(_GP_RANK)
+    m_hat = rng.uniform(size=(n, k, m))
+    c = np.square(m_hat)
+    c += kernel.diagonal()[:, None, None]
     state = FableState(
         **vars(core),
         xi=np.zeros((n, k, m)),
-        m_hat=rng.uniform(size=(n, k, m)),
-        sigma_diag=np.broadcast_to(kernel.diagonal()[:, None, None], (n, k, m)).copy(),
-        c=np.zeros((n, k, m)),
+        m_hat=m_hat,
+        c=np.sqrt(c, out=c),
         gamma=np.zeros((n, k, m)),
         a=rng.uniform(size=n),
         kernel=kernel,
@@ -156,6 +158,8 @@ def fable_update_gp(state: FableState) -> FableState:
     E[omega_ikm] is the Polya-Gamma mean with shape E[pi] + gamma and
     tilt c; the right-hand side is E[pi] - E[upsilon] = (rho + 1)/xi - gamma.
     One batched solve covers every class/subtype pair, one column each.
+    The new tilts c = sqrt(m_hat^2 + Sigma_hat_ii) are the only use of
+    the covariance diagonal, so it is not stored.
     """
     shape = state.m_hat.shape
     epi = state.rho + 1.0
@@ -165,12 +169,14 @@ def fable_update_gp(state: FableState) -> FableState:
     rhs = np.subtract(epi, state.gamma, out=epi).reshape(omega.shape)
     state.m_hat = post.apply(rhs).reshape(shape)
     state.m_hat *= 0.5
-    state.sigma_diag = post.diagonal().reshape(shape)
+    c = post.diagonal().reshape(shape)
+    c += np.square(state.m_hat)
+    state.c = np.sqrt(c, out=c)
     return state
 
 
 def fable_update_augmentation(state: FableState) -> FableState:
-    """Polya-Gamma tilts c = sqrt(m_hat^2 + Sigma_hat_ii) and Poisson means gamma.
+    """Poisson means gamma from the Polya-Gamma tilts c.
 
     gamma_ikm = exp(psi(a_i) - m_hat/2) / (K * M * 2 cosh(c/2)), evaluated
     in log space so large tilts cannot overflow.  The 2 cosh(c/2) factor
@@ -179,15 +185,12 @@ def fable_update_augmentation(state: FableState) -> FableState:
     slack each cell carries, which keeps the normaliser fixed point at
     E[lambda] = 1 / sum_km sigmoid(f_ikm).
     """
-    c = np.square(state.m_hat)
-    c += state.sigma_diag
-    state.c = np.sqrt(c, out=c)
     log_gamma = state.m_hat / 2.0
     np.subtract(psi(state.a)[:, None, None], log_gamma, out=log_gamma)
     # the rate of q(lambda) is the cell count K * M of every item
     log_gamma -= np.log(float(state.m_hat[0].size))
     log_gamma -= np.log(2.0)
-    log_gamma -= _log_cosh(c / 2.0)
+    log_gamma -= _log_cosh(state.c / 2.0)
     np.minimum(log_gamma, 700.0, out=log_gamma)
     state.gamma = np.exp(log_gamma, out=log_gamma)
     return state
@@ -212,34 +215,26 @@ def fable_fit(
     config: FableConfig | None = None,
     seed: int = 0,
 ) -> Posterior:
-    """Coordinate ascent over all blocks; stops when max |change in q(z)| < tol.
+    """Coordinate ascent over the blocks below; stops when max |change in q(z)| < tol.
 
-    Sweep order: assignments, class prior, confusions, mixture rates, GP
-    block, augmentation moments, normaliser.  The diagnostics add
-    ``subtypes``, the ``xi_floor`` clamp count ``xi_clamps``, its share of
-    cell tests ``xi_clamp_rate`` and the GP factor rank ``gp_rank``.
+    The diagnostics add ``subtypes``, the ``xi_floor`` clamp count
+    ``xi_clamps``, its share of cell tests ``xi_clamp_rate`` and the GP
+    factor rank ``gp_rank``.
     """
     config = config or FableConfig()
     state = fable_init(dataset, config, seed=seed)
-
-    def sweep(_qz):
-        fable_update_assignments(state)
-        ebcc_update_tau(state)
-        ebcc_update_confusion(state)
-        fable_update_pi(state)
-        fable_update_gp(state)
-        fable_update_augmentation(state)
-        fable_update_lambda(state)
-        return state.qz
-
-    qz, n_iters, diag = _iterate(state.qz, sweep, config.max_iters, config.tol)
-    return _finish(
-        qz,
-        n_iters,
-        **diag,
-        subtypes=config.subtypes,
-        xi_clamps=state.xi_clamps,
-        # the floor is tested on every cell once at the start and once per sweep
-        xi_clamp_rate=state.xi_clamps / ((n_iters + 1) * state.xi.size),
-        gp_rank=int(state.kernel.factor.shape[1]),
+    blocks = (
+        ("assignments", fable_update_assignments),
+        ("tau", ebcc_update_tau),
+        ("confusion", ebcc_update_confusion),
+        ("pi", fable_update_pi),
+        ("gp", fable_update_gp),
+        ("augmentation", fable_update_augmentation),
+        ("lambda", fable_update_lambda),
     )
+    post = _iterate(state, blocks, config.max_iters, config.tol, subtypes=config.subtypes,
+                    gp_rank=int(state.kernel.factor.shape[1]))
+    post.diagnostics["xi_clamps"] = state.xi_clamps
+    # the floor is tested on every cell once at the start and once per sweep
+    post.diagnostics["xi_clamp_rate"] = state.xi_clamps / ((post.n_iters + 1) * state.xi.size)
+    return post

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fable.baselines
 import fable.data
 from fable import (
     Dataset,
@@ -283,6 +284,43 @@ def test_iterative_fits_report_one_delta_per_sweep(method, max_iters):
     assert post.diagnostics["converged"] == (max_iters == 300)
     assert post.n_iters == max_iters or post.diagnostics["converged"]
     assert all(d >= tol for d in deltas[:-1])
+
+
+EBCC_BLOCKS = ["assignments", "tau", "pi", "confusion"]
+FABLE_BLOCKS = ["assignments", "tau", "confusion", "pi", "gp", "augmentation", "lambda"]
+
+
+@pytest.mark.parametrize(
+    "fit, blocks",
+    [
+        (lambda d: dawid_skene(d, max_iters=3), ["em"]),
+        (lambda d: fit_method(d, "ibcc", max_iters=3), EBCC_BLOCKS),
+        (lambda d: ebcc_fit(d, max_iters=3), EBCC_BLOCKS),
+        (lambda d: ebcc_fit(d, max_iters=3, record_elbo=True), EBCC_BLOCKS + ["elbo"]),
+        (lambda d: fable_fit(d, FableConfig(max_iters=3)), FABLE_BLOCKS),
+    ],
+    ids=["ds", "ibcc", "ebcc", "ebcc-elbo", "fable"],
+)
+def test_iterative_fits_time_each_block_in_sweep_order(fit, blocks):
+    block_ms = fit(random_dataset(2, n=60)).diagnostics["block_ms"]
+    assert list(block_ms) == blocks
+    assert all(np.isfinite(ms) and ms >= 0.0 for ms in block_ms.values())
+
+
+def test_ebcc_fit_builds_its_sweep_table_per_call(monkeypatch):
+    # a table kept as a module constant would hold the unwrapped update,
+    # and an outside-in tracer would see none of the sweep calls
+    calls = []
+    real = fable.baselines.ebcc_update_assignments
+
+    def counting(state):
+        calls.append(1)
+        return real(state)
+
+    monkeypatch.setattr(fable.baselines, "ebcc_update_assignments", counting)
+    post = ebcc_fit(random_dataset(2, n=60), max_iters=3, tol=0.0)
+    assert post.n_iters == 3
+    assert len(calls) == 3
 
 
 def test_ebcc_priors_reject_bad_alpha(small_synthetic):

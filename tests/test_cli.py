@@ -78,7 +78,15 @@ def test_aggregate_writes_predictions_and_record(tmp_path):
 
 def test_aggregate_every_method_runs(tmp_path):
     data = run_synth(tmp_path, size=60, seed=6)
-    for method in ("mv", "ds", "ibcc", "ebcc", "fable"):
+    bcc = ["assignments", "tau", "pi", "confusion"]
+    blocks = {
+        "mv": None,
+        "ds": ["em"],
+        "ibcc": bcc,
+        "ebcc": bcc,
+        "fable": ["assignments", "tau", "confusion", "pi", "gp", "augmentation", "lambda"],
+    }
+    for method, names in blocks.items():
         out = tmp_path / f"{method}.json"
         code = main(
             ["aggregate", "--method", method, "--dataset", str(data), "--out", str(out),
@@ -86,6 +94,13 @@ def test_aggregate_every_method_runs(tmp_path):
         )
         assert code == 0
         assert out.exists()
+        # mv has no sweep; the record sorts its keys, so only the names are compared
+        block_ms = json.loads((tmp_path / f"{method}.json.run.json").read_text())["block_ms"]
+        if names is None:
+            assert block_ms is None
+        else:
+            assert sorted(block_ms) == sorted(names)
+            assert all(ms >= 0.0 for ms in block_ms.values())
 
 
 def test_aggregate_unknown_method_is_usage_error(tmp_path, capsys):
@@ -290,13 +305,17 @@ def test_aggregate_warns_when_fit_stops_unconverged(tmp_path, capsys):
                      "--out", str(out), "--max-iters", iters])
         assert code == 0
         err = capsys.readouterr().err
+        record = json.loads((tmp_path / f"{method}.json.run.json").read_text())
         expected = ""
         if warns:
-            expected += f"warning: {method} stopped after {iters} sweeps without converging\n"
+            # the warning says how far from tol the last sweep stopped
+            last = record["delta_trace"][-1]
+            assert last >= 1e-6
+            expected += (f"warning: {method} stopped after {iters} sweeps without converging "
+                         f"(last change {last:.1e}, tol 1e-06)\n")
         if collapses:
             expected += f"warning: {method} put every item in one class\n"
         assert err == expected
-        record = json.loads((tmp_path / f"{method}.json.run.json").read_text())
         assert record["converged"] is (None if method == "mv" else not warns)
 
 
