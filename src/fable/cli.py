@@ -1,9 +1,9 @@
 """Command-line interface: aggregate votes, generate benchmarks, run studies.
 
 Exit codes: 0 success, 2 usage error (argparse), 3 unreadable or invalid
-data, 4 numerical failure.  All commands are deterministic given
-``--seed``; the only non-deterministic output is the wall time recorded
-in run-record files.
+data, 4 numerical failure or out of memory.  All commands are
+deterministic given ``--seed``; the only non-deterministic output is the
+wall time recorded in run-record files.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -154,12 +155,12 @@ def cmd_aggregate(args) -> int:
         **{k: diag.get(k) for k in ("converged", "gp_rank", "delta_trace", "xi_clamp_rate", "block_ms")},
         wall_time_ms=wall_ms,
     )
-    record.write(args.record or f"{args.out}.run.json")
+    record.write(f"{args.out}.run.json")
     return 0
 
 
 def cmd_synth(args) -> int:
-    spec = default_synthetic_spec(args.size, args.seed, psi=args.psi, psi_range=args.psi_range)
+    spec = default_synthetic_spec(args.size, args.seed, psi_range=args.psi_range)
     dataset = generate_synthetic(spec)
     save_json(dataset, args.out)
     print(f"wrote {dataset.n_items} items, {dataset.n_lfs} LFs -> {args.out}")
@@ -180,7 +181,6 @@ def cmd_study_corr(args) -> int:
         trials=args.trials,
         size=args.size,
         seed=args.seed,
-        psi=args.psi,
         psi_range=args.psi_range,
         **_fit_knobs(args),
     )
@@ -198,7 +198,6 @@ def cmd_bench_size(args) -> int:
         runs=args.runs,
         methods=args.methods,
         seed=args.seed,
-        psi=args.psi,
         **_fit_knobs(args),
     )
     summary = summarize_size_study(rows)
@@ -235,13 +234,13 @@ def _int_at_least(low: int):
 
 
 def _positive_float(text: str) -> float:
-    """An argparse type for floats > 0; anything else, NaN included, is a usage error."""
+    """An argparse type for finite floats > 0; anything else, NaN included, is a usage error."""
     try:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from exc
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -264,11 +263,10 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
                         help="mixture components per class")
 
 
-def _add_psi_flags(parser: argparse.ArgumentParser, psi_help: str) -> None:
-    widths = parser.add_mutually_exclusive_group()
-    widths.add_argument("--psi", type=_positive_float, default=None, help=psi_help)
-    widths.add_argument("--psi-range", type=_positive_float, nargs=2, default=None, metavar=("LO", "HI"),
-                        help="draw one width per LF uniformly from [LO, HI]")
+def _add_psi_range_flag(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument("--psi-range", type=_positive_float, nargs=2, default=None, metavar=("LO", "HI"),
+                        help=f"draw one width per LF uniformly from [LO, HI]; LO = HI fixes every "
+                             f"width (default: {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,20 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fable",
         description="Aggregate noisy labeling-function votes into label posteriors.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # options match only when spelled in full, so no prefix (--psi, say)
+    # resolves to a longer flag (--psi-range)
+    whole_flags = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=whole_flags)
 
     agg = sub.add_parser("aggregate", help="fit one method on a dataset and write predictions")
     agg.add_argument("--dataset", required=True, help="JSON file or directory of CSVs")
     agg.add_argument("--method", required=True, choices=METHODS)
     agg.add_argument("--out", required=True, help="predictions JSON path")
-    agg.add_argument("--record", default=None, help="run-record path (default: <out>.run.json)")
     _add_fit_flags(agg)
     agg.set_defaults(func=cmd_aggregate)
 
     synth = sub.add_parser("synth", help="generate a seeded synthetic benchmark")
     synth.add_argument("--size", type=_dataset_size, default=1000)
     synth.add_argument("--seed", type=int, default=0)
-    _add_psi_flags(synth, "fixed LF width multiplier")
+    _add_psi_range_flag(synth, "every width 1")
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
 
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     corr.add_argument("--trials", type=_int_at_least(3), default=50,
                       help="number of datasets; a correlation needs at least three")
     corr.add_argument("--size", type=_dataset_size, default=1000)
-    _add_psi_flags(corr, "fix all LF widths (degenerate study)")
+    _add_psi_range_flag(corr, "the study's own range, redrawn per trial")
     corr.add_argument("--out", required=True, help="per-trial CSV path")
     _add_fit_flags(corr)
     corr.set_defaults(func=cmd_study_corr)
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", type=_size_list, default=[1000, 5000, 10000, 15000, 20000])
     bench.add_argument("--runs", type=_int_at_least(1), default=10)
     bench.add_argument("--methods", type=_method_list, default=list(METHODS))
-    bench.add_argument("--psi", type=_positive_float, default=1.0)
     bench.add_argument("--out", required=True, help="summary CSV path")
     bench.add_argument("--runs-out", default=None, help="per-fit CSV path (one row per method, size and run)")
     _add_fit_flags(bench)
@@ -326,6 +325,9 @@ def main(argv=None) -> int:
         return 3
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 4
 
 

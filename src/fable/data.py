@@ -175,12 +175,14 @@ def load_json(path, num_classes: int | None = None) -> Dataset:
     (int or null), ``weak_labels`` (list of ints, -1 = abstain) and
     ``data.feature`` (list of floats).  Item ids sorted lexicographically
     define row order.  Gold labels are kept only when every item has one.
+    A file that is not UTF-8, or nests deeper than the parser can recurse,
+    is malformed JSON as much as one with a syntax error.
     """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DatasetError(f"{path}: malformed JSON ({exc})") from exc
     if not isinstance(raw, dict) or not raw:
         raise DatasetError(f"{path}: expected a nonempty object of items")
@@ -327,23 +329,18 @@ def _class_stds(seed: int) -> np.ndarray:
     return np.random.default_rng([seed, _SPEC_STREAM]).uniform(0.8, 1.6, size=_CLASS_MEANS.shape)
 
 
-def default_synthetic_spec(size: int, seed: int, psi=None, psi_range=None) -> SyntheticSpec:
-    """The benchmark spec with LF widths from ``psi`` or ``psi_range``.
+def default_synthetic_spec(size: int, seed: int, psi_range=None) -> SyntheticSpec:
+    """The benchmark spec, every LF width 1 unless ``psi_range`` is given.
 
-    ``psi`` may be None (all widths 1), a scalar, or one value per LF;
-    ``psi_range = (lo, hi)`` instead draws one width per LF uniformly
-    from [lo, hi], on a stream derived from ``seed`` that is separate
-    from the std and data-sampling streams.  Giving both is a ValueError.
+    ``psi_range = (lo, hi)`` draws one width per LF uniformly from
+    [lo, hi], on a stream derived from ``seed`` that is separate from the
+    std and data-sampling streams; ``(w, w)`` makes every width exactly w.
     """
-    if psi_range is not None:
-        if psi is not None:
-            raise ValueError("give psi or psi_range, not both")
-        lo, hi = psi_range
-        psi = np.random.default_rng([seed, _PSI_STREAM]).uniform(lo, hi, size=_CLASS_MEANS.size)
-    psi_arr = np.asarray(1.0 if psi is None else psi, dtype=float)
-    if psi_arr.ndim == 0:
-        psi_arr = np.full(_CLASS_MEANS.size, float(psi_arr))
-    return SyntheticSpec(size=size, seed=seed, psi=tuple(psi_arr))
+    if psi_range is None:
+        return SyntheticSpec(size=size, seed=seed, psi=(1.0,) * _CLASS_MEANS.size)
+    lo, hi = psi_range
+    psi = np.random.default_rng([seed, _PSI_STREAM]).uniform(lo, hi, size=_CLASS_MEANS.size)
+    return SyntheticSpec(size=size, seed=seed, psi=tuple(psi))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

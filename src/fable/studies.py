@@ -69,7 +69,7 @@ def size_study(
     one, so per-run differences are paired.  Run seeds are shared across
     sizes, so each size sweep resamples the same class-std draws at a
     different N and size effects are not confounded with seed effects.
-    ``fit`` holds the knobs of :func:`fit_method`.
+    Every LF width is ``psi``.  ``fit`` holds the knobs of :func:`fit_method`.
     """
     unknown = set(methods) - set(METHODS)
     if unknown:
@@ -78,7 +78,7 @@ def size_study(
     for size in sizes:
         for run in range(runs):
             trial_seed = seed ^ run
-            spec = default_synthetic_spec(size=size, seed=trial_seed, psi=psi)
+            spec = default_synthetic_spec(size=size, seed=trial_seed, psi_range=(psi, psi))
             dataset = generate_synthetic(spec)
             for method in methods:
                 posterior = fit_method(dataset, method, seed=trial_seed, **fit)
@@ -122,27 +122,26 @@ def correlation_study(
     size: int = 1000,
     seed: int = 0,
     psi_range: tuple[float, float] | None = None,
-    psi=None,
     **fit,
 ) -> tuple[list[dict], float, float]:
     """Relate the feature/LF dependence score to the feature-aware gain.
 
     Each trial redraws the LF window widths psi uniformly from
-    ``psi_range``, (1, 3) unless a range or a fixed ``psi`` is given,
-    generates a dataset, computes Corr(X, LFs), and fits the subtype
-    model with and without features, each with the :func:`fit_method`
-    knobs in ``fit``.  Returns the per-trial rows plus the Pearson r and
-    p-value between the dependence score and the accuracy gain, both NaN
-    when either is the same in every trial.
+    ``psi_range``, (1, 3) unless a range is given (``(w, w)`` fixes every
+    width at w), generates a dataset, computes Corr(X, LFs), and fits the
+    subtype model with and without features, each with the
+    :func:`fit_method` knobs in ``fit``.  Returns the per-trial rows plus
+    the Pearson r and p-value between the dependence score and the
+    accuracy gain, both NaN when either is the same in every trial.
     """
     if trials < 3:
         raise ValueError("need at least three trials for a correlation")
-    if psi is None and psi_range is None:
+    if psi_range is None:
         psi_range = (1.0, 3.0)
     rows = []
     for trial in range(trials):
         trial_seed = seed ^ trial
-        spec = default_synthetic_spec(size=size, seed=trial_seed, psi=psi, psi_range=psi_range)
+        spec = default_synthetic_spec(size=size, seed=trial_seed, psi_range=psi_range)
         dataset = generate_synthetic(spec)
         corr = feature_lf_correlation(dataset)
         ebcc_post = fit_method(dataset, "ebcc", seed=trial_seed, **fit)

@@ -49,7 +49,7 @@ def test_synth_psi_range_is_seeded(tmp_path):
 
 
 def test_synth_wide_windows_cover_own_class(tmp_path):
-    out = run_synth(tmp_path, size=4000, seed=0, extra=("--psi", "3"))
+    out = run_synth(tmp_path, size=4000, seed=0, extra=("--psi-range", "3", "3"))
     d = load_json(out)
     for j in range(d.n_lfs):
         own = j // 2
@@ -74,6 +74,20 @@ def test_aggregate_writes_predictions_and_record(tmp_path):
     assert record["metric"] == "accuracy"
     assert 0.0 <= record["metric_value"] <= 1.0
     assert record["wall_time_ms"] >= 0.0
+
+
+def test_run_record_keys_are_the_same_for_every_method(tmp_path):
+    data = run_synth(tmp_path, size=60, seed=2)
+    for method in ("mv", "fable"):
+        out = tmp_path / f"{method}.json"
+        assert main(["aggregate", "--method", method, "--dataset", str(data), "--out", str(out),
+                     "--max-iters", "3"]) == 0
+        record = json.loads((tmp_path / f"{method}.json.run.json").read_text())
+        assert set(record) == {
+            "command", "method", "dataset", "n_items", "n_lfs", "num_classes", "seed", "params",
+            "metric", "metric_value", "n_iters", "converged", "gp_rank", "predicted_classes",
+            "effective_classes", "delta_trace", "xi_clamp_rate", "block_ms", "wall_time_ms",
+        }
 
 
 def test_aggregate_every_method_runs(tmp_path):
@@ -124,6 +138,22 @@ def test_aggregate_malformed_dataset_is_data_error(tmp_path):
     bad.write_text("{broken")
     code = main(["aggregate", "--method", "mv", "--dataset", str(bad), "--out", str(tmp_path / "x.json")])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe\x00garbage", b"[" * 200000 + b"]" * 200000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_aggregate_unreadable_json_is_data_error(tmp_path, capsys, content):
+    data = tmp_path / "bad.json"
+    data.write_bytes(content)
+    out = tmp_path / "preds.json"
+    code = main(["aggregate", "--method", "mv", "--dataset", str(data), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {data}: malformed JSON (") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # one field of the first item replaced; the second item stays well formed
@@ -439,7 +469,7 @@ def test_study_corr_with_a_constant_score_writes_every_trial(tmp_path, capsys):
     # at psi 0.001 every LF abstains, so the dependence score is 0 in every
     # trial and has no correlation with the gain
     out = tmp_path / "corr.csv"
-    code = main(["study-corr", "--trials", "3", "--size", "40", "--psi", "0.001",
+    code = main(["study-corr", "--trials", "3", "--size", "40", "--psi-range", "0.001", "0.001",
                  "--max-iters", "2", "--out", str(out)])
     assert code == 0
     with out.open() as fh:
@@ -459,22 +489,18 @@ _COUNT_FLAG_CASES = [
     pytest.param("aggregate", "--tol", "0", id="aggregate-tol-0"),
     pytest.param("aggregate", "--tol", "-1", id="aggregate-tol--1"),
     pytest.param("aggregate", "--tol", "nan", id="aggregate-tol-nan"),
+    pytest.param("aggregate", "--tol", "inf", id="aggregate-tol-inf"),
     pytest.param("bench-size", "--runs", "0", id="bench-size-runs-0"),
-    # --psi and --psi-range exclude each other
-    pytest.param("synth", "--psi-range", "1 3 --psi 1.5", id="synth-both-psi"),
-    pytest.param("study-corr", "--psi-range", "1 3 --psi 1.5", id="study-corr-both-psi"),
     # sizes below the four classes of the synthetic benchmark, and widths out of range
     pytest.param("synth", "--size", "3", id="synth-size-3"),
     pytest.param("synth", "--size", "0", id="synth-size-0"),
     pytest.param("study-corr", "--size", "2", id="study-corr-size-2"),
-    pytest.param("synth", "--psi", "0", id="synth-psi-0"),
-    pytest.param("study-corr", "--psi", "-1", id="study-corr-psi--1"),
-    pytest.param("bench-size", "--psi", "-1", id="bench-size-psi--1"),
-    pytest.param("bench-size", "--psi", "nan", id="bench-size-psi-nan"),
     pytest.param("synth", "--psi-range", "3 1", id="synth-psi-range-reversed"),
     pytest.param("study-corr", "--psi-range", "3 1", id="study-corr-psi-range-reversed"),
     pytest.param("synth", "--psi-range", "0 2", id="synth-psi-range-zero"),
     pytest.param("study-corr", "--psi-range", "-1 2", id="study-corr-psi-range-negative"),
+    pytest.param("synth", "--psi-range", "1 inf", id="synth-psi-range-inf"),
+    pytest.param("study-corr", "--psi-range", "inf inf", id="study-corr-psi-range-inf"),
 ]
 
 
@@ -494,6 +520,33 @@ def test_study_corr_rejects_too_few_trials_as_usage_error(tmp_path, capsys, comm
         main([command, flag, *value.split(), *rest, "--out", str(out)])
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("aggregate", "--record"), ("synth", "--psi"), ("study-corr", "--psi"), ("bench-size", "--psi")],
+    ids=["aggregate-record", "synth-psi", "study-corr-psi", "bench-size-psi"],
+)
+def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    # with two values, --psi would parse if it were read as short for --psi-range
+    rest = {"aggregate": ["--method", "mv", "--dataset", str(tmp_path / "missing.json")]}
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([command, flag, "1.7", "1.7", *rest.get(command, []), "--out", str(out)])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag} 1.7 1.7" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def refuse(spec):
+        raise MemoryError(f"Unable to allocate {spec.size} items")
+
+    monkeypatch.setattr("fable.cli.generate_synthetic", refuse)
+    out = tmp_path / "d.json"
+    assert main(["synth", "--size", "10000000000000", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: out of memory (Unable to allocate 10000000000000 items)\n"
     assert not out.exists()
 
 

@@ -290,13 +290,11 @@ def test_synthetic_spec_validation():
 
 def test_default_spec_psi_broadcast():
     assert default_synthetic_spec(size=10, seed=0).psi == (1.0,) * 8
-    assert default_synthetic_spec(size=10, seed=0, psi=2.5).psi == (2.5,) * 8
-    widths = tuple(float(v) for v in range(1, 9))
-    assert default_synthetic_spec(size=10, seed=0, psi=widths).psi == widths
+    # a range of one width draws that width exactly, whatever the seed
+    for w in (0.001, 1.0, 1.7, 2.5, 1e6):
+        assert default_synthetic_spec(size=10, seed=int(1000 * w), psi_range=(w, w)).psi == (w,) * 8
     drawn = default_synthetic_spec(size=10, seed=0, psi_range=(0.5, 2.5)).psi
     assert len(set(drawn)) == 8 and all(0.5 <= v < 2.5 for v in drawn)
-    with pytest.raises(ValueError):
-        default_synthetic_spec(size=10, seed=0, psi=1.0, psi_range=(0.5, 2.5))
 
 
 def test_generator_is_deterministic():
@@ -332,7 +330,7 @@ def test_generator_lfs_are_unipolar():
     [(1.0, INSIDE_ONE_STD, 0.03), (3.0, INSIDE_THREE_STD, 0.01)],
 )
 def test_own_class_coverage_matches_gaussian_mass(psi, target, tolerance):
-    d = generate_synthetic(default_synthetic_spec(size=10000, seed=0, psi=psi))
+    d = generate_synthetic(default_synthetic_spec(size=10000, seed=0, psi_range=(psi, psi)))
     for j in range(d.n_lfs):
         own = j // 2
         rows = d.gold == own
@@ -341,7 +339,7 @@ def test_own_class_coverage_matches_gaussian_mass(psi, target, tolerance):
 
 
 def test_window_votes_match_direct_rule():
-    spec = default_synthetic_spec(size=300, seed=9, psi=1.7)
+    spec = default_synthetic_spec(size=300, seed=9, psi_range=(1.7, 1.7))
     d = generate_synthetic(spec)
     stds = _class_stds(spec.seed)
     for c in range(4):
@@ -376,13 +374,18 @@ def loop_generator_oracle(size, seed, psi):
 
 @pytest.mark.parametrize("size", [4, 5, 203, 1001])
 @pytest.mark.parametrize(
-    "widths",
-    [{}, {"psi": 1.7}, {"psi": tuple(0.5 + 0.25 * j for j in range(8))}, {"psi_range": (1.0, 3.0)}],
+    "make_spec",
+    [
+        default_synthetic_spec,
+        lambda size, seed: default_synthetic_spec(size, seed, psi_range=(1.7, 1.7)),
+        lambda size, seed: SyntheticSpec(size, seed, psi=tuple(0.5 + 0.25 * j for j in range(8))),
+        lambda size, seed: default_synthetic_spec(size, seed, psi_range=(1.0, 3.0)),
+    ],
     ids=["default", "scalar", "per-lf", "range"],
 )
-def test_generator_matches_loop_oracle(size, widths):
+def test_generator_matches_loop_oracle(size, make_spec):
     seed = size % 7
-    spec = default_synthetic_spec(size=size, seed=seed, **widths)
+    spec = make_spec(size, seed)
     d = generate_synthetic(spec)
     features, votes, gold = loop_generator_oracle(size, seed, spec.psi)
     assert np.array_equal(d.features, features)
