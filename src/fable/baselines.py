@@ -37,7 +37,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
-from scipy.special import gammaln, psi, xlogy
+from scipy.special import gammaln, xlogy
 
 from .data import Dataset
 from .linalg import NumericalError, dirichlet_log_expectation
@@ -136,7 +136,7 @@ def _vote_log_scores(elog_v: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarra
 
 
 def _normalize_log_scores(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the trailing axes of (N, K, M) log scores, overwriting ``scores``."""
+    """Softmax over the trailing axes of (N, K) or (N, K, M) log scores, overwriting ``scores``."""
     n = scores.shape[0]
     flat = scores.reshape(n, -1)
     top = flat[:, 0].copy()
@@ -196,11 +196,10 @@ def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Po
         theta = counts / counts.sum(axis=2, keepdims=True)
         log_theta = np.log(theta)[:, :, None, :]
         scores = np.log(prior) + _vote_log_scores(log_theta, onehot)[:, :, 0]
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        weights = np.exp(shifted)
-        norms = weights.sum(axis=1, keepdims=True)
-        trace.append(float((np.log(norms[:, 0]) + scores.max(axis=1)).sum()))
-        state.qz = weights / norms
+        top = scores.max(axis=1)
+        state.qz = _normalize_log_scores(scores)
+        # the top class has q = 1 / sum_k exp(s_k - top), so log sum_k exp(s_k) = top - log q_top
+        trace.append(float((top - np.log(state.qz.max(axis=1))).sum()))
 
     state = SimpleNamespace(qz=majority_vote(dataset).probs)
     return _iterate(state, (("em", em),), max_iters, tol, elbo_trace=trace)
@@ -338,52 +337,21 @@ def _log_beta(params: np.ndarray) -> np.ndarray:
     return gammaln(params).sum(axis=-1) - gammaln(params.sum(axis=-1))
 
 
-def _dirichlet_entropy(params: np.ndarray) -> np.ndarray:
-    params = np.asarray(params, dtype=float)
-    total = params.sum(axis=-1)
-    dim = params.shape[-1]
-    return (
-        _log_beta(params)
-        + (total - dim) * psi(total)
-        - ((params - 1.0) * psi(params)).sum(axis=-1)
-    )
-
-
 def ebcc_elbo(state: EbccState) -> float:
     """Full evidence lower bound: expected log joint plus entropies.
 
-    Valid at any state, so it is non-decreasing across coordinate sweeps
-    regardless of where in the cycle it is evaluated.  The vote term
-    sum_ij rho_ikm E[log v_jkm,y_ij] is taken as soft confusion counts
-    against E[log v], from ``state.onehot_t``.
+    Valid where each of nu, eta and mu is its prior plus the soft counts
+    of the current rho, as after ``ebcc_init`` and after every full
+    sweep.  There each Dirichlet's prior, likelihood and entropy terms
+    sum to log B(posterior) - log B(prior), so the bound is three such
+    differences plus the entropy of rho.
     """
-    elog_tau = dirichlet_log_expectation(state.nu)
-    elog_pi = dirichlet_log_expectation(state.eta)
-    elog_v = dirichlet_log_expectation(state.mu)
-    rho = state.rho
-    qz = state.qz
     k, m = state.eta.shape
     n_lf = state.mu.shape[0]
-
-    value = float(
-        ((state.alpha - 1.0) * elog_tau).sum()
-        - _log_beta(state.alpha)
-        + (qz.sum(axis=0) * elog_tau).sum()
-    )
-    value += float(
-        (_A_PI - 1.0) * elog_pi.sum()
-        - k * _log_beta(np.full(m, _A_PI))
-        + (rho.sum(axis=0) * elog_pi).sum()
-    )
-    value += float(
-        ((state.beta[None, :, None, :] - 1.0) * elog_v).sum()
-        - n_lf * m * _log_beta(state.beta).sum()
-        + (_confusion_counts(rho, state.onehot_t) * elog_v).sum()
-    )
-    value -= float(xlogy(rho, rho).sum())
-    value += float(_dirichlet_entropy(state.nu))
-    value += float(_dirichlet_entropy(state.eta).sum())
-    value += float(_dirichlet_entropy(state.mu).sum())
+    value = float(_log_beta(state.nu) - _log_beta(state.alpha))
+    value += float(_log_beta(state.eta).sum() - k * _log_beta(np.full(m, _A_PI)))
+    value += float(_log_beta(state.mu).sum() - n_lf * m * _log_beta(state.beta).sum())
+    value -= float(xlogy(state.rho, state.rho).sum())
     return value
 
 
@@ -408,5 +376,6 @@ def ebcc_fit(
     )
     trace = [] if record_elbo else None
     if record_elbo:
+        # last in the sweep: the collapsed bound holds only after every update
         blocks += (("elbo", lambda state: trace.append(ebcc_elbo(state))),)
     return _iterate(state, blocks, max_iters, tol, elbo_trace=trace, subtypes=subtypes)

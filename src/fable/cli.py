@@ -211,9 +211,10 @@ def cmd_bench_size(args) -> int:
 
 def _method_list(text: str) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
-    if not methods or any(m not in METHODS for m in methods):
+    # a repeated entry would fit, and count, the same runs twice
+    if not methods or any(m not in METHODS for m in methods) or len(set(methods)) < len(methods):
         raise argparse.ArgumentTypeError(
-            f"methods must be a comma list drawn from {','.join(METHODS)}"
+            f"methods must be a comma list of distinct names drawn from {','.join(METHODS)}"
         )
     return methods
 
@@ -250,13 +251,13 @@ _dataset_size = _int_at_least(4)
 
 def _size_list(text: str) -> list[int]:
     sizes = [_dataset_size(s) for s in text.split(",") if s.strip()]
-    if not sizes:
-        raise argparse.ArgumentTypeError("sizes must be comma-separated integers")
+    if not sizes or len(set(sizes)) < len(sizes):
+        raise argparse.ArgumentTypeError("sizes must be distinct comma-separated integers")
     return sizes
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0, help="master RNG seed")
     parser.add_argument("--max-iters", type=_int_at_least(1), default=None, help="sweep budget")
     parser.add_argument("--tol", type=_positive_float, default=None, help="q(z) convergence tolerance")
     parser.add_argument("--subtypes", type=_int_at_least(1), default=3,
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate a seeded synthetic benchmark")
     synth.add_argument("--size", type=_dataset_size, default=1000)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_psi_range_flag(synth, "every width 1")
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)

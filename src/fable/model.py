@@ -91,16 +91,6 @@ class FableState(SubtypeBccState):
     xi_clamps: int = 0
 
 
-def _log_cosh(x: np.ndarray) -> np.ndarray:
-    """log cosh(x) = |x| + log1p(exp(-2|x|)) - log 2; overwrites ``x``."""
-    ax = np.abs(x, out=x)
-    out = ax * -2.0
-    np.log1p(np.exp(out, out=out), out=out)
-    out += ax
-    out -= np.log(2.0)
-    return out
-
-
 def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableState:
     """The shared majority-vote start plus uninformative draws for the GP block.
 
@@ -178,19 +168,24 @@ def fable_update_gp(state: FableState) -> FableState:
 def fable_update_augmentation(state: FableState) -> FableState:
     """Poisson means gamma from the Polya-Gamma tilts c.
 
-    gamma_ikm = exp(psi(a_i) - m_hat/2) / (K * M * 2 cosh(c/2)), evaluated
-    in log space so large tilts cannot overflow.  The 2 cosh(c/2) factor
-    is exp(-E[log sigmoid(-f)] - f/2): gamma approximates
+    gamma_ikm = exp(psi(a_i) - m_hat/2) / (K * M * 2 cosh(c/2)).  The
+    tilt c = sqrt(Sigma_hat_ii + m_hat^2) is never negative, so
+    log 2 cosh(c/2) = c/2 + log1p(exp(-c)) and
+    log gamma = psi(a) - log(K * M) - (m_hat + c)/2 - log1p(exp(-c)),
+    in which exp(-c) <= 1; log gamma is capped at 700 before its
+    exponential.  The 2 cosh(c/2) factor is
+    exp(-E[log sigmoid(-f)] - f/2): gamma approximates
     E[lambda] * sigmoid(-m_hat), the posterior count of the exponential
     slack each cell carries, which keeps the normaliser fixed point at
     E[lambda] = 1 / sum_km sigmoid(f_ikm).
     """
-    log_gamma = state.m_hat / 2.0
+    log_gamma = np.add(state.m_hat, state.c)
+    log_gamma /= 2.0
     np.subtract(psi(state.a)[:, None, None], log_gamma, out=log_gamma)
     # the rate of q(lambda) is the cell count K * M of every item
     log_gamma -= np.log(float(state.m_hat[0].size))
-    log_gamma -= np.log(2.0)
-    log_gamma -= _log_cosh(state.c / 2.0)
+    tail = np.negative(state.c)
+    log_gamma -= np.log1p(np.exp(tail, out=tail), out=tail)
     np.minimum(log_gamma, 700.0, out=log_gamma)
     state.gamma = np.exp(log_gamma, out=log_gamma)
     return state

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
+from scipy.special import psi as digamma
 
 import fable.baselines
 import fable.data
@@ -23,6 +25,7 @@ from fable.baselines import (
     _A_PI,
     _confusion_counts,
     _finish,
+    _log_beta,
     _vote_log_scores,
     ebcc_update_assignments,
     ebcc_update_confusion,
@@ -30,6 +33,7 @@ from fable.baselines import (
     ebcc_update_tau,
 )
 from fable.data import ABSTAIN
+from fable.linalg import dirichlet_log_expectation
 from fable.model import FableConfig, fable_fit, fable_init, fable_update_assignments
 
 from conftest import random_dataset
@@ -202,6 +206,60 @@ def test_ebcc_confusion_update_single_mass():
 def test_ebcc_elbo_monotone_quick():
     post = ebcc_fit(random_dataset(11, n=80), subtypes=3, seed=0, max_iters=25, record_elbo=True)
     assert np.all(np.diff(post.elbo_trace) >= -1e-8)
+
+
+def _dirichlet_entropy_oracle(params):
+    total = params.sum(axis=-1)
+    dim = params.shape[-1]
+    return (
+        _log_beta(params)
+        + (total - dim) * digamma(total)
+        - ((params - 1.0) * digamma(params)).sum(axis=-1)
+    )
+
+
+def _ebcc_elbo_oracle(state):
+    """The bound as first written: each prior, likelihood and entropy term on its own."""
+    elog_tau = dirichlet_log_expectation(state.nu)
+    elog_pi = dirichlet_log_expectation(state.eta)
+    elog_v = dirichlet_log_expectation(state.mu)
+    rho, qz = state.rho, state.qz
+    k, m = state.eta.shape
+    n_lf = state.mu.shape[0]
+    value = float(
+        ((state.alpha - 1.0) * elog_tau).sum()
+        - _log_beta(state.alpha)
+        + (qz.sum(axis=0) * elog_tau).sum()
+    )
+    value += float(
+        (_A_PI - 1.0) * elog_pi.sum()
+        - k * _log_beta(np.full(m, _A_PI))
+        + (rho.sum(axis=0) * elog_pi).sum()
+    )
+    value += float(
+        ((state.beta[None, :, None, :] - 1.0) * elog_v).sum()
+        - n_lf * m * _log_beta(state.beta).sum()
+        + (_confusion_counts(rho, state.onehot_t) * elog_v).sum()
+    )
+    value -= float(xlogy(rho, rho).sum())
+    value += float(_dirichlet_entropy_oracle(state.nu))
+    value += float(_dirichlet_entropy_oracle(state.eta).sum())
+    value += float(_dirichlet_entropy_oracle(state.mu).sum())
+    return value
+
+
+@pytest.mark.parametrize("subtypes", [1, 3])
+def test_ebcc_elbo_matches_the_long_hand_bound(small_synthetic, subtypes):
+    # after the start and after each full sweep every Dirichlet is its
+    # prior plus the soft counts of rho, where the log B form holds
+    state = ebcc_init(small_synthetic, subtypes=subtypes, seed=4)
+    assert ebcc_elbo(state) == pytest.approx(_ebcc_elbo_oracle(state), rel=1e-12)
+    for _ in range(10):
+        ebcc_update_assignments(state)
+        ebcc_update_tau(state)
+        ebcc_update_pi(state)
+        ebcc_update_confusion(state)
+        assert ebcc_elbo(state) == pytest.approx(_ebcc_elbo_oracle(state), rel=1e-12)
 
 
 def test_ebcc_elbo_finite_on_random_states():

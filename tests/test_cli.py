@@ -501,6 +501,13 @@ _COUNT_FLAG_CASES = [
     pytest.param("study-corr", "--psi-range", "-1 2", id="study-corr-psi-range-negative"),
     pytest.param("synth", "--psi-range", "1 inf", id="synth-psi-range-inf"),
     pytest.param("study-corr", "--psi-range", "inf inf", id="study-corr-psi-range-inf"),
+] + [
+    pytest.param(command, "--seed", "-1", id=f"{command}-seed--1")
+    for command in ("synth", "aggregate", "study-corr", "bench-size")
+] + [
+    # a repeated entry would fit, and count, the same runs twice
+    pytest.param("bench-size", "--methods", "mv,mv", id="bench-size-methods-repeated"),
+    pytest.param("bench-size", "--sizes", "200,200", id="bench-size-sizes-repeated"),
 ]
 
 

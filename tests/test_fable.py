@@ -225,6 +225,32 @@ def test_augmentation_survives_huge_tilts(small_synthetic):
     assert np.all(state.gamma >= 0.0)
 
 
+def test_augmentation_matches_the_log_cosh_form(small_synthetic):
+    # log gamma = psi(a) - log(K M) - m_hat/2 - log 2 - log cosh(c/2) as
+    # first written, on tilts c >= |m_hat| from 0 to past exp(-c)
+    # underflow; m_hat + c stays below 20, so no gamma underflows
+    state = fable_init(small_synthetic, FableConfig(), seed=0)
+    rng = np.random.default_rng(1)
+    shape = state.c.shape
+    c = rng.choice([0.0, 1e-9, 0.3, 2.0, 40.0, 800.0, 1e3], size=shape)
+    state.c = c.copy()
+    state.m_hat = rng.uniform(0.0, np.minimum(2.0 * c, 20.0)) - c
+    state.a = rng.uniform(1.0, 5.0, size=state.a.shape)
+    half = c / 2.0
+    log_cosh = half + np.log1p(np.exp(-2.0 * half)) - np.log(2.0)
+    log_gamma = (
+        digamma(state.a)[:, None, None]
+        - state.m_hat / 2.0
+        - np.log(float(shape[1] * shape[2]))
+        - np.log(2.0)
+        - log_cosh
+    )
+    expected = np.exp(np.minimum(log_gamma, 700.0))
+    fable_update_augmentation(state)
+    assert np.all(expected > 0.0)
+    assert np.allclose(state.gamma, expected, rtol=1e-13, atol=0.0)
+
+
 def test_lambda_update_sums_poisson_mass(small_synthetic):
     config = FableConfig()
     state = fable_init(small_synthetic, config, seed=0)
@@ -411,14 +437,11 @@ def reference_fable_sweep(state):
     state.m_hat = 0.5 * post.apply((epi - state.gamma).reshape(omega.shape)).reshape(n, k, m)
     sigma_diag = post.diagonal().reshape(n, k, m)
     state.c = np.sqrt(state.m_hat ** 2 + sigma_diag)
-    half = np.abs(state.c / 2.0)
-    log_cosh = half + np.log1p(np.exp(-2.0 * half)) - np.log(2.0)
     log_gamma = (
         digamma(state.a)[:, None, None]
-        - state.m_hat / 2.0
+        - (state.m_hat + state.c) / 2.0
         - np.log(float(k * m))
-        - np.log(2.0)
-        - log_cosh
+        - np.log1p(np.exp(-state.c))
     )
     state.gamma = np.exp(np.minimum(log_gamma, 700.0))
     state.a = state.gamma.sum(axis=(1, 2)) + 1.0
