@@ -14,9 +14,10 @@ named update blocks, built per call, and runs it through one loop,
 :func:`_iterate`, which times each block and stops on the largest change
 in q(z).  A sweep makes one pass per cell quantity: each update writes
 into the arrays it allocated, and sums and maxima along the short
-subtype and cell axes are explicit adds and running maxima, several
-times faster there than numpy's reductions and rounded alike for fewer
-than eight subtypes.
+subtype and cell axes are explicit adds and running maxima, left to
+right, several times faster there than numpy's reductions (a 12-cell
+row sum takes about a third of the time of ``sum(axis=1)``).  They round
+like numpy's sums below eight terms; numpy adds eight or more pairwise.
 
 Every vote statistic goes through one representation: the sparse one-hot
 indicator :attr:`fable.data.Dataset.onehot`, an (N, L*K) CSR matrix with
@@ -135,6 +136,14 @@ def _vote_log_scores(elog_v: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarra
     return (onehot @ table).reshape(-1, k, m)
 
 
+def _row_sums(flat: np.ndarray) -> np.ndarray:
+    """Sum of each row of a 2-D array, adding its columns one by one from the left."""
+    total = flat[:, 0].copy()
+    for column in flat.T[1:]:
+        total += column
+    return total
+
+
 def _normalize_log_scores(scores: np.ndarray) -> np.ndarray:
     """Softmax over the trailing axes of (N, K) or (N, K, M) log scores, overwriting ``scores``."""
     n = scores.shape[0]
@@ -144,7 +153,7 @@ def _normalize_log_scores(scores: np.ndarray) -> np.ndarray:
         np.maximum(top, column, out=top)
     flat -= top[:, None]
     np.exp(flat, out=flat)
-    flat /= flat.sum(axis=1, keepdims=True)
+    flat /= _row_sums(flat)[:, None]
     return flat.reshape(scores.shape)
 
 
@@ -168,7 +177,8 @@ def _iterate(state, blocks, max_iters: int, tol: float, elbo_trace=None, **extra
             update(state)
             block_ms[name] += 1000.0 * (time.perf_counter() - start)
         new_qz = state.qz
-        deltas.append(float(np.max(np.abs(new_qz - qz))))
+        change = np.subtract(new_qz, qz)
+        deltas.append(float(np.max(np.abs(change, out=change))))
         qz = new_qz
         if deltas[-1] < tol:
             break

@@ -14,6 +14,16 @@ C has eigenvalues >= 1, so the core stays well conditioned even when s
 is only the jitter, and no N x N matrix is formed or inverted.  Factors
 wider than a requested rank are cut to their leading singular
 directions first.
+
+The cores and the posterior diagonal are built in one of two forms,
+chosen from N and r alone.  A narrow factor, whose (N, r^2) matrix of
+pairwise row products Q_i = vec(f_i f_i^T) fits in ``_CHUNK_ELEMENTS``,
+gets all P cores as one product ``(omega t)^T Q`` and every quadratic
+form f_i^T C_p^-1 f_i as one product ``Q vec(C_p^-1)``: at r = 2 the
+(P, r, N) temporaries of the batched form cost more than its
+arithmetic.  A wider factor, such as a 100-column embedding, runs the
+batched products over chunks of columns instead, where Q would cost r
+times the arithmetic of the products it replaces.
 """
 
 from __future__ import annotations
@@ -37,12 +47,13 @@ __all__ = [
 _PG_SMALL_TILT = 1e-8
 # added to the cosine kernel's diagonal, keeping it strictly positive definite
 _KERNEL_JITTER = 1e-4
-# posterior columns are batched in chunks whose N x r temporaries, one
-# per column, hold at most this many floats together (1 MB): this bounds
-# memory for any number of columns, and at N = 10k, r = 2 it batched 30
-# columns faster than one 16 MB chunk did (9.4 against 12.5 ms a sweep
-# on a 2-core 2.1 GHz Xeon VM with one BLAS thread); ``metrics`` bounds
-# its blocks of distance rows by the same count
+# the floats (1 MB) that one GP temporary may hold: the pair matrix Q of
+# a narrow factor, or together the N x r temporaries, one per column, of
+# a chunk of posterior columns of a wider one.  This bounds memory for
+# any number of columns; at N = 10k, r = 2 the chunks batched 30 columns
+# faster than one 16 MB chunk did (9.4 against 12.5 ms a sweep on a
+# 2-core 2.1 GHz Xeon VM with one BLAS thread).  ``metrics`` bounds its
+# blocks of distance rows by the same count
 _CHUNK_ELEMENTS = 1 << 17
 
 
@@ -150,6 +161,20 @@ def cosine_kernel(features: np.ndarray) -> KernelMatrix:
     return KernelMatrix(factor=normalized, noise=zero.astype(float) + _KERNEL_JITTER)
 
 
+def _pair_rows(f_rows: np.ndarray) -> np.ndarray | None:
+    """Q^T: the (r^2, N) products f_a * f_b of the (r, N) factor rows ``f_rows``.
+
+    None for a wide factor, whose N * r^2 pair floats exceed ``_CHUNK_ELEMENTS``.
+    """
+    r, n = f_rows.shape
+    if n * r * r > _CHUNK_ELEMENTS:
+        return None
+    pairs = np.empty((r * r, n))
+    for a in range(r):
+        np.multiply(f_rows, f_rows[a], out=pairs[a * r:(a + 1) * r])
+    return pairs
+
+
 def _column_chunks(n: int, r: int, p: int):
     """Slices over P columns, each of at most max(1, _CHUNK_ELEMENTS // (N * r)) columns."""
     step = max(1, _CHUNK_ELEMENTS // max(n * r, 1))
@@ -164,14 +189,19 @@ class SymmetricApprox:
     ``core_inv`` the inverted r x r cores, shape (P, r, r).  ``apply``
     and ``diagonal`` work column by column and keep that shape, so a
     1-D omega gives 1-D results.  ``rank`` is r, the factor width used.
-    ``apply`` and ``diagonal`` allocate their result and one temporary
-    of shape (N, P); every other temporary is O(N * r) or chunk-bounded.
+    ``pairs`` holds Q^T, the (r^2, N) pair rows of a narrow factor (see
+    the module docstring), and is None for a wide one.  ``apply``
+    allocates its result and one temporary of shape (N, P), and so does
+    ``diagonal`` of a wide factor; ``diagonal`` of a narrow factor
+    allocates only its result.  Every other temporary is O(N * r) or
+    chunk-bounded.
     """
 
     prior: KernelMatrix
     scale: np.ndarray
     core_inv: np.ndarray
     rank: int
+    pairs: np.ndarray | None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         v = np.asarray(vec, dtype=float)
@@ -188,9 +218,16 @@ class SymmetricApprox:
         return out.reshape(v.shape)
 
     def diagonal(self) -> np.ndarray:
-        f_rows = np.ascontiguousarray(self.prior.factor.T)
-        r, n = f_rows.shape
+        n, r = self.prior.factor.shape
         t = self.scale.reshape(n, -1)
+        if self.pairs is not None:
+            # quad_ip = f_i^T C_p^-1 f_i, then t (t quad + s) in place
+            quad = self.pairs.T @ self.core_inv.reshape(t.shape[1], r * r).T
+            quad *= t
+            quad += self.prior.noise[:, None]
+            quad *= t
+            return np.maximum(quad, 0.0, out=quad).reshape(self.scale.shape)
+        f_rows = np.ascontiguousarray(self.prior.factor.T)
         quad = np.empty_like(t)
         for chunk in _column_chunks(n, r, t.shape[1]):
             quad[:, chunk] = np.einsum("prn,rn->np", self.core_inv[chunk] @ f_rows, f_rows)
@@ -211,9 +248,11 @@ def lowrank_posterior(
     ``omega`` has shape (N,) for one solve or (N, P) for P solves that
     share the prior.  ``rank`` caps the factor width r first (see
     ``KernelMatrix.truncated``); None keeps the whole factor.  Cost is
-    O(N * r^2) per column.  Columns are batched in chunks, so no
-    temporary holds more than the larger of N * r floats and 1 MB,
-    however many columns omega has.
+    O(N * r^2) per column.  A narrow factor gets every core from one
+    product with its pair matrix Q, which holds at most 1 MB; a wider one
+    batches its columns in chunks.  Either way no temporary holds more
+    than the larger of N * r floats and 1 MB, however many columns omega
+    has.
     """
     w = np.asarray(omega, dtype=float)
     if w.ndim not in (1, 2) or w.shape[0] != prior.n:
@@ -231,15 +270,20 @@ def lowrank_posterior(
     np.divide(1.0, t, out=t)
     weights = np.multiply(cols.T, t.T, out=np.empty((p, n)))
     f_rows = np.ascontiguousarray(f.T)
-    core = np.empty((p, r, r))
-    for chunk in _column_chunks(n, r, p):
-        core[chunk] = (f_rows * weights[chunk, None, :]) @ f
+    pairs = _pair_rows(f_rows)
+    if pairs is not None:
+        core = (weights @ pairs.T).reshape(p, r, r)
+    else:
+        core = np.empty((p, r, r))
+        for chunk in _column_chunks(n, r, p):
+            core[chunk] = (f_rows * weights[chunk, None, :]) @ f
     core += np.eye(r)
     return SymmetricApprox(
         prior=prior,
         scale=t.reshape(w.shape),
         core_inv=np.linalg.inv(core),
         rank=r,
+        pairs=pairs,
     )
 
 
@@ -257,7 +301,8 @@ def pg_mean(b, c):
     out = np.divide(safe, 2.0, out=np.empty(safe.shape))
     np.tanh(out, out=out)
     out *= b_arr
-    out /= 2.0 * safe
+    out /= safe
+    out /= 2.0
     if safe is not c_arr:  # some tilt is below the switch
         np.copyto(out, b_arr / 4.0, where=small)
     if out.ndim == 0:

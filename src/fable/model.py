@@ -25,6 +25,7 @@ from .baselines import (
     Posterior,
     SubtypeBccState,
     _iterate,
+    _row_sums,
     _subtype_assignments,
     _subtype_start,
     ebcc_update_confusion,
@@ -124,7 +125,8 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
 
 def fable_update_assignments(state: FableState) -> FableState:
     """Assignments with the Gamma E[log pi_ikm] = psi(rho + 1) - log(xi)."""
-    elog_pi = psi(state.rho + 1.0)
+    elog_pi = state.rho + 1.0
+    psi(elog_pi, out=elog_pi)
     elog_pi -= np.log(state.xi)
     return _subtype_assignments(state, elog_pi)
 
@@ -156,7 +158,10 @@ def fable_update_gp(state: FableState) -> FableState:
     epi /= state.xi
     omega = pg_mean(epi + state.gamma, state.c).reshape(shape[0], -1)
     post = lowrank_posterior(state.kernel, omega)
-    rhs = np.subtract(epi, state.gamma, out=epi).reshape(omega.shape)
+    # only the solve reads E[omega]; freeing it here keeps one (N, K*M)
+    # array fewer alive through apply and diagonal, where the block peaks
+    del omega
+    rhs = np.subtract(epi, state.gamma, out=epi).reshape(shape[0], -1)
     state.m_hat = post.apply(rhs).reshape(shape)
     state.m_hat *= 0.5
     c = post.diagonal().reshape(shape)
@@ -179,11 +184,12 @@ def fable_update_augmentation(state: FableState) -> FableState:
     slack each cell carries, which keeps the normaliser fixed point at
     E[lambda] = 1 / sum_km sigmoid(f_ikm).
     """
+    # the rate of q(lambda) is the cell count K * M of every item
+    item_shift = psi(state.a)
+    item_shift -= np.log(float(state.m_hat[0].size))
     log_gamma = np.add(state.m_hat, state.c)
     log_gamma /= 2.0
-    np.subtract(psi(state.a)[:, None, None], log_gamma, out=log_gamma)
-    # the rate of q(lambda) is the cell count K * M of every item
-    log_gamma -= np.log(float(state.m_hat[0].size))
+    np.subtract(item_shift[:, None, None], log_gamma, out=log_gamma)
     tail = np.negative(state.c)
     log_gamma -= np.log1p(np.exp(tail, out=tail), out=tail)
     np.minimum(log_gamma, 700.0, out=log_gamma)
@@ -201,7 +207,8 @@ def fable_update_lambda(state: FableState) -> FableState:
     gives the gamma/a loop a gain above one and the sweep diverges
     geometrically.
     """
-    state.a = state.gamma.sum(axis=(1, 2)) + 1.0
+    state.a = _row_sums(state.gamma.reshape(state.gamma.shape[0], -1))
+    state.a += 1.0
     return state
 
 

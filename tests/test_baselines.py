@@ -268,7 +268,13 @@ def test_ebcc_elbo_finite_on_random_states():
         state = ebcc_init(d, subtypes=2, seed=seed)
         rng = np.random.default_rng(seed)
         state.rho = rng.dirichlet(np.ones(6), size=30).reshape(30, 3, 2)
-        assert np.isfinite(ebcc_elbo(state))
+        # the collapsed bound holds once every Dirichlet counts this rho
+        ebcc_update_tau(state)
+        ebcc_update_pi(state)
+        ebcc_update_confusion(state)
+        value = ebcc_elbo(state)
+        assert np.isfinite(value)
+        assert value == pytest.approx(_ebcc_elbo_oracle(state), rel=1e-12)
 
 
 def test_ebcc_elbo_invariant_to_subtype_relabeling(small_synthetic):

@@ -400,7 +400,8 @@ def _reference_assignments(state, elog_pi):
     flat = scores.reshape(scores.shape[0], -1)
     flat = flat - flat.max(axis=1, keepdims=True)
     weights = np.exp(flat)
-    weights /= weights.sum(axis=1, keepdims=True)
+    # the cells of a row are added one by one from the left
+    weights /= sum(weights[:, j] for j in range(weights.shape[1]))[:, None]
     state.rho = weights.reshape(scores.shape)
 
 
@@ -438,13 +439,13 @@ def reference_fable_sweep(state):
     sigma_diag = post.diagonal().reshape(n, k, m)
     state.c = np.sqrt(state.m_hat ** 2 + sigma_diag)
     log_gamma = (
-        digamma(state.a)[:, None, None]
+        (digamma(state.a) - np.log(float(k * m)))[:, None, None]
         - (state.m_hat + state.c) / 2.0
-        - np.log(float(k * m))
         - np.log1p(np.exp(-state.c))
     )
     state.gamma = np.exp(np.minimum(log_gamma, 700.0))
-    state.a = state.gamma.sum(axis=(1, 2)) + 1.0
+    cells = state.gamma.reshape(n, k * m)
+    state.a = sum(cells[:, j] for j in range(k * m)) + 1.0
     return state.rho.sum(axis=2)
 
 

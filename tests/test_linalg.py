@@ -186,16 +186,26 @@ def test_posterior_chunked_columns_match_one_chunk(rng, monkeypatch):
 
 
 def reference_posterior(prior: KernelMatrix, omega: np.ndarray):
-    """scale, core_inv, apply and diagonal written as plain expressions, each temporary a new array."""
+    """scale, core_inv, apply and diagonal written as plain expressions, each temporary a new array.
+
+    A narrow factor (N * r^2 within ``_CHUNK_ELEMENTS``) takes its cores
+    and quadratic forms from the pair rows f_a * f_b; a wide one from the
+    column-chunked batched products.
+    """
     f = prior.factor
     n, r = f.shape
     cols = omega.reshape(n, -1)
     t = 1.0 / (1.0 + prior.noise[:, None] * cols)
     weights = np.ascontiguousarray((cols * t).T)
     f_rows = np.ascontiguousarray(f.T)
-    core = np.empty((cols.shape[1], r, r))
-    for chunk in linalg._column_chunks(n, r, cols.shape[1]):
-        core[chunk] = (f_rows * weights[chunk, None, :]) @ f
+    narrow = n * r * r <= linalg._CHUNK_ELEMENTS
+    if narrow:
+        pair_rows = (f_rows[:, None, :] * f_rows[None, :, :]).reshape(r * r, n)
+        core = (weights @ pair_rows.T).reshape(-1, r, r)
+    else:
+        core = np.empty((cols.shape[1], r, r))
+        for chunk in linalg._column_chunks(n, r, cols.shape[1]):
+            core[chunk] = (f_rows * weights[chunk, None, :]) @ f
     core_inv = np.linalg.inv(core + np.eye(r))
 
     def apply(v):
@@ -204,18 +214,24 @@ def reference_posterior(prior: KernelMatrix, omega: np.ndarray):
         return (prior.noise[:, None] * tv + t * (f @ inner.T)).reshape(v.shape)
 
     def diagonal():
-        quad = np.empty_like(t)
-        for chunk in linalg._column_chunks(n, r, t.shape[1]):
-            quad[:, chunk] = np.einsum("prn,rn->np", core_inv[chunk] @ f_rows, f_rows)
-        return np.maximum(prior.noise[:, None] * t + t * t * quad, 0.0).reshape(omega.shape)
+        if narrow:
+            quad = pair_rows.T @ core_inv.reshape(t.shape[1], r * r).T
+            diag = t * (t * quad + prior.noise[:, None])
+        else:
+            quad = np.empty_like(t)
+            for chunk in linalg._column_chunks(n, r, t.shape[1]):
+                quad[:, chunk] = np.einsum("prn,rn->np", core_inv[chunk] @ f_rows, f_rows)
+            diag = prior.noise[:, None] * t + t * t * quad
+        return np.maximum(diag, 0.0).reshape(omega.shape)
 
     return t.reshape(omega.shape), core_inv, apply, diagonal
 
 
-@pytest.mark.parametrize("r", [1, 2, 5])
+# r = 1, 2, 5 are narrow at N = 2000 (N * r^2 within _CHUNK_ELEMENTS), r = 40 is wide
+@pytest.mark.parametrize("r", [1, 2, 5, 40])
 @pytest.mark.parametrize("p", [None, 70])
 def test_posterior_in_place_forms_are_bit_identical(rng, r, p):
-    # 70 columns span two _column_chunks blocks at N = 2000 for every r here
+    # on the wide side 70 columns span several _column_chunks blocks
     n = 2000
     zero_rows = rng.random(n) < 0.05
     factor = rng.standard_normal((n, r)) / np.sqrt(r)
@@ -229,6 +245,7 @@ def test_posterior_in_place_forms_are_bit_identical(rng, r, p):
     omega_before, v_before = omega.copy(), v.copy()
 
     post = lowrank_posterior(kernel, omega)
+    assert (post.pairs is None) == (r == 40)
     scale, core_inv, apply, diagonal = reference_posterior(kernel, omega)
     assert np.array_equal(omega, omega_before)
     assert np.array_equal(post.scale, scale)
@@ -273,6 +290,20 @@ def test_kernel_from_dense_factor_width_is_numerical_rank(rng):
     empty = KernelMatrix.from_dense(np.zeros((4, 4)), jitter=0.5)
     assert empty.factor.shape == (4, 0)
     assert np.allclose(lowrank_posterior(empty, np.ones(4)).diagonal(), 0.5 / 1.5)
+
+
+def test_posterior_narrow_path_on_factors_with_no_signal(rng):
+    # no factor columns (r = 0) and all-zero features both leave only the noise s
+    kernels = (KernelMatrix.from_dense(np.zeros((5, 5)), jitter=0.5), cosine_kernel(np.zeros((5, 3))))
+    for kernel in kernels:
+        for omega in (rng.uniform(0.0, 2.0, size=5), rng.uniform(0.0, 2.0, size=(5, 4))):
+            post = lowrank_posterior(kernel, omega)
+            assert post.pairs is not None
+            s = kernel.noise if omega.ndim == 1 else kernel.noise[:, None]
+            expected = s / (1.0 + s * omega)
+            assert post.diagonal().shape == omega.shape
+            assert np.allclose(post.diagonal(), expected, rtol=1e-14, atol=0.0)
+            assert np.allclose(post.apply(omega), expected * omega, rtol=1e-14, atol=0.0)
 
 
 # ------------------------------------------------ scalar special functions
