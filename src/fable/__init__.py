@@ -5,6 +5,11 @@ with a feature-aware variant whose per-item mixture weights come from
 Gaussian processes over a feature kernel.  Everything runs
 transductively on seeded numpy; see the command-line interface in
 :mod:`fable.cli` for the file-level workflow.
+
+Importing the package loads numpy and no scipy module.  Each scipy name
+is imported inside the function that calls it, so ``scipy.special`` and
+``scipy.sparse``, most of the package's start-up time, load at the
+first fit and a command that fits nothing never loads them.
 """
 
 from .baselines import (

@@ -35,13 +35,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.special import gammaln, xlogy
 
 from .data import Dataset
 from .linalg import NumericalError, dirichlet_log_expectation
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "Posterior",
@@ -95,6 +97,8 @@ class Posterior:
 
 
 def _finish(probs, n_iters, elbo_trace=None, **diag) -> Posterior:
+    from scipy.special import xlogy
+
     if not np.all(np.isfinite(probs)):
         raise NumericalError("posterior probabilities became non-finite")
     probs = probs / probs.sum(axis=1, keepdims=True)
@@ -343,6 +347,8 @@ def ebcc_update_confusion(state: SubtypeBccState) -> SubtypeBccState:
 
 
 def _log_beta(params: np.ndarray) -> np.ndarray:
+    from scipy.special import gammaln
+
     params = np.asarray(params, dtype=float)
     return gammaln(params).sum(axis=-1) - gammaln(params.sum(axis=-1))
 
@@ -356,6 +362,8 @@ def ebcc_elbo(state: EbccState) -> float:
     sum to log B(posterior) - log B(prior), so the bound is three such
     differences plus the entropy of rho.
     """
+    from scipy.special import xlogy
+
     k, m = state.eta.shape
     n_lf = state.mu.shape[0]
     value = float(_log_beta(state.nu) - _log_beta(state.alpha))

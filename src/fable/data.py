@@ -24,9 +24,12 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "ABSTAIN",
@@ -155,7 +158,11 @@ class Dataset:
         voted on it.  Entries are stored row by row in increasing column
         order, so products with the matrix add an item's votes in LF order.
         Sparse products do not check column indices; construction did.
+        Built at a dataset's first fit, which is where ``scipy.sparse`` is
+        first imported: a command that fits nothing never loads it.
         """
+        from scipy import sparse
+
         (n, n_lf), k = self.lf_labels.shape, self.num_classes
         voted = self.lf_labels != ABSTAIN
         columns = (np.arange(n_lf) * k + self.lf_labels)[voted]

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import psi
 
 __all__ = [
     "NumericalError",
@@ -321,4 +320,6 @@ def dirichlet_log_expectation(alpha: np.ndarray) -> np.ndarray:
         raise ValueError("alpha must be nonempty")
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise ValueError("alpha entries must be positive and finite")
+    from scipy.special import psi
+
     return psi(a) - psi(a.sum(axis=-1, keepdims=True))

@@ -7,17 +7,16 @@ One pass over the feature distance rows serves every labeling function:
 each chunk is multiplied once by an (N, 2L) weight matrix, which adds
 O(N * L) memory.
 
-Importing this module loads only ``scipy.special`` from scipy.
-``scipy.spatial.distance`` is imported on the first distance pass, so
-only the dependence score pays for it, and ``pearson_r`` computes its
-p-value in closed form rather than through ``scipy.stats``, whose
-import alone takes about 0.4 s (2-core VM).
+Importing this module loads no scipy module.  ``pearson_r`` imports
+``scipy.special`` when it runs and computes its p-value in closed form
+rather than through ``scipy.stats``, whose import alone takes about
+0.4 s (2-core VM); ``scipy.spatial.distance`` is imported on the first
+distance pass, so only the dependence score pays for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betainc
 
 from .data import ABSTAIN, Dataset, DatasetError
 from .linalg import _CHUNK_ELEMENTS
@@ -218,6 +217,8 @@ def pearson_r(xs, ys) -> tuple[float, float]:
         raise ValueError("inputs must be finite")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ValueError("inputs must not have zero variance")
+    from scipy.special import betainc
+
     r = float(np.clip(np.dot(_unit_centered(x), _unit_centered(y)), -1.0, 1.0))
     a = x.size / 2 - 1
     return r, float(2.0 * betainc(a, a, 1.0 - (1.0 + abs(r)) / 2))

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import psi
 
 from .baselines import (
     Posterior,
@@ -125,6 +124,8 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
 
 def fable_update_assignments(state: FableState) -> FableState:
     """Assignments with the Gamma E[log pi_ikm] = psi(rho + 1) - log(xi)."""
+    from scipy.special import psi
+
     elog_pi = state.rho + 1.0
     psi(elog_pi, out=elog_pi)
     elog_pi -= np.log(state.xi)
@@ -184,6 +185,8 @@ def fable_update_augmentation(state: FableState) -> FableState:
     slack each cell carries, which keeps the normaliser fixed point at
     E[lambda] = 1 / sum_km sigmoid(f_ikm).
     """
+    from scipy.special import psi
+
     # the rate of q(lambda) is the cell count K * M of every item
     item_shift = psi(state.a)
     item_shift -= np.log(float(state.m_hat[0].size))

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 from scipy.special import psi as digamma
 
 import fable.baselines
-import fable.data
 from fable import (
     Dataset,
     accuracy,
@@ -546,13 +546,14 @@ def test_dawid_skene_matches_mask_loop(case):
 
 def test_every_fit_reads_the_one_vote_matrix_of_its_dataset(small_synthetic, monkeypatch):
     builds = []
-    real_csr = fable.data.sparse.csr_matrix
+    # Dataset.onehot imports scipy.sparse when it runs, so it sees this patch
+    real_csr = scipy.sparse.csr_matrix
 
     def counting_csr(*args, **kwargs):
         builds.append(args)
         return real_csr(*args, **kwargs)
 
-    monkeypatch.setattr(fable.data.sparse, "csr_matrix", counting_csr)
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", counting_csr)
     d = Dataset(features=small_synthetic.features, lf_labels=small_synthetic.lf_labels)
     assert builds == []  # building a Dataset does not build its vote matrix
     majority_vote(d)

@@ -387,30 +387,41 @@ def unused():
     packages = ("scipy.stats", "scipy.spatial", "scipy.linalg")
     return sorted(m for m in sys.modules if ".".join(m.split(".")[:2]) in packages)
 
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
 import fable, fable.cli
-after_import = unused()
+after_import = scipy_modules()
 data, out = Path(sys.argv[1], "d.json"), Path(sys.argv[1], "p.json")
 assert fable.cli.main(["synth", "--size", "60", "--seed", "0", "--out", str(data)]) == 0
+after_synth = scipy_modules()
 for method in ("mv", "ds", "ibcc", "ebcc", "fable"):
     code = fable.cli.main(["aggregate", "--dataset", str(data), "--method", method,
                            "--max-iters", "5", "--out", str(out)])
     assert code == 0
+fitted = [m for m in ("scipy.special", "scipy.sparse") if m in sys.modules]
 after_aggregate = unused()
 fable.feature_lf_correlation(fable.load_json(data))
-print(json.dumps([after_import, after_aggregate, "scipy.spatial.distance" in sys.modules]))
+print(json.dumps([after_import, after_synth, fitted, after_aggregate,
+                  "scipy.spatial.distance" in sys.modules]))
 """
 
 
 def test_cli_loads_no_unused_scipy_module(tmp_path):
-    # scipy.stats costs about 0.4 s to import and scipy.spatial (which loads
-    # scipy.linalg) about 0.1 s and 10 MB, so no command loads one it never calls
+    # scipy.special and scipy.sparse take most of the package's import time,
+    # so only a fit loads them; scipy.stats costs about 0.4 s to import and
+    # scipy.spatial (which loads scipy.linalg) about 0.1 s and 10 MB, so no
+    # command loads one it never calls
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    after_import, after_aggregate, distance_loaded = json.loads(proc.stdout.splitlines()[-1])
+    after_import, after_synth, fitted, after_aggregate, distance_loaded = json.loads(
+        proc.stdout.splitlines()[-1])
     assert after_import == []
+    assert after_synth == []
+    assert fitted == ["scipy.special", "scipy.sparse"]
     assert after_aggregate == []
     # the dependence score imports cdist when it first runs
     assert distance_loaded
