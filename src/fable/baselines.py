@@ -12,22 +12,24 @@ over :class:`SubtypeBccState` that the feature-aware model in
 mixture weights pi.  Every iterative fit states its sweep as a table of
 named update blocks, built per call, and runs it through one loop,
 :func:`_iterate`, which times each block and stops on the largest change
-in q(z).  A sweep makes one pass per cell quantity: each update writes
-into the arrays it allocated, and sums and maxima along the short
-subtype and cell axes are explicit adds and running maxima, left to
-right, several times faster there than numpy's reductions (a 12-cell
-row sum takes about a third of the time of ``sum(axis=1)``).  They round
-like numpy's sums below eight terms; numpy adds eight or more pairwise.
+in q(z).  A sweep makes one pass per cell quantity, writing into the
+arrays it allocated.
+
+The state is cell-major: q(z) is (K, N) and every per-cell array, rho
+included, is a C-ordered (K, M, N) array, the (P, N) rows the GP solve
+of :mod:`fable.linalg` takes; mu is (K, M, L, K), vote class last.
+Sums over an item's cells run down axis 0 of a (K*M, N) view, adding
+the cells in order; sums over items run along the last axis, pairwise.
+Only :func:`_finish` transposes, to the (N, K) ``Posterior.probs``.
 
 Every vote statistic goes through one representation: the sparse one-hot
-indicator :attr:`fable.data.Dataset.onehot`, an (N, L*K) CSR matrix with
-a one in column j*K + y for each non-abstaining vote y_ij = y and nothing
-for an abstain.  Summing log confusion entries over an item's votes is
-then one product ``onehot @ table`` and the soft confusion counts are one
-product ``onehot_t @ responsibilities``; the dataset builds the matrix
-and its transpose (as CSR, so no sweep converts it) once, however many
-fits read them, so a sweep never loops over labeling functions.  Storage
-is one entry per non-abstaining vote in each.
+indicator :attr:`fable.data.Dataset.onehot_t`, an (L*K, N) CSR matrix
+with a one in row j*K + y for each non-abstaining vote y_ij = y and
+nothing for an abstain.  Summing log confusion entries over an item's
+votes is then one product ``table @ onehot_t`` and the soft confusion
+counts are one product ``onehot_t @ rho.T``; the dataset builds the
+matrix once, however many fits read it, so a sweep never loops over
+labeling functions.  Storage is one entry per non-abstaining vote.
 """
 
 from __future__ import annotations
@@ -96,12 +98,14 @@ class Posterior:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _finish(probs, n_iters, elbo_trace=None, **diag) -> Posterior:
+def _finish(qz, n_iters, elbo_trace=None, **diag) -> Posterior:
+    """The posterior of the (K, N) class probabilities ``qz``, transposed to (N, K) rows."""
     from scipy.special import xlogy
 
-    if not np.all(np.isfinite(probs)):
+    if not np.all(np.isfinite(qz)):
         raise NumericalError("posterior probabilities became non-finite")
-    probs = probs / probs.sum(axis=1, keepdims=True)
+    probs = qz.T.copy()
+    probs /= probs.sum(axis=1, keepdims=True)
     # np.argmax returns the first maximum, i.e. the lowest class index on ties
     predictions = np.argmax(probs, axis=1).astype(np.int64)
     # a fit that puts every item in one class has collapsed (degenerate)
@@ -120,44 +124,32 @@ def _finish(probs, n_iters, elbo_trace=None, **diag) -> Posterior:
 def majority_vote(dataset: Dataset) -> Posterior:
     """Normalized vote counts per class; all-abstain items get a uniform row."""
     n_lf, k = dataset.n_lfs, dataset.num_classes
-    # summing the one-hot columns j*K + c over the LFs j counts the votes for c
-    counts = dataset.onehot @ np.tile(np.eye(k), (n_lf, 1))
-    totals = counts.sum(axis=1)
+    # summing the one-hot rows j*K + c over the LFs j counts the votes for c
+    counts = np.tile(np.eye(k), n_lf) @ dataset.onehot_t
+    totals = counts.sum(axis=0)
     silent = totals == 0
-    counts[silent] = 1.0
+    counts[:, silent] = 1.0
     totals[silent] = k
-    return _finish(counts / totals[:, None], n_iters=0)
+    return _finish(counts / totals, n_iters=0)
 
 
-def _vote_log_scores(elog_v: np.ndarray, onehot: sparse.csr_matrix) -> np.ndarray:
+def _vote_log_scores(elog_v: np.ndarray, onehot_t: sparse.csr_matrix) -> np.ndarray:
     """sum_j E[log v_{jkm, y_ij}] over each item's non-abstaining LFs.
 
-    ``elog_v`` has shape (L, K, M, K) and ``onehot`` is the dataset's
-    vote matrix ``Dataset.onehot``; the result has shape (N, K, M).
+    ``elog_v`` has shape (K, M, L, K) and ``onehot_t`` is the dataset's
+    vote matrix ``Dataset.onehot_t``; the result has shape (K, M, N),
+    a view of the (N, K*M) product scipy forms with its CSC transpose.
     """
-    n_lf, k, m, n_votes = elog_v.shape
-    table = elog_v.transpose(0, 3, 1, 2).reshape(n_lf * n_votes, k * m)
-    return (onehot @ table).reshape(-1, k, m)
-
-
-def _row_sums(flat: np.ndarray) -> np.ndarray:
-    """Sum of each row of a 2-D array, adding its columns one by one from the left."""
-    total = flat[:, 0].copy()
-    for column in flat.T[1:]:
-        total += column
-    return total
+    k, m = elog_v.shape[:2]
+    return (elog_v.reshape(k * m, -1) @ onehot_t).reshape(k, m, -1)
 
 
 def _normalize_log_scores(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the trailing axes of (N, K) or (N, K, M) log scores, overwriting ``scores``."""
-    n = scores.shape[0]
-    flat = scores.reshape(n, -1)
-    top = flat[:, 0].copy()
-    for column in flat.T[1:]:
-        np.maximum(top, column, out=top)
-    flat -= top[:, None]
+    """Softmax over the leading axes of (K, N) or (K, M, N) log scores, overwriting ``scores``."""
+    flat = scores.reshape(-1, scores.shape[-1])
+    flat -= flat.max(axis=0)
     np.exp(flat, out=flat)
-    flat /= _row_sums(flat)[:, None]
+    flat /= flat.sum(axis=0)
     return flat.reshape(scores.shape)
 
 
@@ -199,23 +191,23 @@ def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Po
     recorded trace is the observed-data log-likelihood at each
     iteration's parameters.
     """
-    onehot, onehot_t = dataset.onehot, dataset.onehot_t
+    onehot_t = dataset.onehot_t
     trace = []
 
     def em(state):
         qz = state.qz
-        prior = qz.sum(axis=0) + _DS_SMOOTHING
+        prior = qz.sum(axis=1) + _DS_SMOOTHING
         prior /= prior.sum()
-        counts = _DS_SMOOTHING + _confusion_counts(qz[:, :, None], onehot_t)[:, :, 0, :]
+        counts = _DS_SMOOTHING + _confusion_counts(qz[:, None], onehot_t)[:, 0]
         theta = counts / counts.sum(axis=2, keepdims=True)
-        log_theta = np.log(theta)[:, :, None, :]
-        scores = np.log(prior) + _vote_log_scores(log_theta, onehot)[:, :, 0]
-        top = scores.max(axis=1)
+        scores = _vote_log_scores(np.log(theta)[:, None], onehot_t)[:, 0]
+        scores += np.log(prior)[:, None]
+        top = scores.max(axis=0)
         state.qz = _normalize_log_scores(scores)
         # the top class has q = 1 / sum_k exp(s_k - top), so log sum_k exp(s_k) = top - log q_top
-        trace.append(float((top - np.log(state.qz.max(axis=1))).sum()))
+        trace.append(float((top - np.log(state.qz.max(axis=0))).sum()))
 
-    state = SimpleNamespace(qz=majority_vote(dataset).probs)
+    state = SimpleNamespace(qz=majority_vote(dataset).probs.T)
     return _iterate(state, (("em", em),), max_iters, tol, elbo_trace=trace)
 
 
@@ -223,12 +215,11 @@ def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Po
 class SubtypeBccState:
     """Variational posteriors shared by the subtype BCC models.
 
-    rho: (N, K, M) joint q(z_i = k, g_i = m); nu: (K,) class Dirichlet;
-    mu: (L, K, M, K) confusion Dirichlets; alpha, beta echo their
-    priors; onehot and onehot_t: the dataset's ``Dataset.onehot`` vote
-    matrix and its CSR transpose ``Dataset.onehot_t``, not copies.
-    The models differ only in their mixture weights pi, whose posterior
-    each subclass adds.
+    rho: C-ordered (K, M, N) joint q(z_i = k, g_i = m); nu: (K,) class
+    Dirichlet; mu: (K, M, L, K) confusion Dirichlets; alpha, beta echo
+    their priors; onehot_t: the dataset's vote matrix
+    ``Dataset.onehot_t``, not a copy.  The models differ only in their
+    mixture weights pi, whose posterior each subclass adds.
     """
 
     rho: np.ndarray
@@ -236,12 +227,12 @@ class SubtypeBccState:
     mu: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    onehot: sparse.csr_matrix
     onehot_t: sparse.csr_matrix
 
     @property
     def qz(self) -> np.ndarray:
-        return sum(self.rho[:, :, m] for m in range(self.rho.shape[2]))
+        """q(z) as (K, N), the subtypes of each class added in order."""
+        return self.rho.sum(axis=1)
 
 
 @dataclass
@@ -255,14 +246,14 @@ class EbccState(SubtypeBccState):
 
 
 def _confusion_counts(rho: np.ndarray, onehot_t: sparse.csr_matrix) -> np.ndarray:
-    """sum_i rho_ikm [y_ij = l] for each LF j, as an (L, K, M, K) array.
+    """sum_i rho_ikm [y_ij = l] for each LF j, as a (K, M, L, K) array.
 
-    ``onehot_t`` is the transposed vote matrix ``Dataset.onehot_t``; its
+    ``onehot_t`` is the dataset's vote matrix ``Dataset.onehot_t``; its
     rows list the items in order, so the sums run in item order.
     """
-    n, k, m = rho.shape
-    counts = onehot_t @ rho.reshape(n, k * m)
-    return counts.reshape(-1, k, k, m).transpose(0, 2, 3, 1)
+    k, m, n = rho.shape
+    counts = onehot_t @ rho.reshape(k * m, n).T
+    return counts.T.reshape(k, m, -1, k)
 
 
 def _subtype_start(
@@ -279,21 +270,21 @@ def _subtype_start(
     if subtypes < 1:
         raise ValueError("need at least one subtype")
     n, k = dataset.n_items, dataset.num_classes
-    mv = majority_vote(dataset).probs
-    subtype_weights = rng.dirichlet(np.ones(subtypes), size=n)
-    rho = mv[:, :, None] * subtype_weights[:, None, :]
-    rho /= rho.sum(axis=(1, 2), keepdims=True)
-    alpha = mv.sum(axis=0)
+    mv = majority_vote(dataset).probs.T
+    # drawn per item, as (N, M), to keep the stream every fit seed has drawn
+    subtype_weights = rng.dirichlet(np.ones(subtypes), size=n).T
+    rho = np.multiply(mv[:, None, :], subtype_weights, order="C")
+    rho /= rho.sum(axis=(0, 1))
+    alpha = mv.sum(axis=1)
     alpha[alpha == 0] = 1.0
     beta = np.full((k, k), _BETA_OFFDIAG)
     np.fill_diagonal(beta, beta_diag)
     state = SubtypeBccState(
         rho=rho,
         nu=np.zeros(k),
-        mu=np.zeros((dataset.n_lfs, k, subtypes, k)),
+        mu=np.zeros((k, subtypes, dataset.n_lfs, k)),
         alpha=alpha,
         beta=beta,
-        onehot=dataset.onehot,
         onehot_t=dataset.onehot_t,
     )
     ebcc_update_tau(state)
@@ -304,15 +295,14 @@ def _subtype_start(
 def _subtype_assignments(state: SubtypeBccState, elog_pi: np.ndarray) -> SubtypeBccState:
     """rho_ikm propto exp(E[log tau_k] + E[log pi_ikm] + sum_j E[log v_jkm,y_ij]).
 
-    ``elog_pi`` broadcasts against (N, K, M) and is overwritten; the
-    votes are read from ``state.onehot``.
+    ``elog_pi`` is a C-ordered (K, M, N) array; it is overwritten and
+    becomes the new rho.  The votes are read from ``state.onehot_t``.
     """
     elog_tau = dirichlet_log_expectation(state.nu)
     elog_v = dirichlet_log_expectation(state.mu)
-    elog_pi += elog_tau[:, None]
-    scores = _vote_log_scores(elog_v, state.onehot)
-    scores += elog_pi
-    state.rho = _normalize_log_scores(scores)
+    elog_pi += elog_tau[:, None, None]
+    elog_pi += _vote_log_scores(elog_v, state.onehot_t)
+    state.rho = _normalize_log_scores(elog_pi)
     return state
 
 
@@ -326,23 +316,24 @@ def ebcc_init(dataset: Dataset, subtypes: int = 3, seed: int = 0) -> EbccState:
 
 def ebcc_update_assignments(state: EbccState) -> EbccState:
     """Assignments with the Dirichlet E[log pi_km] of the subtype weights eta."""
-    return _subtype_assignments(state, dirichlet_log_expectation(state.eta))
+    elog_pi = dirichlet_log_expectation(state.eta)[:, :, None]
+    return _subtype_assignments(state, np.repeat(elog_pi, state.rho.shape[2], axis=2))
 
 
 def ebcc_update_tau(state: SubtypeBccState) -> SubtypeBccState:
-    state.nu = state.alpha + state.qz.sum(axis=0)
+    state.nu = state.alpha + state.qz.sum(axis=1)
     return state
 
 
 def ebcc_update_pi(state: EbccState) -> EbccState:
-    state.eta = _A_PI + state.rho.sum(axis=0)
+    state.eta = _A_PI + state.rho.sum(axis=2)
     return state
 
 
 def ebcc_update_confusion(state: SubtypeBccState) -> SubtypeBccState:
     """mu_jkm = beta_k + soft counts of LF j's votes, from ``state.onehot_t``."""
     counts = _confusion_counts(state.rho, state.onehot_t)
-    state.mu = state.beta[None, :, None, :] + counts
+    state.mu = np.add(state.beta[:, None, None, :], counts, order="C")
     return state
 
 
@@ -365,7 +356,7 @@ def ebcc_elbo(state: EbccState) -> float:
     from scipy.special import xlogy
 
     k, m = state.eta.shape
-    n_lf = state.mu.shape[0]
+    n_lf = state.mu.shape[2]
     value = float(_log_beta(state.nu) - _log_beta(state.alpha))
     value += float(_log_beta(state.eta).sum() - k * _log_beta(np.full(m, _A_PI)))
     value += float(_log_beta(state.mu).sum() - n_lf * m * _log_beta(state.beta).sum())

@@ -91,7 +91,7 @@ class Dataset:
     Construction converts every field and checks every invariant, so a
     ``Dataset`` that exists is valid; any violation, unconvertible
     entries included, raises DatasetError.  A Dataset is not modified
-    after it is built, so its vote matrices are built once, on first use.
+    after it is built, so its vote matrix is built once, on first use.
     """
 
     features: np.ndarray
@@ -151,28 +151,25 @@ class Dataset:
         return self.lf_labels.shape[1]
 
     @cached_property
-    def onehot(self) -> sparse.csr_matrix:
-        """(N, L*K) indicator of the votes: column j*K + y is 1 where LF j voted y.
+    def onehot_t(self) -> sparse.csr_matrix:
+        """(L*K, N) indicator of the votes: row j*K + y is 1 where LF j voted y.
 
-        Abstains set nothing, so an item's row holds one entry per LF that
-        voted on it.  Entries are stored row by row in increasing column
-        order, so products with the matrix add an item's votes in LF order.
-        Sparse products do not check column indices; construction did.
-        Built at a dataset's first fit, which is where ``scipy.sparse`` is
-        first imported: a command that fits nothing never loads it.
+        Abstains set nothing, so an item's column holds one entry per LF
+        that voted on it.  Each row lists its items in increasing order,
+        and ``table @ onehot_t`` runs through the CSC transpose, which
+        adds an item's votes in LF order.  Sparse products do not check
+        indices; construction did.  Built at a dataset's first fit, which
+        is where ``scipy.sparse`` is first imported: a command that fits
+        nothing never loads it.
         """
         from scipy import sparse
 
         (n, n_lf), k = self.lf_labels.shape, self.num_classes
         voted = self.lf_labels != ABSTAIN
-        columns = (np.arange(n_lf) * k + self.lf_labels)[voted]
+        # item by item, the rows of its votes in LF order: a CSC matrix
+        rows = (np.arange(n_lf) * k + self.lf_labels)[voted]
         indptr = np.concatenate(([0], np.cumsum(voted.sum(axis=1))))
-        return sparse.csr_matrix((np.ones(columns.size), columns, indptr), shape=(n, n_lf * k))
-
-    @cached_property
-    def onehot_t(self) -> sparse.csr_matrix:
-        """``onehot`` transposed, as CSR: its rows list the items in order."""
-        return self.onehot.T.tocsr()
+        return sparse.csc_matrix((np.ones(rows.size), rows, indptr), shape=(n_lf * k, n)).tocsr()
 
 
 def load_json(path, num_classes: int | None = None) -> Dataset:

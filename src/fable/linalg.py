@@ -15,15 +15,18 @@ is only the jitter, and no N x N matrix is formed or inverted.  Factors
 wider than a requested rank are cut to their leading singular
 directions first.
 
-The cores and the posterior diagonal are built in one of two forms,
-chosen from N and r alone.  A narrow factor, whose (N, r^2) matrix of
-pairwise row products Q_i = vec(f_i f_i^T) fits in ``_CHUNK_ELEMENTS``,
-gets all P cores as one product ``(omega t)^T Q`` and every quadratic
-form f_i^T C_p^-1 f_i as one product ``Q vec(C_p^-1)``: at r = 2 the
-(P, r, N) temporaries of the batched form cost more than its
-arithmetic.  A wider factor, such as a 100-column embedding, runs the
-batched products over chunks of columns instead, where Q would cost r
-times the arithmetic of the products it replaces.
+Every batched operand is (P, N), one row of N items per pair, the
+cell-major layout the label model keeps its state in, so no solve
+transposes.  The cores and the posterior diagonal are built in one of
+two forms, chosen from N and r alone.  A narrow factor, whose (N, r^2)
+matrix of pairwise row products Q_i = vec(f_i f_i^T) fits in
+``_CHUNK_ELEMENTS``, gets all P cores as one product ``(omega t) Q``
+and every quadratic form f_i^T C_p^-1 f_i as one product
+``vec(C_p^-1)^T Q^T``: at r = 2 the (P, r, N) temporaries of the
+batched form cost more than its arithmetic.  A wider factor, such as a
+100-column embedding, runs the batched products over chunks of omega's
+rows instead, where Q would cost r times the arithmetic of the products
+it replaces.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ _PG_SMALL_TILT = 1e-8
 # added to the cosine kernel's diagonal, keeping it strictly positive definite
 _KERNEL_JITTER = 1e-4
 # the floats (1 MB) that one GP temporary may hold: the pair matrix Q of
-# a narrow factor, or together the N x r temporaries, one per column, of
-# a chunk of posterior columns of a wider one.  This bounds memory for
-# any number of columns; at N = 10k, r = 2 the chunks batched 30 columns
+# a narrow factor, or, for a wider one, the r x N temporaries of a chunk
+# of omega's rows, one per row.  This bounds memory for any number of
+# rows; at N = 10k, r = 2 the chunks batched 30 rows
 # faster than one 16 MB chunk did (9.4 against 12.5 ms a sweep on a
 # 2-core 2.1 GHz Xeon VM with one BLAS thread).  ``metrics`` bounds its
 # blocks of distance rows by the same count
@@ -174,23 +177,23 @@ def _pair_rows(f_rows: np.ndarray) -> np.ndarray | None:
     return pairs
 
 
-def _column_chunks(n: int, r: int, p: int):
-    """Slices over P columns, each of at most max(1, _CHUNK_ELEMENTS // (N * r)) columns."""
+def _row_chunks(n: int, r: int, p: int):
+    """Slices over P rows of omega, each of at most max(1, _CHUNK_ELEMENTS // (N * r)) rows."""
     step = max(1, _CHUNK_ELEMENTS // max(n * r, 1))
     return (slice(start, start + step) for start in range(0, p, step))
 
 
 @dataclass(frozen=True)
 class SymmetricApprox:
-    """Posterior covariances (K^-1 + diag(omega_p))^-1, one per column p of omega.
+    """Posterior covariances (K^-1 + diag(omega_p))^-1, one per row p of omega.
 
     ``scale`` holds t = 1 / (1 + s omega) in the shape of omega and
     ``core_inv`` the inverted r x r cores, shape (P, r, r).  ``apply``
-    and ``diagonal`` work column by column and keep that shape, so a
-    1-D omega gives 1-D results.  ``rank`` is r, the factor width used.
+    and ``diagonal`` work row by row and keep that shape, so a 1-D
+    omega gives 1-D results.  ``rank`` is r, the factor width used.
     ``pairs`` holds Q^T, the (r^2, N) pair rows of a narrow factor (see
     the module docstring), and is None for a wide one.  ``apply``
-    allocates its result and one temporary of shape (N, P), and so does
+    allocates its result and one temporary of shape (P, N), and so does
     ``diagonal`` of a wide factor; ``diagonal`` of a narrow factor
     allocates only its result.  Every other temporary is O(N * r) or
     chunk-bounded.
@@ -207,32 +210,32 @@ class SymmetricApprox:
         if v.shape != self.scale.shape:
             raise ValueError("vector shape must match omega")
         f = self.prior.factor
-        t = self.scale.reshape(self.prior.n, -1)
+        t = self.scale.reshape(-1, self.prior.n)
         tv = t * v.reshape(t.shape)
-        inner = np.matmul(self.core_inv, (f.T @ tv).T[:, :, None])[:, :, 0]
-        out = f @ inner.T
+        inner = np.matmul(self.core_inv, (tv @ f)[:, :, None])[:, :, 0]
+        out = inner @ f.T
         out *= t
-        tv *= self.prior.noise[:, None]
+        tv *= self.prior.noise
         out += tv
         return out.reshape(v.shape)
 
     def diagonal(self) -> np.ndarray:
         n, r = self.prior.factor.shape
-        t = self.scale.reshape(n, -1)
+        t = self.scale.reshape(-1, n)
         if self.pairs is not None:
-            # quad_ip = f_i^T C_p^-1 f_i, then t (t quad + s) in place
-            quad = self.pairs.T @ self.core_inv.reshape(t.shape[1], r * r).T
+            # quad_pi = f_i^T C_p^-1 f_i, then t (t quad + s) in place
+            quad = self.core_inv.reshape(t.shape[0], r * r) @ self.pairs
             quad *= t
-            quad += self.prior.noise[:, None]
+            quad += self.prior.noise
             quad *= t
             return np.maximum(quad, 0.0, out=quad).reshape(self.scale.shape)
         f_rows = np.ascontiguousarray(self.prior.factor.T)
         quad = np.empty_like(t)
-        for chunk in _column_chunks(n, r, t.shape[1]):
-            quad[:, chunk] = np.einsum("prn,rn->np", self.core_inv[chunk] @ f_rows, f_rows)
+        for chunk in _row_chunks(n, r, t.shape[0]):
+            quad[chunk] = np.einsum("prn,rn->pn", self.core_inv[chunk] @ f_rows, f_rows)
         diag = t * t
         diag *= quad
-        np.multiply(self.prior.noise[:, None], t, out=quad)
+        np.multiply(self.prior.noise, t, out=quad)
         diag += quad
         return np.maximum(diag, 0.0, out=diag).reshape(self.scale.shape)
 
@@ -242,39 +245,39 @@ def lowrank_posterior(
     omega: np.ndarray,
     rank: int | None = None,
 ) -> SymmetricApprox:
-    """Exact (K^-1 + diag(omega))^-1 for every column of omega, without inverting K.
+    """Exact (K^-1 + diag(omega))^-1 for every row of omega, without inverting K.
 
-    ``omega`` has shape (N,) for one solve or (N, P) for P solves that
+    ``omega`` has shape (N,) for one solve or (P, N) for P solves that
     share the prior.  ``rank`` caps the factor width r first (see
     ``KernelMatrix.truncated``); None keeps the whole factor.  Cost is
-    O(N * r^2) per column.  A narrow factor gets every core from one
+    O(N * r^2) per row.  A narrow factor gets every core from one
     product with its pair matrix Q, which holds at most 1 MB; a wider one
-    batches its columns in chunks.  Either way no temporary holds more
-    than the larger of N * r floats and 1 MB, however many columns omega
+    batches its rows in chunks.  Either way no temporary holds more
+    than the larger of N * r floats and 1 MB, however many rows omega
     has.
     """
     w = np.asarray(omega, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[0] != prior.n:
-        raise ValueError("omega must have one row per item")
+    if w.ndim not in (1, 2) or w.shape[-1] != prior.n:
+        raise ValueError("omega must have one column per item")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("omega must be finite and nonnegative")
     if rank is not None:
         prior = prior.truncated(rank)
     f = prior.factor
     n, r = f.shape
-    cols = w.reshape(n, -1)
-    p = cols.shape[1]
-    t = prior.noise[:, None] * cols
+    rows = w.reshape(-1, n)
+    p = rows.shape[0]
+    t = rows * prior.noise
     t += 1.0
     np.divide(1.0, t, out=t)
-    weights = np.multiply(cols.T, t.T, out=np.empty((p, n)))
+    weights = rows * t
     f_rows = np.ascontiguousarray(f.T)
     pairs = _pair_rows(f_rows)
     if pairs is not None:
         core = (weights @ pairs.T).reshape(p, r, r)
     else:
         core = np.empty((p, r, r))
-        for chunk in _column_chunks(n, r, p):
+        for chunk in _row_chunks(n, r, p):
             core[chunk] = (f_rows * weights[chunk, None, :]) @ f
     core += np.eye(r)
     return SymmetricApprox(

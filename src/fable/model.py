@@ -11,7 +11,9 @@ sigmoids (omega_ikm).  Mean-field coordinate ascent then gives closed
 forms for every block; only the mixture-weight blocks live here.  The
 Gaussian block solves all class/subtype pairs at once with the exact
 factor-plus-diagonal posterior in :mod:`fable.linalg`, so the kernel is
-never formed or inverted.  Each block makes one pass per cell quantity.
+never formed or inverted.  Every per-cell array is C-ordered (K, M, N),
+so it is the (K*M, N) rows that solve takes.  Each block makes one pass
+per cell quantity.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .baselines import (
     Posterior,
     SubtypeBccState,
     _iterate,
-    _row_sums,
     _subtype_assignments,
     _subtype_start,
     ebcc_update_confusion,
@@ -73,7 +74,7 @@ class FableConfig:
 
 @dataclass
 class FableState(SubtypeBccState):
-    """The subtype BCC state with GP-driven mixture weights, shapes (N, K, M) unless noted.
+    """The subtype BCC state with GP-driven mixture weights, C-ordered (K, M, N) unless noted.
 
     xi: Gamma rate of q(pi), whose shape is rho + 1; m_hat: GP
     posterior means; c: Polya-Gamma tilts sqrt(m_hat^2 + Sigma_hat_ii),
@@ -96,24 +97,24 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
 
     The GP covariance starts at the cosine kernel itself, whose factor is
     truncated to ``_GP_RANK`` columns when the features are wider;
-    m_hat and a are Uniform(0, 1), drawn from the stream that spread rho
-    over subtypes, and the tilts c follow from m_hat and the kernel
-    diagonal.  The confusion prior diagonal is N * M *
+    m_hat and a are Uniform(0, 1), drawn per item from the stream that
+    spread rho over subtypes, and the tilts c follow from m_hat and the
+    kernel diagonal.  The confusion prior diagonal is N * M *
     ``_CONFUSION_SCALE``.
     """
     n, k, m = dataset.n_items, dataset.num_classes, config.subtypes
     rng = np.random.default_rng(seed)
     core = _subtype_start(dataset, m, float(n) * m * _CONFUSION_SCALE, rng)
     kernel = cosine_kernel(dataset.features).truncated(_GP_RANK)
-    m_hat = rng.uniform(size=(n, k, m))
+    m_hat = rng.uniform(size=(n, k, m)).transpose(1, 2, 0).copy()
     c = np.square(m_hat)
-    c += kernel.diagonal()[:, None, None]
+    c += kernel.diagonal()
     state = FableState(
         **vars(core),
-        xi=np.zeros((n, k, m)),
+        xi=np.zeros((k, m, n)),
         m_hat=m_hat,
         c=np.sqrt(c, out=c),
-        gamma=np.zeros((n, k, m)),
+        gamma=np.zeros((k, m, n)),
         a=rng.uniform(size=n),
         kernel=kernel,
     )
@@ -150,19 +151,19 @@ def fable_update_gp(state: FableState) -> FableState:
 
     E[omega_ikm] is the Polya-Gamma mean with shape E[pi] + gamma and
     tilt c; the right-hand side is E[pi] - E[upsilon] = (rho + 1)/xi - gamma.
-    One batched solve covers every class/subtype pair, one column each.
+    One batched solve covers every class/subtype pair, one row each.
     The new tilts c = sqrt(m_hat^2 + Sigma_hat_ii) are the only use of
     the covariance diagonal, so it is not stored.
     """
     shape = state.m_hat.shape
     epi = state.rho + 1.0
     epi /= state.xi
-    omega = pg_mean(epi + state.gamma, state.c).reshape(shape[0], -1)
+    omega = pg_mean(epi + state.gamma, state.c).reshape(-1, shape[-1])
     post = lowrank_posterior(state.kernel, omega)
-    # only the solve reads E[omega]; freeing it here keeps one (N, K*M)
+    # only the solve reads E[omega]; freeing it here keeps one (K*M, N)
     # array fewer alive through apply and diagonal, where the block peaks
     del omega
-    rhs = np.subtract(epi, state.gamma, out=epi).reshape(shape[0], -1)
+    rhs = np.subtract(epi, state.gamma, out=epi).reshape(-1, shape[-1])
     state.m_hat = post.apply(rhs).reshape(shape)
     state.m_hat *= 0.5
     c = post.diagonal().reshape(shape)
@@ -187,12 +188,13 @@ def fable_update_augmentation(state: FableState) -> FableState:
     """
     from scipy.special import psi
 
+    k, m, _ = state.m_hat.shape
     # the rate of q(lambda) is the cell count K * M of every item
     item_shift = psi(state.a)
-    item_shift -= np.log(float(state.m_hat[0].size))
+    item_shift -= np.log(float(k * m))
     log_gamma = np.add(state.m_hat, state.c)
     log_gamma /= 2.0
-    np.subtract(item_shift[:, None, None], log_gamma, out=log_gamma)
+    np.subtract(item_shift, log_gamma, out=log_gamma)
     tail = np.negative(state.c)
     log_gamma -= np.log1p(np.exp(tail, out=tail), out=tail)
     np.minimum(log_gamma, 700.0, out=log_gamma)
@@ -210,7 +212,7 @@ def fable_update_lambda(state: FableState) -> FableState:
     gives the gamma/a loop a gain above one and the sweep diverges
     geometrically.
     """
-    state.a = _row_sums(state.gamma.reshape(state.gamma.shape[0], -1))
+    state.a = state.gamma.sum(axis=(0, 1))
     state.a += 1.0
     return state
 

@@ -111,11 +111,11 @@ def test_dawid_skene_gives_every_item_the_class_prior_on_one_class_lfs():
 
 def test_ebcc_init_state_invariants(small_synthetic):
     state = ebcc_init(small_synthetic, subtypes=3, seed=0)
-    assert np.allclose(state.rho.sum(axis=(1, 2)), 1.0, atol=1e-9)
+    assert np.allclose(state.rho.sum(axis=(0, 1)), 1.0, atol=1e-9)
     assert np.all(state.rho >= 0.0)
     assert np.all(state.nu >= state.alpha - 1e-12)
     assert np.all(state.eta >= _A_PI - 1e-12)
-    assert np.all(state.mu >= state.beta[None, :, None, :] - 1e-12)
+    assert np.all(state.mu >= state.beta[:, None, None, :] - 1e-12)
 
 
 def test_ebcc_assignments_uniform_under_symmetry():
@@ -124,7 +124,7 @@ def test_ebcc_assignments_uniform_under_symmetry():
     state = ebcc_init(d, subtypes=2, seed=0)
     state.nu = np.full(2, 3.0)
     state.eta = np.full((2, 2), 1.5)
-    state.mu = np.full((1, 2, 2, 2), 2.0)
+    state.mu = np.full((2, 2, 1, 2), 2.0)
     ebcc_update_assignments(state)
     assert np.allclose(state.rho, 0.25, atol=1e-12)
 
@@ -146,24 +146,24 @@ def test_ebcc_assignments_match_scalar_formula():
                     vote = d.lf_labels[i, j]
                     if vote == -1:
                         continue
-                    score += digamma(state.mu[j, k, m, vote]) - digamma(state.mu[j, k, m].sum())
-                expected[i, k, m] = score
-    expected = np.exp(expected - expected.max(axis=(1, 2), keepdims=True))
-    expected /= expected.sum(axis=(1, 2), keepdims=True)
+                    score += digamma(state.mu[k, m, j, vote]) - digamma(state.mu[k, m, j].sum())
+                expected[k, m, i] = score
+    expected = np.exp(expected - expected.max(axis=(0, 1)))
+    expected /= expected.sum(axis=(0, 1))
     assert np.allclose(state.rho, expected, atol=1e-12)
 
 
 def test_ebcc_tau_update_counts_class_mass(small_synthetic):
     state = ebcc_init(small_synthetic, subtypes=2, seed=0)
     n, k = small_synthetic.n_items, small_synthetic.num_classes
-    state.rho = np.zeros((n, k, 2))
-    state.rho[:, 0, 0] = 1.0
+    state.rho = np.zeros((k, 2, n))
+    state.rho[0, 0] = 1.0
     ebcc_update_tau(state)
     expected = state.alpha.copy()
     expected[0] += n
     assert np.allclose(state.nu, expected, atol=1e-12)
 
-    state.rho = np.full((n, k, 2), 1.0 / (k * 2))
+    state.rho = np.full((k, 2, n), 1.0 / (k * 2))
     ebcc_update_tau(state)
     assert np.allclose(state.nu, state.alpha + n / k, atol=1e-9)
 
@@ -171,11 +171,11 @@ def test_ebcc_tau_update_counts_class_mass(small_synthetic):
 def test_ebcc_pi_update_counts_subtype_mass(small_synthetic):
     state = ebcc_init(small_synthetic, subtypes=3, seed=0)
     n, k = small_synthetic.n_items, small_synthetic.num_classes
-    state.rho = np.zeros((n, k, 3))
+    state.rho = np.zeros((k, 3, n))
     ebcc_update_pi(state)
     assert np.allclose(state.eta, _A_PI, atol=1e-12)
 
-    state.rho = np.full((n, k, 3), 1.0 / (k * 3))
+    state.rho = np.full((k, 3, n), 1.0 / (k * 3))
     ebcc_update_pi(state)
     assert np.allclose(state.eta, _A_PI + n / (k * 3), atol=1e-9)
 
@@ -184,7 +184,7 @@ def test_ebcc_confusion_update_silent_lf_keeps_prior():
     d = _dataset([[0, -1], [1, -1]], k=2)
     state = ebcc_init(d, subtypes=2, seed=0)
     ebcc_update_confusion(state)
-    assert np.allclose(state.mu[1], state.beta[:, None, :], atol=1e-12)
+    assert np.allclose(state.mu[:, :, 1], state.beta[:, None, :], atol=1e-12)
 
 
 def test_ebcc_confusion_update_single_mass():
@@ -192,12 +192,12 @@ def test_ebcc_confusion_update_single_mass():
     state = ebcc_init(d, subtypes=2, seed=0)
     # class 0 gets no MV mass, so its prior count is 1 rather than 0
     assert np.array_equal(state.alpha, [1.0, 1.0])
-    state.rho = np.zeros((1, 2, 2))
-    state.rho[0, 1, 0] = 1.0
+    state.rho = np.zeros((2, 2, 1))
+    state.rho[1, 0, 0] = 1.0
     ebcc_update_confusion(state)
     expected = np.repeat(state.beta[:, None, :], 2, axis=1)
     expected[1, 0, 1] += 1.0
-    assert np.allclose(state.mu[0], expected, atol=1e-12)
+    assert np.allclose(state.mu[:, :, 0], expected, atol=1e-12)
 
 
 # --------------------------------------------------------------- ebcc elbo
@@ -225,19 +225,19 @@ def _ebcc_elbo_oracle(state):
     elog_v = dirichlet_log_expectation(state.mu)
     rho, qz = state.rho, state.qz
     k, m = state.eta.shape
-    n_lf = state.mu.shape[0]
+    n_lf = state.mu.shape[2]
     value = float(
         ((state.alpha - 1.0) * elog_tau).sum()
         - _log_beta(state.alpha)
-        + (qz.sum(axis=0) * elog_tau).sum()
+        + (qz.sum(axis=1) * elog_tau).sum()
     )
     value += float(
         (_A_PI - 1.0) * elog_pi.sum()
         - k * _log_beta(np.full(m, _A_PI))
-        + (rho.sum(axis=0) * elog_pi).sum()
+        + (rho.sum(axis=2) * elog_pi).sum()
     )
     value += float(
-        ((state.beta[None, :, None, :] - 1.0) * elog_v).sum()
+        ((state.beta[:, None, None, :] - 1.0) * elog_v).sum()
         - n_lf * m * _log_beta(state.beta).sum()
         + (_confusion_counts(rho, state.onehot_t) * elog_v).sum()
     )
@@ -267,7 +267,7 @@ def test_ebcc_elbo_finite_on_random_states():
         d = random_dataset(seed, n=30, k=3)
         state = ebcc_init(d, subtypes=2, seed=seed)
         rng = np.random.default_rng(seed)
-        state.rho = rng.dirichlet(np.ones(6), size=30).reshape(30, 3, 2)
+        state.rho = rng.dirichlet(np.ones(6), size=30).T.reshape(3, 2, 30)
         # the collapsed bound holds once every Dirichlet counts this rho
         ebcc_update_tau(state)
         ebcc_update_pi(state)
@@ -285,9 +285,9 @@ def test_ebcc_elbo_invariant_to_subtype_relabeling(small_synthetic):
     ebcc_update_confusion(state)
     before = ebcc_elbo(state)
     order = [2, 0, 1]
-    state.rho = state.rho[:, :, order]
+    state.rho = state.rho[:, order]
     state.eta = state.eta[:, order]
-    state.mu = state.mu[:, :, order, :]
+    state.mu = state.mu[:, order]
     after = ebcc_elbo(state)
     assert after == pytest.approx(before, rel=1e-12)
 
@@ -399,27 +399,27 @@ def test_ebcc_priors_reject_bad_alpha(small_synthetic):
 
 def _vote_log_scores_oracle(elog_v, lf_labels):
     n = lf_labels.shape[0]
-    _, k, m, _ = elog_v.shape
-    scores = np.zeros((n, k, m))
+    k, m = elog_v.shape[:2]
+    scores = np.zeros((k, m, n))
     for j in range(lf_labels.shape[1]):
         votes = lf_labels[:, j]
         mask = votes != ABSTAIN
         if not mask.any():
             continue
-        scores[mask] += np.moveaxis(elog_v[j][:, :, votes[mask]], 2, 0)
+        scores[:, :, mask] += elog_v[:, :, j][:, :, votes[mask]]
     return scores
 
 
 def _confusion_counts_oracle(rho, lf_labels, k):
-    n, _, m = rho.shape
-    counts = np.zeros((lf_labels.shape[1], rho.shape[1], m, k))
+    _, m, _ = rho.shape
+    counts = np.zeros((rho.shape[0], m, lf_labels.shape[1], k))
     for j in range(lf_labels.shape[1]):
         votes = lf_labels[:, j]
         mask = votes != ABSTAIN
         if not mask.any():
             continue
         onehot = (votes[mask][:, None] == np.arange(k)[None, :]).astype(float)
-        counts[j] = np.einsum("nkm,nl->kml", rho[mask], onehot)
+        counts[:, :, j] = np.einsum("kmn,nl->kml", rho[:, :, mask], onehot)
     return counts
 
 
@@ -478,22 +478,23 @@ _ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 def test_vote_onehot_marks_one_column_per_vote():
     votes = np.array([[1, -1, 0], [-1, -1, -1], [0, 2, 2]])
-    onehot = _dataset(votes, k=3).onehot
-    expected = np.zeros((3, 9))
-    expected[0, [1, 6]] = 1.0
-    expected[2, [0, 5, 8]] = 1.0
-    assert onehot.shape == (3, 9)
-    assert onehot.nnz == 5
-    assert np.array_equal(onehot.toarray(), expected)
+    onehot_t = _dataset(votes, k=3).onehot_t
+    expected = np.zeros((9, 3))
+    expected[[1, 6], 0] = 1.0
+    expected[[0, 5, 8], 2] = 1.0
+    assert onehot_t.format == "csr"
+    assert onehot_t.shape == (9, 3)
+    assert onehot_t.nnz == 5
+    assert np.array_equal(onehot_t.toarray(), expected)
 
 
 @_ORACLE_SETTINGS
 @given(_votes())
 def test_vote_log_scores_match_mask_loop(case):
     votes, k, m, rng = case
-    elog_v = np.log(rng.dirichlet(np.ones(k), size=(votes.shape[1], k, m)))
-    got = _vote_log_scores(elog_v, _dataset(votes, k=k).onehot)
-    assert got.shape == (votes.shape[0], k, m)
+    elog_v = np.log(rng.dirichlet(np.ones(k), size=(k, m, votes.shape[1])))
+    got = _vote_log_scores(elog_v, _dataset(votes, k=k).onehot_t)
+    assert got.shape == (k, m, votes.shape[0])
     assert np.allclose(got, _vote_log_scores_oracle(elog_v, votes), rtol=0, atol=1e-10)
 
 
@@ -501,16 +502,15 @@ def test_vote_log_scores_match_mask_loop(case):
 @given(_votes())
 def test_confusion_counts_match_mask_loop(case):
     votes, k, m, rng = case
-    rho = rng.dirichlet(np.ones(k * m), size=votes.shape[0]).reshape(-1, k, m)
+    rho = rng.dirichlet(np.ones(k * m), size=votes.shape[0]).T.reshape(k, m, -1)
     d = _dataset(votes, k=k)
-    onehot = d.onehot
     got = _confusion_counts(rho, d.onehot_t)
-    assert np.array_equal(got, _confusion_counts(rho, onehot.T))  # CSR = CSC product, bit for bit
+    assert np.array_equal(got, _confusion_counts(rho, d.onehot_t.tocsc()))  # CSR = CSC product, bit for bit
     expected = _confusion_counts_oracle(rho, votes, k)
     assert got.shape == expected.shape
     assert np.allclose(got, expected, rtol=0, atol=1e-10)
     # the ELBO's vote term, as counts against E[log v] and as per-item scores
-    elog_v = np.log(rng.dirichlet(np.ones(k), size=(votes.shape[1], k, m)))
+    elog_v = np.log(rng.dirichlet(np.ones(k), size=(k, m, votes.shape[1])))
     by_counts = (got * elog_v).sum()
     by_items = (rho * _vote_log_scores_oracle(elog_v, votes)).sum()
     assert by_counts == pytest.approx(by_items, rel=1e-10, abs=1e-10)
@@ -525,7 +525,7 @@ def test_majority_vote_matches_mask_loop(case):
     silent = totals == 0
     counts[silent] = 1.0
     totals[silent] = k
-    expected = _finish(counts / totals[:, None], n_iters=0)
+    expected = _finish((counts / totals[:, None]).T, n_iters=0)
     post = majority_vote(_dataset(votes, k=k))
     # the counts are whole numbers either way, so every bit agrees
     assert np.array_equal(post.probs, expected.probs)
@@ -546,21 +546,21 @@ def test_dawid_skene_matches_mask_loop(case):
 
 def test_every_fit_reads_the_one_vote_matrix_of_its_dataset(small_synthetic, monkeypatch):
     builds = []
-    # Dataset.onehot imports scipy.sparse when it runs, so it sees this patch
-    real_csr = scipy.sparse.csr_matrix
+    # Dataset.onehot_t imports scipy.sparse when it runs, so it sees this patch
+    real_csc = scipy.sparse.csc_matrix
 
-    def counting_csr(*args, **kwargs):
+    def counting_csc(*args, **kwargs):
         builds.append(args)
-        return real_csr(*args, **kwargs)
+        return real_csc(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse, "csr_matrix", counting_csr)
+    monkeypatch.setattr(scipy.sparse, "csc_matrix", counting_csc)
     d = Dataset(features=small_synthetic.features, lf_labels=small_synthetic.lf_labels)
     assert builds == []  # building a Dataset does not build its vote matrix
     majority_vote(d)
     dawid_skene(d, max_iters=3)
     ebcc_fit(d, max_iters=3)
     fable_fit(d, FableConfig(max_iters=3))
-    assert ebcc_init(d).onehot is d.onehot
+    assert ebcc_init(d).onehot_t is d.onehot_t
     assert fable_init(d, FableConfig()).onehot_t is d.onehot_t
     assert len(builds) == 1
 
@@ -573,14 +573,13 @@ def test_sweeps_leave_onehot_untouched(small_synthetic):
         (ebcc, ebcc_update_assignments, ebcc_update_confusion),
         (fable, fable_update_assignments, ebcc_update_confusion),
     ):
-        onehot, onehot_t = state.onehot, state.onehot_t
-        before = [(v.data.copy(), v.indices.copy(), v.indptr.copy()) for v in (onehot, onehot_t)]
+        onehot_t = state.onehot_t
+        before = (onehot_t.data.copy(), onehot_t.indices.copy(), onehot_t.indptr.copy())
         for _ in range(3):
             assign(state)
             confuse(state)
-        assert state.onehot is onehot and state.onehot_t is onehot_t
-        for v, saved in zip((onehot, onehot_t), before):
-            for arr, old in zip((v.data, v.indices, v.indptr), saved):
-                assert np.array_equal(arr, old)
-        assert np.array_equal(onehot.toarray(), _dataset(d.lf_labels, k=d.num_classes).onehot.toarray())
-        assert np.array_equal(onehot_t.toarray(), onehot.toarray().T)
+        assert state.onehot_t is onehot_t
+        for arr, old in zip((onehot_t.data, onehot_t.indices, onehot_t.indptr), before):
+            assert np.array_equal(arr, old)
+        fresh = _dataset(d.lf_labels, k=d.num_classes).onehot_t
+        assert np.array_equal(onehot_t.toarray(), fresh.toarray())

@@ -431,7 +431,7 @@ def test_cli_loads_no_unused_scipy_module(tmp_path):
 def test_predictions_writer_matches_json_dump(tmp_path, k):
     ids = ("b", 'quo"te', "back\\slash", "caf\u00e9", "\u2603 snow", "a\ttab", "00000010", "00000002")
     rng = np.random.default_rng(k)
-    posterior = _finish(rng.random((len(ids), k)) ** 3, n_iters=0)
+    posterior = _finish((rng.random((len(ids), k)) ** 3).T, n_iters=0)
     payload = {
         item_id: {
             "prediction": int(posterior.predictions[row]),

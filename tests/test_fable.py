@@ -17,6 +17,7 @@ from fable import (
     ebcc_init,
     fable_fit,
     fable_init,
+    majority_vote,
 )
 from fable.baselines import (
     _A_PI,
@@ -60,7 +61,7 @@ def test_init_invariants(small_synthetic):
     config = FableConfig()
     state = fable_init(small_synthetic, config, seed=3)
     n, m = small_synthetic.n_items, config.subtypes
-    assert np.allclose(state.rho.sum(axis=(1, 2)), 1.0, atol=1e-9)
+    assert np.allclose(state.rho.sum(axis=(0, 1)), 1.0, atol=1e-9)
     assert state.alpha.sum() == pytest.approx(n, rel=1e-12)
     assert np.all((state.a > 0.0) & (state.a < 1.0))
     assert state.beta[0, 0] == pytest.approx(n * m * _CONFUSION_SCALE)
@@ -83,12 +84,12 @@ def test_sweep_maintains_coupled_invariants(small_synthetic):
     state = fable_init(small_synthetic, FableConfig(), seed=0)
     for _ in range(3):
         run_one_sweep(state)
-        assert np.allclose(state.rho.sum(axis=(1, 2)), 1.0, atol=1e-9)
+        assert np.allclose(state.rho.sum(axis=(0, 1)), 1.0, atol=1e-9)
         # c^2 - m_hat^2 is the GP posterior variance: positive, at most the prior's
         variance = state.c**2 - state.m_hat**2
         assert np.all(variance > 0.0)
-        assert np.all(variance <= state.kernel.diagonal()[:, None, None] + 1e-9)
-        assert np.allclose(state.a, state.gamma.sum(axis=(1, 2)) + 1.0, atol=1e-12)
+        assert np.all(variance <= state.kernel.diagonal() + 1e-9)
+        assert np.allclose(state.a, state.gamma.sum(axis=(0, 1)) + 1.0, atol=1e-12)
         assert np.all(state.xi >= _XI_FLOOR)
         for name in ("rho", "nu", "mu", "xi", "m_hat", "c", "gamma", "a"):
             assert np.all(np.isfinite(getattr(state, name))), name
@@ -135,13 +136,13 @@ def test_assignments_match_scalar_formula():
     for i in range(2):
         for k in range(2):
             for m in range(2):
-                score = elog_tau[k] + digamma(pi_shape[i, k, m]) - np.log(state.xi[i, k, m])
+                score = elog_tau[k] + digamma(pi_shape[k, m, i]) - np.log(state.xi[k, m, i])
                 vote = d.lf_labels[i, 0]
                 if vote != -1:
-                    score += digamma(state.mu[0, k, m, vote]) - digamma(state.mu[0, k, m].sum())
-                expected[i, k, m] = score
-    expected = np.exp(expected - expected.max(axis=(1, 2), keepdims=True))
-    expected /= expected.sum(axis=(1, 2), keepdims=True)
+                    score += digamma(state.mu[k, m, 0, vote]) - digamma(state.mu[k, m, 0].sum())
+                expected[k, m, i] = score
+    expected = np.exp(expected - expected.max(axis=(0, 1)))
+    expected /= expected.sum(axis=(0, 1))
     assert np.allclose(state.rho, expected, atol=1e-12)
 
 
@@ -166,10 +167,10 @@ def test_gp_update_matches_dense_oracle():
 
     for k in range(2):
         for m in range(2):
-            omega = pg_mean(epi[:, k, m] + state.gamma[:, k, m], state.c[:, k, m])
+            omega = pg_mean(epi[k, m] + state.gamma[k, m], state.c[k, m])
             cov = np.linalg.inv(np.linalg.inv(prior) + np.diag(omega))
-            expected_m[:, k, m] = 0.5 * cov @ (epi[:, k, m] - state.gamma[:, k, m])
-            expected_c[:, k, m] = np.sqrt(expected_m[:, k, m] ** 2 + np.diag(cov))
+            expected_m[k, m] = 0.5 * cov @ (epi[k, m] - state.gamma[k, m])
+            expected_c[k, m] = np.sqrt(expected_m[k, m] ** 2 + np.diag(cov))
     fable_update_gp(state)
     assert np.allclose(state.m_hat, expected_m, rtol=1e-6, atol=1e-9)
     assert np.allclose(state.c, expected_c, rtol=1e-6, atol=1e-9)
@@ -239,9 +240,9 @@ def test_augmentation_matches_the_log_cosh_form(small_synthetic):
     half = c / 2.0
     log_cosh = half + np.log1p(np.exp(-2.0 * half)) - np.log(2.0)
     log_gamma = (
-        digamma(state.a)[:, None, None]
+        digamma(state.a)
         - state.m_hat / 2.0
-        - np.log(float(shape[1] * shape[2]))
+        - np.log(float(shape[0] * shape[1]))
         - np.log(2.0)
         - log_cosh
     )
@@ -395,26 +396,28 @@ def test_fuzzed_instances_stay_finite():
 def _reference_assignments(state, elog_pi):
     elog_tau = dirichlet_log_expectation(state.nu)
     elog_v = dirichlet_log_expectation(state.mu)
-    scores = elog_tau[None, :, None] + elog_pi
-    scores = scores + _vote_log_scores(elog_v, state.onehot)
-    flat = scores.reshape(scores.shape[0], -1)
-    flat = flat - flat.max(axis=1, keepdims=True)
+    scores = elog_tau[:, None, None] + elog_pi
+    scores = scores + _vote_log_scores(elog_v, state.onehot_t)
+    flat = scores.reshape(-1, scores.shape[-1])
+    flat = flat - flat.max(axis=0)
     weights = np.exp(flat)
-    # the cells of a row are added one by one from the left
-    weights /= sum(weights[:, j] for j in range(weights.shape[1]))[:, None]
-    state.rho = weights.reshape(scores.shape)
+    # the cells of an item are added one by one, in order
+    weights /= sum(weights[j] for j in range(weights.shape[0]))
+    # C order, as the state keeps it: the sums over items depend on the layout
+    state.rho = np.ascontiguousarray(weights.reshape(scores.shape))
 
 
 def _reference_counts(state):
-    # the CSC product of the untransposed one-hot matrix, as first written
-    n, k, m = state.rho.shape
-    counts = state.onehot.T @ state.rho.reshape(n, k * m)
-    return counts.reshape(-1, k, k, m).transpose(0, 2, 3, 1)
+    # the CSC product with one column per item, as first written
+    k, m, n = state.rho.shape
+    counts = state.onehot_t.tocsc() @ state.rho.reshape(k * m, n).T
+    return counts.T.reshape(k, m, -1, k)
 
 
 def _reference_core(state):
-    state.nu = state.alpha + state.rho.sum(axis=(0, 2))
-    state.mu = state.beta[None, :, None, :] + _reference_counts(state)
+    # the subtypes of each class first, then the items
+    state.nu = state.alpha + state.rho.sum(axis=1).sum(axis=1)
+    state.mu = state.beta[:, None, None, :] + _reference_counts(state)
 
 
 def _reference_pg_mean(b, c):
@@ -424,38 +427,55 @@ def _reference_pg_mean(b, c):
     return np.where(small, b / 4.0, b * np.tanh(safe / 2.0) / (2.0 * safe))
 
 
+def reference_fable_start(dataset, config, seed):
+    """The random part of ``fable_init`` in the reference expressions: rho, m_hat and a.
+
+    Each draw is made per item, in the (N, ...) shape and the stream
+    order the fit has always drawn, and only then moved to (K, M, N).
+    """
+    n, k, m = dataset.n_items, dataset.num_classes, config.subtypes
+    rng = np.random.default_rng(seed)
+    mv = majority_vote(dataset).probs
+    weights = rng.dirichlet(np.ones(m), size=n)
+    rho = (mv[:, :, None] * weights[:, None, :]).transpose(1, 2, 0)
+    cells = rho.reshape(k * m, n)
+    rho = rho / sum(cells[j] for j in range(k * m))
+    m_hat = rng.uniform(size=(n, k, m)).transpose(1, 2, 0)
+    return rho, m_hat, rng.uniform(size=n)
+
+
 def reference_fable_sweep(state):
     """One sweep of ``fable_fit`` in the reference expressions; returns q(z)."""
-    n, k, m = state.rho.shape
+    k, m, n = state.rho.shape
     _reference_assignments(state, digamma(state.rho + 1.0) - np.log(state.xi))
     _reference_core(state)
     raw = np.log(2.0) - state.m_hat / 2.0
     state.xi_clamps += int((raw < _XI_FLOOR).sum())
     state.xi = np.maximum(raw, _XI_FLOOR)
     epi = (state.rho + 1.0) / state.xi
-    omega = _reference_pg_mean(epi + state.gamma, state.c).reshape(n, -1)
+    omega = _reference_pg_mean(epi + state.gamma, state.c).reshape(-1, n)
     post = lowrank_posterior(state.kernel, omega)
-    state.m_hat = 0.5 * post.apply((epi - state.gamma).reshape(omega.shape)).reshape(n, k, m)
-    sigma_diag = post.diagonal().reshape(n, k, m)
+    state.m_hat = 0.5 * post.apply((epi - state.gamma).reshape(omega.shape)).reshape(k, m, n)
+    sigma_diag = post.diagonal().reshape(k, m, n)
     state.c = np.sqrt(state.m_hat ** 2 + sigma_diag)
     log_gamma = (
-        (digamma(state.a) - np.log(float(k * m)))[:, None, None]
+        (digamma(state.a) - np.log(float(k * m)))
         - (state.m_hat + state.c) / 2.0
         - np.log1p(np.exp(-state.c))
     )
     state.gamma = np.exp(np.minimum(log_gamma, 700.0))
-    cells = state.gamma.reshape(n, k * m)
-    state.a = sum(cells[:, j] for j in range(k * m)) + 1.0
-    return state.rho.sum(axis=2)
+    cells = state.gamma.reshape(k * m, n)
+    state.a = sum(cells[j] for j in range(k * m)) + 1.0
+    return state.rho.sum(axis=1)
 
 
 def reference_ebcc_sweep(state):
     """One sweep of ``ebcc_fit`` in the reference expressions; returns q(z)."""
-    _reference_assignments(state, dirichlet_log_expectation(state.eta))
-    state.nu = state.alpha + state.rho.sum(axis=(0, 2))
-    state.eta = _A_PI + state.rho.sum(axis=0)
-    state.mu = state.beta[None, :, None, :] + _reference_counts(state)
-    return state.rho.sum(axis=2)
+    _reference_assignments(state, dirichlet_log_expectation(state.eta)[:, :, None])
+    state.nu = state.alpha + state.rho.sum(axis=1).sum(axis=1)
+    state.eta = _A_PI + state.rho.sum(axis=2)
+    state.mu = state.beta[:, None, None, :] + _reference_counts(state)
+    return state.rho.sum(axis=1)
 
 
 def _oracle_cases():
@@ -477,9 +497,24 @@ def _assert_same_state(got, expected):
     assert _arrays(got).keys() == _arrays(expected).keys()
     for name, value in _arrays(expected).items():
         assert np.array_equal(getattr(got, name), value), name
-    assert np.array_equal(got.qz, expected.rho.sum(axis=2))
+    # every per-cell array is cell-major and C-ordered
+    for name, value in _arrays(got).items():
+        if value.ndim == 3:
+            assert value.shape == expected.rho.shape and value.flags.c_contiguous, name
+    assert np.array_equal(got.qz, expected.rho.sum(axis=1))
     for (a, x), (b, y) in itertools.combinations(_arrays(got).items(), 2):
         assert not np.shares_memory(x, y), (a, b)
+
+
+def test_fable_start_matches_reference_bit_for_bit():
+    for seed, d, m in _oracle_cases():
+        config = FableConfig(subtypes=m)
+        state = fable_init(d, config, seed=seed)
+        rho, m_hat, a = reference_fable_start(d, config, seed)
+        assert np.array_equal(state.rho, rho)
+        assert np.array_equal(state.m_hat, m_hat)
+        assert np.array_equal(state.a, a)
+        assert np.array_equal(state.c, np.sqrt(m_hat ** 2 + state.kernel.diagonal()))
 
 
 def test_fable_sweep_matches_reference_bit_for_bit():
@@ -500,7 +535,7 @@ def test_fable_sweep_matches_reference_bit_for_bit():
         expected = fable_init(d, config, seed=seed)
         qz = reference_fable_sweep(expected)
         post = fable_fit(d, config, seed=seed)
-        assert np.array_equal(post.probs, qz / qz.sum(axis=1, keepdims=True))
+        assert np.array_equal(post.probs, qz.T / qz.T.sum(axis=1, keepdims=True))
         assert post.diagnostics["xi_clamps"] == expected.xi_clamps
 
 
@@ -515,4 +550,4 @@ def test_ebcc_sweep_matches_reference_bit_for_bit():
         ebcc_update_confusion(state)
         _assert_same_state(state, expected)
         post = ebcc_fit(d, subtypes=m, seed=seed, max_iters=1)
-        assert np.array_equal(post.probs, qz / qz.sum(axis=1, keepdims=True))
+        assert np.array_equal(post.probs, qz.T / qz.T.sum(axis=1, keepdims=True))

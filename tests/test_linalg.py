@@ -135,6 +135,9 @@ def test_posterior_rejects_negative_omega(rng):
     kernel = random_spd_kernel(rng, 10)
     with pytest.raises(ValueError):
         lowrank_posterior(kernel, np.full(10, -0.5))
+    # a batch is one row per solve: a row per item is the wrong orientation
+    with pytest.raises(ValueError):
+        lowrank_posterior(kernel, np.ones((10, 3)))
 
 
 def stable_dense_posterior(kernel: KernelMatrix, omega: np.ndarray) -> np.ndarray:
@@ -155,29 +158,29 @@ def cosine_with_zero_rows(rng, n: int = 45) -> KernelMatrix:
 def test_batched_posterior_matches_columns_and_dense_oracle(rng, make_kernel):
     kernel = make_kernel(rng)
     n, p = kernel.n, 5
-    omega = rng.uniform(0.0, 2.0, size=(n, p))
-    omega[rng.random((n, p)) < 0.25] = 0.0
-    omega[:, 1] = 0.0
-    rhs = rng.standard_normal((n, p))
+    omega = rng.uniform(0.0, 2.0, size=(p, n))
+    omega[rng.random((p, n)) < 0.25] = 0.0
+    omega[1] = 0.0
+    rhs = rng.standard_normal((p, n))
 
     batched = lowrank_posterior(kernel, omega)
     applied, diag = batched.apply(rhs), batched.diagonal()
-    assert applied.shape == diag.shape == (n, p)
-    for col in range(p):
-        single = lowrank_posterior(kernel, omega[:, col])
-        assert np.allclose(applied[:, col], single.apply(rhs[:, col]), rtol=1e-12, atol=1e-12)
-        assert np.allclose(diag[:, col], single.diagonal(), rtol=1e-12, atol=1e-12)
-        dense = stable_dense_posterior(kernel, omega[:, col])
-        assert np.max(np.abs(applied[:, col] - dense @ rhs[:, col])) < 1e-10
-        assert np.max(np.abs(diag[:, col] - np.diag(dense))) < 1e-10
+    assert applied.shape == diag.shape == (p, n)
+    for row in range(p):
+        single = lowrank_posterior(kernel, omega[row])
+        assert np.allclose(applied[row], single.apply(rhs[row]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(diag[row], single.diagonal(), rtol=1e-12, atol=1e-12)
+        dense = stable_dense_posterior(kernel, omega[row])
+        assert np.max(np.abs(applied[row] - dense @ rhs[row])) < 1e-10
+        assert np.max(np.abs(diag[row] - np.diag(dense))) < 1e-10
 
 
 def test_posterior_chunked_columns_match_one_chunk(rng, monkeypatch):
     kernel = cosine_kernel(rng.standard_normal((60, 4)))
-    omega = rng.uniform(0.0, 2.0, size=(60, 7))
-    rhs = rng.standard_normal((60, 7))
+    omega = rng.uniform(0.0, 2.0, size=(7, 60))
+    rhs = rng.standard_normal((7, 60))
     whole = lowrank_posterior(kernel, omega)
-    # two columns per chunk, so the last chunk is short
+    # two rows per chunk, so the last chunk is short
     monkeypatch.setattr(linalg, "_CHUNK_ELEMENTS", 2 * 60 * 4)
     chunked = lowrank_posterior(kernel, omega)
     assert np.allclose(chunked.core_inv, whole.core_inv, rtol=1e-13, atol=1e-13)
@@ -190,38 +193,38 @@ def reference_posterior(prior: KernelMatrix, omega: np.ndarray):
 
     A narrow factor (N * r^2 within ``_CHUNK_ELEMENTS``) takes its cores
     and quadratic forms from the pair rows f_a * f_b; a wide one from the
-    column-chunked batched products.
+    row-chunked batched products.
     """
     f = prior.factor
     n, r = f.shape
-    cols = omega.reshape(n, -1)
-    t = 1.0 / (1.0 + prior.noise[:, None] * cols)
-    weights = np.ascontiguousarray((cols * t).T)
+    rows = omega.reshape(-1, n)
+    t = 1.0 / (1.0 + prior.noise * rows)
+    weights = rows * t
     f_rows = np.ascontiguousarray(f.T)
     narrow = n * r * r <= linalg._CHUNK_ELEMENTS
     if narrow:
         pair_rows = (f_rows[:, None, :] * f_rows[None, :, :]).reshape(r * r, n)
         core = (weights @ pair_rows.T).reshape(-1, r, r)
     else:
-        core = np.empty((cols.shape[1], r, r))
-        for chunk in linalg._column_chunks(n, r, cols.shape[1]):
+        core = np.empty((rows.shape[0], r, r))
+        for chunk in linalg._row_chunks(n, r, rows.shape[0]):
             core[chunk] = (f_rows * weights[chunk, None, :]) @ f
     core_inv = np.linalg.inv(core + np.eye(r))
 
     def apply(v):
         tv = t * v.reshape(t.shape)
-        inner = np.matmul(core_inv, (f.T @ tv).T[:, :, None])[:, :, 0]
-        return (prior.noise[:, None] * tv + t * (f @ inner.T)).reshape(v.shape)
+        inner = np.matmul(core_inv, (tv @ f)[:, :, None])[:, :, 0]
+        return (prior.noise * tv + t * (inner @ f.T)).reshape(v.shape)
 
     def diagonal():
         if narrow:
-            quad = pair_rows.T @ core_inv.reshape(t.shape[1], r * r).T
-            diag = t * (t * quad + prior.noise[:, None])
+            quad = core_inv.reshape(t.shape[0], r * r) @ pair_rows
+            diag = t * (t * quad + prior.noise)
         else:
             quad = np.empty_like(t)
-            for chunk in linalg._column_chunks(n, r, t.shape[1]):
-                quad[:, chunk] = np.einsum("prn,rn->np", core_inv[chunk] @ f_rows, f_rows)
-            diag = prior.noise[:, None] * t + t * t * quad
+            for chunk in linalg._row_chunks(n, r, t.shape[0]):
+                quad[chunk] = np.einsum("prn,rn->pn", core_inv[chunk] @ f_rows, f_rows)
+            diag = prior.noise * t + t * t * quad
         return np.maximum(diag, 0.0).reshape(omega.shape)
 
     return t.reshape(omega.shape), core_inv, apply, diagonal
@@ -231,14 +234,14 @@ def reference_posterior(prior: KernelMatrix, omega: np.ndarray):
 @pytest.mark.parametrize("r", [1, 2, 5, 40])
 @pytest.mark.parametrize("p", [None, 70])
 def test_posterior_in_place_forms_are_bit_identical(rng, r, p):
-    # on the wide side 70 columns span several _column_chunks blocks
+    # on the wide side 70 rows span several _row_chunks blocks
     n = 2000
     zero_rows = rng.random(n) < 0.05
     factor = rng.standard_normal((n, r)) / np.sqrt(r)
     factor[zero_rows] = 0.0
     # cosine_kernel's noise: the jitter, plus 1 on items with all-zero features
     kernel = KernelMatrix(factor=factor, noise=zero_rows + linalg._KERNEL_JITTER)
-    shape = (n,) if p is None else (n, p)
+    shape = (n,) if p is None else (p, n)
     omega = rng.uniform(0.0, 3.0, size=shape)
     omega[rng.random(shape) < 0.2] = 0.0
     v = rng.standard_normal(shape)
@@ -257,7 +260,7 @@ def test_posterior_in_place_forms_are_bit_identical(rng, r, p):
 
 def test_posterior_rank_caps_wide_cosine_kernel(rng):
     kernel = cosine_kernel(rng.standard_normal((80, 30)))
-    omega = rng.uniform(0.0, 2.0, size=(80, 3))
+    omega = rng.uniform(0.0, 2.0, size=(3, 80))
     post = lowrank_posterior(kernel, omega, rank=10)
     assert post.rank == 10
     diag = post.diagonal()
@@ -296,10 +299,10 @@ def test_posterior_narrow_path_on_factors_with_no_signal(rng):
     # no factor columns (r = 0) and all-zero features both leave only the noise s
     kernels = (KernelMatrix.from_dense(np.zeros((5, 5)), jitter=0.5), cosine_kernel(np.zeros((5, 3))))
     for kernel in kernels:
-        for omega in (rng.uniform(0.0, 2.0, size=5), rng.uniform(0.0, 2.0, size=(5, 4))):
+        for omega in (rng.uniform(0.0, 2.0, size=5), rng.uniform(0.0, 2.0, size=(4, 5))):
             post = lowrank_posterior(kernel, omega)
             assert post.pairs is not None
-            s = kernel.noise if omega.ndim == 1 else kernel.noise[:, None]
+            s = kernel.noise
             expected = s / (1.0 + s * omega)
             assert post.diagonal().shape == omega.shape
             assert np.allclose(post.diagonal(), expected, rtol=1e-14, atol=0.0)
