@@ -51,6 +51,9 @@ class RunRecord:
     of each sweep, ``xi_clamp_rate`` the share of ``fable``'s rate-floor
     tests that clamped and ``block_ms`` the milliseconds of each update
     block, summed over sweeps; each is None for a method without it.
+    ``wall_time_ms`` is the whole ``fit_method`` call: initialisation,
+    the sweeps and, in a fresh process, loading ``scipy.special`` and
+    ``scipy.sparse`` at the first fit; ``block_ms`` covers the sweeps alone.
     """
 
     command: str

@@ -17,16 +17,16 @@ directions first.
 
 Every batched operand is (P, N), one row of N items per pair, the
 cell-major layout the label model keeps its state in, so no solve
-transposes.  The cores and the posterior diagonal are built in one of
-two forms, chosen from N and r alone.  A narrow factor, whose (N, r^2)
-matrix of pairwise row products Q_i = vec(f_i f_i^T) fits in
-``_CHUNK_ELEMENTS``, gets all P cores as one product ``(omega t) Q``
-and every quadratic form f_i^T C_p^-1 f_i as one product
-``vec(C_p^-1)^T Q^T``: at r = 2 the (P, r, N) temporaries of the
-batched form cost more than its arithmetic.  A wider factor, such as a
-100-column embedding, runs the batched products over chunks of omega's
-rows instead, where Q would cost r times the arithmetic of the products
-it replaces.
+transposes.  The cores and the quadratic forms f_i^T C_p^-1 f_i of the
+posterior diagonal are built in one of two forms, chosen from N and r
+alone.  A narrow factor, whose (N, r^2) matrix of pairwise row products
+Q_i = vec(f_i f_i^T) fits in ``_CHUNK_ELEMENTS``, gets all P cores as
+one product ``(omega t) Q`` and all quadratic forms as one product
+``vec(C_p^-1)^T Q^T``.  A wider factor, such as a 100-column embedding,
+where Q would cost r times the arithmetic of the products it replaces,
+solves omega's rows one at a time instead: each core is one (r, N) by
+(N, r) product and each row of quadratic forms one (r, r) by (r, N)
+product.  Both forms finish the variances the same way, t (t quad + s).
 """
 
 from __future__ import annotations
@@ -49,13 +49,10 @@ __all__ = [
 _PG_SMALL_TILT = 1e-8
 # added to the cosine kernel's diagonal, keeping it strictly positive definite
 _KERNEL_JITTER = 1e-4
-# the floats (1 MB) that one GP temporary may hold: the pair matrix Q of
-# a narrow factor, or, for a wider one, the r x N temporaries of a chunk
-# of omega's rows, one per row.  This bounds memory for any number of
-# rows; at N = 10k, r = 2 the chunks batched 30 rows
-# faster than one 16 MB chunk did (9.4 against 12.5 ms a sweep on a
-# 2-core 2.1 GHz Xeon VM with one BLAS thread).  ``metrics`` bounds its
-# blocks of distance rows by the same count
+# the floats (1 MB) that the pair matrix Q of a narrow factor may hold;
+# a wider factor is solved one row of omega at a time, with r x N
+# temporaries.  ``metrics`` bounds its blocks of distance rows by the
+# same count
 _CHUNK_ELEMENTS = 1 << 17
 
 
@@ -177,12 +174,6 @@ def _pair_rows(f_rows: np.ndarray) -> np.ndarray | None:
     return pairs
 
 
-def _row_chunks(n: int, r: int, p: int):
-    """Slices over P rows of omega, each of at most max(1, _CHUNK_ELEMENTS // (N * r)) rows."""
-    step = max(1, _CHUNK_ELEMENTS // max(n * r, 1))
-    return (slice(start, start + step) for start in range(0, p, step))
-
-
 @dataclass(frozen=True)
 class SymmetricApprox:
     """Posterior covariances (K^-1 + diag(omega_p))^-1, one per row p of omega.
@@ -192,11 +183,10 @@ class SymmetricApprox:
     and ``diagonal`` work row by row and keep that shape, so a 1-D
     omega gives 1-D results.  ``rank`` is r, the factor width used.
     ``pairs`` holds Q^T, the (r^2, N) pair rows of a narrow factor (see
-    the module docstring), and is None for a wide one.  ``apply``
-    allocates its result and one temporary of shape (P, N), and so does
-    ``diagonal`` of a wide factor; ``diagonal`` of a narrow factor
-    allocates only its result.  Every other temporary is O(N * r) or
-    chunk-bounded.
+    the module docstring), and is None for a wide one, which ``diagonal``
+    solves one row at a time.  ``apply`` allocates its result and one
+    temporary of shape (P, N), ``diagonal`` only its result; every other
+    temporary holds at most the larger of N * r floats and Q.
     """
 
     prior: KernelMatrix
@@ -222,22 +212,18 @@ class SymmetricApprox:
     def diagonal(self) -> np.ndarray:
         n, r = self.prior.factor.shape
         t = self.scale.reshape(-1, n)
+        # quad_pi = f_i^T C_p^-1 f_i, then t (t quad + s) in place
         if self.pairs is not None:
-            # quad_pi = f_i^T C_p^-1 f_i, then t (t quad + s) in place
             quad = self.core_inv.reshape(t.shape[0], r * r) @ self.pairs
-            quad *= t
-            quad += self.prior.noise
-            quad *= t
-            return np.maximum(quad, 0.0, out=quad).reshape(self.scale.shape)
-        f_rows = np.ascontiguousarray(self.prior.factor.T)
-        quad = np.empty_like(t)
-        for chunk in _row_chunks(n, r, t.shape[0]):
-            quad[chunk] = np.einsum("prn,rn->pn", self.core_inv[chunk] @ f_rows, f_rows)
-        diag = t * t
-        diag *= quad
-        np.multiply(self.prior.noise, t, out=quad)
-        diag += quad
-        return np.maximum(diag, 0.0, out=diag).reshape(self.scale.shape)
+        else:
+            f_rows = np.ascontiguousarray(self.prior.factor.T)
+            quad = np.empty_like(t)
+            for row, core_inv in zip(quad, self.core_inv):
+                np.einsum("rn,rn->n", core_inv @ f_rows, f_rows, out=row)
+        quad *= t
+        quad += self.prior.noise
+        quad *= t
+        return np.maximum(quad, 0.0, out=quad).reshape(self.scale.shape)
 
 
 def lowrank_posterior(
@@ -252,9 +238,9 @@ def lowrank_posterior(
     ``KernelMatrix.truncated``); None keeps the whole factor.  Cost is
     O(N * r^2) per row.  A narrow factor gets every core from one
     product with its pair matrix Q, which holds at most 1 MB; a wider one
-    batches its rows in chunks.  Either way no temporary holds more
-    than the larger of N * r floats and 1 MB, however many rows omega
-    has.
+    gets each row's core from its own product.  Either way no temporary
+    holds more than the larger of N * r floats and 1 MB, however many
+    rows omega has.
     """
     w = np.asarray(omega, dtype=float)
     if w.ndim not in (1, 2) or w.shape[-1] != prior.n:
@@ -277,8 +263,8 @@ def lowrank_posterior(
         core = (weights @ pairs.T).reshape(p, r, r)
     else:
         core = np.empty((p, r, r))
-        for chunk in _row_chunks(n, r, p):
-            core[chunk] = (f_rows * weights[chunk, None, :]) @ f
+        for row, weight in zip(core, weights):
+            np.matmul(f_rows * weight, f, out=row)
     core += np.eye(r)
     return SymmetricApprox(
         prior=prior,

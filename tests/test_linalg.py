@@ -1,5 +1,6 @@
 """Kernels, the exact posterior solve, and the special-function expectations."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -175,25 +176,28 @@ def test_batched_posterior_matches_columns_and_dense_oracle(rng, make_kernel):
         assert np.max(np.abs(diag[row] - np.diag(dense))) < 1e-10
 
 
-def test_posterior_chunked_columns_match_one_chunk(rng, monkeypatch):
+def test_posterior_narrow_and_wide_forms_agree(rng, monkeypatch):
     kernel = cosine_kernel(rng.standard_normal((60, 4)))
-    omega = rng.uniform(0.0, 2.0, size=(7, 60))
-    rhs = rng.standard_normal((7, 60))
-    whole = lowrank_posterior(kernel, omega)
-    # two rows per chunk, so the last chunk is short
-    monkeypatch.setattr(linalg, "_CHUNK_ELEMENTS", 2 * 60 * 4)
-    chunked = lowrank_posterior(kernel, omega)
-    assert np.allclose(chunked.core_inv, whole.core_inv, rtol=1e-13, atol=1e-13)
-    assert np.allclose(chunked.diagonal(), whole.diagonal(), rtol=1e-13, atol=1e-13)
-    assert np.allclose(chunked.apply(rhs), whole.apply(rhs), rtol=1e-13, atol=1e-13)
+    for p in (1, 7):
+        omega = rng.uniform(0.0, 2.0, size=(p, 60))
+        rhs = rng.standard_normal((p, 60))
+        monkeypatch.setattr(linalg, "_CHUNK_ELEMENTS", 60 * 4 * 4)
+        narrow = lowrank_posterior(kernel, omega)
+        # one float short of the pair matrix, so the same kernel takes the per-row form
+        monkeypatch.setattr(linalg, "_CHUNK_ELEMENTS", 60 * 4 * 4 - 1)
+        wide = lowrank_posterior(kernel, omega)
+        assert narrow.pairs is not None and wide.pairs is None
+        assert np.allclose(wide.core_inv, narrow.core_inv, rtol=1e-13, atol=1e-13)
+        assert np.allclose(wide.diagonal(), narrow.diagonal(), rtol=1e-13, atol=1e-13)
+        assert np.allclose(wide.apply(rhs), narrow.apply(rhs), rtol=1e-13, atol=1e-13)
 
 
 def reference_posterior(prior: KernelMatrix, omega: np.ndarray):
     """scale, core_inv, apply and diagonal written as plain expressions, each temporary a new array.
 
     A narrow factor (N * r^2 within ``_CHUNK_ELEMENTS``) takes its cores
-    and quadratic forms from the pair rows f_a * f_b; a wide one from the
-    row-chunked batched products.
+    and quadratic forms from the pair rows f_a * f_b; a wide one from one
+    product per row of omega.  Both finish the variances as t (t quad + s).
     """
     f = prior.factor
     n, r = f.shape
@@ -206,9 +210,7 @@ def reference_posterior(prior: KernelMatrix, omega: np.ndarray):
         pair_rows = (f_rows[:, None, :] * f_rows[None, :, :]).reshape(r * r, n)
         core = (weights @ pair_rows.T).reshape(-1, r, r)
     else:
-        core = np.empty((rows.shape[0], r, r))
-        for chunk in linalg._row_chunks(n, r, rows.shape[0]):
-            core[chunk] = (f_rows * weights[chunk, None, :]) @ f
+        core = np.stack([(f_rows * weight) @ f for weight in weights])
     core_inv = np.linalg.inv(core + np.eye(r))
 
     def apply(v):
@@ -219,13 +221,9 @@ def reference_posterior(prior: KernelMatrix, omega: np.ndarray):
     def diagonal():
         if narrow:
             quad = core_inv.reshape(t.shape[0], r * r) @ pair_rows
-            diag = t * (t * quad + prior.noise)
         else:
-            quad = np.empty_like(t)
-            for chunk in linalg._row_chunks(n, r, t.shape[0]):
-                quad[chunk] = np.einsum("prn,rn->pn", core_inv[chunk] @ f_rows, f_rows)
-            diag = prior.noise * t + t * t * quad
-        return np.maximum(diag, 0.0).reshape(omega.shape)
+            quad = np.stack([np.einsum("rn,rn->n", c @ f_rows, f_rows) for c in core_inv])
+        return np.maximum(t * (t * quad + prior.noise), 0.0).reshape(omega.shape)
 
     return t.reshape(omega.shape), core_inv, apply, diagonal
 
@@ -234,7 +232,7 @@ def reference_posterior(prior: KernelMatrix, omega: np.ndarray):
 @pytest.mark.parametrize("r", [1, 2, 5, 40])
 @pytest.mark.parametrize("p", [None, 70])
 def test_posterior_in_place_forms_are_bit_identical(rng, r, p):
-    # on the wide side 70 rows span several _row_chunks blocks
+    # on the wide side each of the 70 rows takes its own products
     n = 2000
     zero_rows = rng.random(n) < 0.05
     factor = rng.standard_normal((n, r)) / np.sqrt(r)
@@ -256,6 +254,27 @@ def test_posterior_in_place_forms_are_bit_identical(rng, r, p):
     assert np.array_equal(post.apply(v), apply(v))
     assert np.array_equal(v, v_before)
     assert np.array_equal(post.diagonal(), diagonal())
+
+
+def test_wide_posterior_temporaries_stay_within_n_r_floats(rng):
+    # one N x N covariance alone would be 25M floats; each temporary here holds N * r at most
+    n, r, p = 5000, 100, 12
+    kernel = KernelMatrix(factor=rng.standard_normal((n, r)) / np.sqrt(r), noise=np.full(n, 1e-4))
+    omega = rng.uniform(0.0, 3.0, size=(p, n))
+    v = rng.standard_normal((p, n))
+
+    tracemalloc.start()
+    try:
+        post = lowrank_posterior(kernel, omega)
+        post.apply(v)
+        post.diagonal()
+        peak_floats = tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+    assert post.pairs is None
+    # scale, core_inv, and the result and (P, N) temporary of apply, and diagonal's result
+    outputs = 4 * p * n + p * r * r
+    assert peak_floats <= outputs + 3 * n * r
 
 
 def test_posterior_rank_caps_wide_cosine_kernel(rng):
