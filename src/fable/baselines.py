@@ -26,10 +26,11 @@ Every vote statistic goes through one representation: the sparse one-hot
 indicator :attr:`fable.data.Dataset.onehot_t`, an (L*K, N) CSR matrix
 with a one in row j*K + y for each non-abstaining vote y_ij = y and
 nothing for an abstain.  Summing log confusion entries over an item's
-votes is then one product ``table @ onehot_t`` and the soft confusion
-counts are one product ``onehot_t @ rho.T``; the dataset builds the
-matrix once, however many fits read it, so a sweep never loops over
-labeling functions.  Storage is one entry per non-abstaining vote.
+votes is then one product with its CSC transpose ``Dataset.onehot``,
+and the soft confusion counts are one product ``onehot_t @ rho.T``; the
+dataset builds both once, however many fits read them, so a sweep never
+loops over labeling functions or builds a transpose.  Storage is one
+entry per non-abstaining vote.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def majority_vote(dataset: Dataset) -> Posterior:
     """Normalized vote counts per class; all-abstain items get a uniform row."""
     n_lf, k = dataset.n_lfs, dataset.num_classes
     # summing the one-hot rows j*K + c over the LFs j counts the votes for c
-    counts = np.tile(np.eye(k), n_lf) @ dataset.onehot_t
+    counts = (dataset.onehot @ np.tile(np.eye(k), n_lf).T).T
     totals = counts.sum(axis=0)
     silent = totals == 0
     counts[:, silent] = 1.0
@@ -133,15 +134,17 @@ def majority_vote(dataset: Dataset) -> Posterior:
     return _finish(counts / totals, n_iters=0)
 
 
-def _vote_log_scores(elog_v: np.ndarray, onehot_t: sparse.csr_matrix) -> np.ndarray:
+def _vote_log_scores(elog_v: np.ndarray, onehot: sparse.spmatrix) -> np.ndarray:
     """sum_j E[log v_{jkm, y_ij}] over each item's non-abstaining LFs.
 
-    ``elog_v`` has shape (K, M, L, K) and ``onehot_t`` is the dataset's
-    vote matrix ``Dataset.onehot_t``; the result has shape (K, M, N),
-    a view of the (N, K*M) product scipy forms with its CSC transpose.
+    ``elog_v`` has shape (K, M, L, K) and ``onehot`` is ``Dataset.onehot``,
+    or ``Dataset.onehot_t``, which is transposed per call as scipy would;
+    the result is a (K, M, N) view of the (N, K*M) product, same bits.
     """
     k, m = elog_v.shape[:2]
-    return (elog_v.reshape(k * m, -1) @ onehot_t).reshape(k, m, -1)
+    if onehot.format == "csr":
+        onehot = onehot.T
+    return (onehot @ elog_v.reshape(k * m, -1).T).T.reshape(k, m, -1)
 
 
 def _normalize_log_scores(scores: np.ndarray) -> np.ndarray:
@@ -191,7 +194,7 @@ def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Po
     recorded trace is the observed-data log-likelihood at each
     iteration's parameters.
     """
-    onehot_t = dataset.onehot_t
+    onehot_t, onehot = dataset.onehot_t, dataset.onehot
     trace = []
 
     def em(state):
@@ -200,7 +203,7 @@ def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Po
         prior /= prior.sum()
         counts = _DS_SMOOTHING + _confusion_counts(qz[:, None], onehot_t)[:, 0]
         theta = counts / counts.sum(axis=2, keepdims=True)
-        scores = _vote_log_scores(np.log(theta)[:, None], onehot_t)[:, 0]
+        scores = _vote_log_scores(np.log(theta)[:, None], onehot)[:, 0]
         scores += np.log(prior)[:, None]
         top = scores.max(axis=0)
         state.qz = _normalize_log_scores(scores)
@@ -217,9 +220,10 @@ class SubtypeBccState:
 
     rho: C-ordered (K, M, N) joint q(z_i = k, g_i = m); nu: (K,) class
     Dirichlet; mu: (K, M, L, K) confusion Dirichlets; alpha, beta echo
-    their priors; onehot_t: the dataset's vote matrix
-    ``Dataset.onehot_t``, not a copy.  The models differ only in their
-    mixture weights pi, whose posterior each subclass adds.
+    their priors; onehot_t and onehot: the dataset's vote matrix
+    ``Dataset.onehot_t`` and its transpose ``Dataset.onehot``, not
+    copies.  The models differ only in their mixture weights pi, whose
+    posterior each subclass adds.
     """
 
     rho: np.ndarray
@@ -228,6 +232,7 @@ class SubtypeBccState:
     alpha: np.ndarray
     beta: np.ndarray
     onehot_t: sparse.csr_matrix
+    onehot: sparse.csc_matrix
 
     @property
     def qz(self) -> np.ndarray:
@@ -286,6 +291,7 @@ def _subtype_start(
         alpha=alpha,
         beta=beta,
         onehot_t=dataset.onehot_t,
+        onehot=dataset.onehot,
     )
     ebcc_update_tau(state)
     ebcc_update_confusion(state)
@@ -295,14 +301,16 @@ def _subtype_start(
 def _subtype_assignments(state: SubtypeBccState, elog_pi: np.ndarray) -> SubtypeBccState:
     """rho_ikm propto exp(E[log tau_k] + E[log pi_ikm] + sum_j E[log v_jkm,y_ij]).
 
-    ``elog_pi`` is a C-ordered (K, M, N) array; it is overwritten and
-    becomes the new rho.  The votes are read from ``state.onehot_t``.
+    ``elog_pi`` is a C-ordered (K, M, N) array, overwritten to become the
+    new rho, or a (K, M, 1) one every item shares.  The votes are read
+    from ``state.onehot``.
     """
     elog_tau = dirichlet_log_expectation(state.nu)
     elog_v = dirichlet_log_expectation(state.mu)
     elog_pi += elog_tau[:, None, None]
-    elog_pi += _vote_log_scores(elog_v, state.onehot_t)
-    state.rho = _normalize_log_scores(elog_pi)
+    votes = _vote_log_scores(elog_v, state.onehot)
+    out = elog_pi if elog_pi.shape == votes.shape else None
+    state.rho = _normalize_log_scores(np.add(elog_pi, votes, out=out, order="C"))
     return state
 
 
@@ -316,8 +324,7 @@ def ebcc_init(dataset: Dataset, subtypes: int = 3, seed: int = 0) -> EbccState:
 
 def ebcc_update_assignments(state: EbccState) -> EbccState:
     """Assignments with the Dirichlet E[log pi_km] of the subtype weights eta."""
-    elog_pi = dirichlet_log_expectation(state.eta)[:, :, None]
-    return _subtype_assignments(state, np.repeat(elog_pi, state.rho.shape[2], axis=2))
+    return _subtype_assignments(state, dirichlet_log_expectation(state.eta)[:, :, None])
 
 
 def ebcc_update_tau(state: SubtypeBccState) -> SubtypeBccState:

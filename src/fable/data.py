@@ -155,12 +155,10 @@ class Dataset:
         """(L*K, N) indicator of the votes: row j*K + y is 1 where LF j voted y.
 
         Abstains set nothing, so an item's column holds one entry per LF
-        that voted on it.  Each row lists its items in increasing order,
-        and ``table @ onehot_t`` runs through the CSC transpose, which
-        adds an item's votes in LF order.  Sparse products do not check
-        indices; construction did.  Built at a dataset's first fit, which
-        is where ``scipy.sparse`` is first imported: a command that fits
-        nothing never loads it.
+        that voted on it.  Each row lists its items in increasing order.
+        Sparse products do not check indices; construction did.  Built at
+        a dataset's first fit, which is where ``scipy.sparse`` is first
+        imported: a command that fits nothing never loads it.
         """
         from scipy import sparse
 
@@ -170,6 +168,11 @@ class Dataset:
         rows = (np.arange(n_lf) * k + self.lf_labels)[voted]
         indptr = np.concatenate(([0], np.cumsum(voted.sum(axis=1))))
         return sparse.csc_matrix((np.ones(rows.size), rows, indptr), shape=(n_lf * k, n)).tocsr()
+
+    @cached_property
+    def onehot(self) -> sparse.csc_matrix:
+        """(N, L*K) transpose of ``onehot_t``, a CSC view of its three arrays."""
+        return self.onehot_t.T
 
 
 def load_json(path, num_classes: int | None = None) -> Dataset:

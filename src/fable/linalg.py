@@ -27,11 +27,13 @@ where Q would cost r times the arithmetic of the products it replaces,
 solves omega's rows one at a time instead: each core is one (r, N) by
 (N, r) product and each row of quadratic forms one (r, r) by (r, N)
 product.  Both forms finish the variances the same way, t (t quad + s).
+A kernel builds Q and its (r, N) factor rows once, at its first solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +68,8 @@ class KernelMatrix:
 
     ``factor`` has shape (N, r), so storage and matvec cost O(N * r);
     nothing N x N is materialised unless ``values`` is asked for.
-    ``noise`` is the (N,) diagonal s, jitter included.
+    ``noise`` is the (N,) diagonal s, jitter included.  A kernel is not
+    modified after it is built, so ``rows`` and ``pairs`` are cached.
     """
 
     factor: np.ndarray
@@ -121,6 +124,20 @@ class KernelMatrix:
     def diagonal(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.factor, self.factor) + self.noise
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The factor as contiguous (r, N) rows f_a."""
+        return np.ascontiguousarray(self.factor.T)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Q^T: the (r^2, N) products f_a * f_b of the factor rows, N * r^2 floats."""
+        r, n = self.rows.shape
+        pairs = np.empty((r * r, n))
+        for a in range(r):
+            np.multiply(self.rows, self.rows[a], out=pairs[a * r:(a + 1) * r])
+        return pairs
+
     @property
     def values(self) -> np.ndarray:
         """Materialised dense matrix; only sensible for small N."""
@@ -160,20 +177,6 @@ def cosine_kernel(features: np.ndarray) -> KernelMatrix:
     return KernelMatrix(factor=normalized, noise=zero.astype(float) + _KERNEL_JITTER)
 
 
-def _pair_rows(f_rows: np.ndarray) -> np.ndarray | None:
-    """Q^T: the (r^2, N) products f_a * f_b of the (r, N) factor rows ``f_rows``.
-
-    None for a wide factor, whose N * r^2 pair floats exceed ``_CHUNK_ELEMENTS``.
-    """
-    r, n = f_rows.shape
-    if n * r * r > _CHUNK_ELEMENTS:
-        return None
-    pairs = np.empty((r * r, n))
-    for a in range(r):
-        np.multiply(f_rows, f_rows[a], out=pairs[a * r:(a + 1) * r])
-    return pairs
-
-
 @dataclass(frozen=True)
 class SymmetricApprox:
     """Posterior covariances (K^-1 + diag(omega_p))^-1, one per row p of omega.
@@ -182,9 +185,9 @@ class SymmetricApprox:
     ``core_inv`` the inverted r x r cores, shape (P, r, r).  ``apply``
     and ``diagonal`` work row by row and keep that shape, so a 1-D
     omega gives 1-D results.  ``rank`` is r, the factor width used.
-    ``pairs`` holds Q^T, the (r^2, N) pair rows of a narrow factor (see
-    the module docstring), and is None for a wide one, which ``diagonal``
-    solves one row at a time.  ``apply`` allocates its result and one
+    ``pairs`` is the prior's Q^T for a narrow factor (see the module
+    docstring) and None for a wide one, which ``diagonal`` solves one
+    row at a time.  ``apply`` allocates its result and one
     temporary of shape (P, N), ``diagonal`` only its result; every other
     temporary holds at most the larger of N * r floats and Q.
     """
@@ -216,7 +219,7 @@ class SymmetricApprox:
         if self.pairs is not None:
             quad = self.core_inv.reshape(t.shape[0], r * r) @ self.pairs
         else:
-            f_rows = np.ascontiguousarray(self.prior.factor.T)
+            f_rows = self.prior.rows
             quad = np.empty_like(t)
             for row, core_inv in zip(quad, self.core_inv):
                 np.einsum("rn,rn->n", core_inv @ f_rows, f_rows, out=row)
@@ -245,11 +248,12 @@ def lowrank_posterior(
     w = np.asarray(omega, dtype=float)
     if w.ndim not in (1, 2) or w.shape[-1] != prior.n:
         raise ValueError("omega must have one column per item")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
+    # a NaN fails both comparisons; the initial 0 passes an empty batch
+    if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
         raise ValueError("omega must be finite and nonnegative")
     if rank is not None:
         prior = prior.truncated(rank)
-    f = prior.factor
+    f, f_rows = prior.factor, prior.rows
     n, r = f.shape
     rows = w.reshape(-1, n)
     p = rows.shape[0]
@@ -257,15 +261,14 @@ def lowrank_posterior(
     t += 1.0
     np.divide(1.0, t, out=t)
     weights = rows * t
-    f_rows = np.ascontiguousarray(f.T)
-    pairs = _pair_rows(f_rows)
+    pairs = prior.pairs if n * r * r <= _CHUNK_ELEMENTS else None
     if pairs is not None:
         core = (weights @ pairs.T).reshape(p, r, r)
     else:
         core = np.empty((p, r, r))
         for row, weight in zip(core, weights):
             np.matmul(f_rows * weight, f, out=row)
-    core += np.eye(r)
+    core.reshape(p, r * r)[:, ::r + 1] += 1.0
     return SymmetricApprox(
         prior=prior,
         scale=t.reshape(w.shape),
@@ -284,8 +287,9 @@ def pg_mean(b, c):
     b_arr, c_arr = np.broadcast_arrays(
         np.asarray(b, dtype=float), np.asarray(c, dtype=float)
     )
-    small = np.abs(c_arr) < _PG_SMALL_TILT
-    safe = np.where(small, 1.0, c_arr) if small.any() else c_arr
+    # one reduction clears the nonnegative tilts of a fit; a NaN fails it
+    small = None if c_arr.min(initial=np.inf) >= _PG_SMALL_TILT else np.abs(c_arr) < _PG_SMALL_TILT
+    safe = c_arr if small is None or not small.any() else np.where(small, 1.0, c_arr)
     out = np.divide(safe, 2.0, out=np.empty(safe.shape))
     np.tanh(out, out=out)
     out *= b_arr
@@ -307,7 +311,7 @@ def dirichlet_log_expectation(alpha: np.ndarray) -> np.ndarray:
     a = np.asarray(alpha, dtype=float)
     if a.size == 0:
         raise ValueError("alpha must be nonempty")
-    if not np.all(np.isfinite(a)) or np.any(a <= 0):
+    if not (a.min() > 0.0 and a.max() < np.inf):  # a NaN fails both
         raise ValueError("alpha entries must be positive and finite")
     from scipy.special import psi
 

@@ -486,6 +486,9 @@ def test_vote_onehot_marks_one_column_per_vote():
     assert onehot_t.shape == (9, 3)
     assert onehot_t.nnz == 5
     assert np.array_equal(onehot_t.toarray(), expected)
+    onehot = _dataset(votes, k=3).onehot
+    assert onehot.format == "csc"
+    assert np.array_equal(onehot.toarray(), expected.T)
 
 
 @_ORACLE_SETTINGS
@@ -563,6 +566,13 @@ def test_every_fit_reads_the_one_vote_matrix_of_its_dataset(small_synthetic, mon
     assert ebcc_init(d).onehot_t is d.onehot_t
     assert fable_init(d, FableConfig()).onehot_t is d.onehot_t
     assert len(builds) == 1
+    # the (N, L*K) transpose the vote scores read is built once too, as a view
+    assert ebcc_init(d).onehot is d.onehot
+    assert fable_init(d, FableConfig()).onehot is d.onehot
+    assert d.onehot.shape == d.onehot_t.shape[::-1]
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(d.onehot, name), getattr(d.onehot_t, name)), name
+    assert len(builds) == 1
 
 
 def test_sweeps_leave_onehot_untouched(small_synthetic):
@@ -579,6 +589,7 @@ def test_sweeps_leave_onehot_untouched(small_synthetic):
             assign(state)
             confuse(state)
         assert state.onehot_t is onehot_t
+        assert state.onehot is d.onehot
         for arr, old in zip((onehot_t.data, onehot_t.indices, onehot_t.indptr), before):
             assert np.array_equal(arr, old)
         fresh = _dataset(d.lf_labels, k=d.num_classes).onehot_t

@@ -22,6 +22,7 @@ from fable import (
 from fable.baselines import (
     _A_PI,
     _BETA_OFFDIAG,
+    _finish,
     _vote_log_scores,
     ebcc_fit,
     ebcc_update_assignments,
@@ -537,6 +538,20 @@ def test_fable_sweep_matches_reference_bit_for_bit():
         post = fable_fit(d, config, seed=seed)
         assert np.array_equal(post.probs, qz.T / qz.T.sum(axis=1, keepdims=True))
         assert post.diagnostics["xi_clamps"] == expected.xi_clamps
+
+
+def test_vote_products_match_the_transpose_scipy_builds_bit_for_bit():
+    # before the dataset kept its transposed view, scipy built one per product
+    for seed, d, m in _oracle_cases():
+        k, n_lf = d.num_classes, d.n_lfs
+        elog_v = np.log(np.random.default_rng(seed).dirichlet(np.ones(k), size=(k, m, n_lf)))
+        expected = (elog_v.reshape(k * m, -1) @ d.onehot_t).reshape(k, m, -1)
+        assert np.array_equal(_vote_log_scores(elog_v, d.onehot), expected)
+        assert np.array_equal(_vote_log_scores(elog_v, d.onehot_t), expected)
+        counts = np.tile(np.eye(k), n_lf) @ d.onehot_t
+        totals = counts.sum(axis=0)
+        counts[:, totals == 0], totals[totals == 0] = 1.0, k
+        assert np.array_equal(majority_vote(d).probs, _finish(counts / totals, n_iters=0).probs)
 
 
 def test_ebcc_sweep_matches_reference_bit_for_bit():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import psi as digamma
 
 from fable import linalg
+from fable.linalg import _PG_SMALL_TILT
 from fable import (
     KernelMatrix,
     NumericalError,
@@ -139,6 +140,16 @@ def test_posterior_rejects_negative_omega(rng):
     # a batch is one row per solve: a row per item is the wrong orientation
     with pytest.raises(ValueError):
         lowrank_posterior(kernel, np.ones((10, 3)))
+    # one bad entry among good ones, in a single solve or a batch
+    for bad in (np.nan, np.inf, -np.inf, -1e-300):
+        for shape in ((10,), (3, 10)):
+            omega = np.ones(shape)
+            omega.flat[4] = bad
+            with pytest.raises(ValueError):
+                lowrank_posterior(kernel, omega)
+    # zeros of either sign are no information, and an empty batch no solve
+    assert lowrank_posterior(kernel, np.array([0.0, -0.0] * 5)).diagonal().shape == (10,)
+    assert lowrank_posterior(kernel, np.zeros((0, 10))).core_inv.shape[0] == 0
 
 
 def stable_dense_posterior(kernel: KernelMatrix, omega: np.ndarray) -> np.ndarray:
@@ -256,6 +267,40 @@ def test_posterior_in_place_forms_are_bit_identical(rng, r, p):
     assert np.array_equal(post.diagonal(), diagonal())
 
 
+def test_kernel_builds_its_solve_constants_once(rng):
+    kernel = cosine_kernel(rng.standard_normal((50, 5)))
+    rows, pairs = kernel.rows, kernel.pairs
+    assert kernel.rows is rows and kernel.pairs is pairs
+    assert rows.flags.c_contiguous and np.array_equal(rows, kernel.factor.T)
+    assert np.array_equal(pairs, (rows[:, None, :] * rows[None, :, :]).reshape(25, 50))
+    post = lowrank_posterior(kernel, rng.uniform(size=(3, 50)))
+    assert post.prior is kernel and post.pairs is pairs
+    # a cut kernel has a new factor, so it builds its own constants, never its parent's
+    for cut in (kernel.truncated(2), lowrank_posterior(kernel, rng.uniform(size=50), rank=3).prior):
+        r = cut.factor.shape[1]
+        assert cut.rows.shape == (r, 50) and np.array_equal(cut.rows, cut.factor.T)
+        assert cut.pairs.shape == (r * r, 50)
+        assert not np.shares_memory(cut.rows, rows) and not np.shares_memory(cut.pairs, pairs)
+    assert kernel.rows is rows and kernel.pairs is pairs
+
+
+def test_wide_diagonal_reads_the_rows_of_the_solve(rng):
+    n, r, p = 2000, 40, 3
+    kernel = KernelMatrix(factor=rng.standard_normal((n, r)), noise=np.full(n, 1e-4))
+    post = lowrank_posterior(kernel, rng.uniform(size=(p, n)))
+    assert post.pairs is None and "pairs" not in vars(kernel)
+    rows = vars(kernel)["rows"]
+    tracemalloc.start()
+    try:
+        diag = post.diagonal()
+        peak_floats = tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+    assert post.prior.rows is rows
+    # its result and one (r, N) product at a time; a copy of the rows would add N * r
+    assert peak_floats < diag.size + 1.5 * n * r
+
+
 def test_wide_posterior_temporaries_stay_within_n_r_floats(rng):
     # one N x N covariance alone would be 25M floats; each temporary here holds N * r at most
     n, r, p = 5000, 100, 12
@@ -366,6 +411,22 @@ def test_pg_mean_mixed_tilts_match_the_scalar_formula(rng):
         assert pg_mean(bi, ci) == oi
 
 
+def test_pg_mean_small_tilts_beside_large_ones_of_either_sign(rng):
+    # whatever the extremes of the array, a tilt within the switch gives b/4
+    for tilts in ([5e-9, 2.0, 1e4], [-5e-9, 2.0, 1e4], [-1e4, 0.0, 1e4], [-1e4, 3e-9, -2.0],
+                  [-0.0, 40.0], [np.nan, 0.0, -1e4], [1e4, 1e-8, 7e-9]):
+        c = np.array(tilts)
+        b = rng.uniform(0.1, 5.0, size=c.size)
+        out = pg_mean(b, c)
+        small = np.abs(c) < _PG_SMALL_TILT
+        assert np.array_equal(out[small], b[small] / 4.0), tilts
+        for bi, ci, oi in zip(b, c, out):
+            assert pg_mean(bi, ci) == oi or np.isnan(ci) and np.isnan(oi)
+    # a NaN tilt stays NaN, alone or beside tilts of the b/4 limit
+    assert np.isnan(pg_mean(1.0, np.nan))
+    assert np.isnan(pg_mean(np.ones(3), np.array([0.0, np.nan, 2.0]))[1])
+
+
 def test_pg_mean_broadcasts(rng):
     b = rng.uniform(size=(3, 4))
     c = rng.standard_normal((3, 4))
@@ -418,3 +479,9 @@ def test_dirichlet_log_expectation_rejects_nonpositive():
         dirichlet_log_expectation(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         dirichlet_log_expectation(np.array([]))
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -0.0, -2.0):
+        alpha = np.full((3, 4), 2.0)
+        alpha[1, 2] = bad
+        with pytest.raises(ValueError):
+            dirichlet_log_expectation(alpha)
+    assert np.all(np.isfinite(dirichlet_log_expectation(np.array([1e-300, 1e300]))))
