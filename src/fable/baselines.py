@@ -16,8 +16,8 @@ in q(z).  A sweep makes one pass per cell quantity, writing into the
 arrays it allocated.
 
 The state is cell-major: q(z) is (K, N) and every per-cell array, rho
-included, is a C-ordered (K, M, N) array, the (P, N) rows the GP solve
-of :mod:`fable.linalg` takes; mu is (K, M, L, K), vote class last.
+included, is a C-ordered (K, M, N) array, which the GP solve of
+:mod:`fable.linalg` takes as it is; mu is (K, M, L, K), vote class last.
 Sums over an item's cells run down axis 0 of a (K*M, N) view, adding
 the cells in order; sums over items run along the last axis, pairwise.
 Only :func:`_finish` transposes, to the (N, K) ``Posterior.probs``.
@@ -134,16 +134,13 @@ def majority_vote(dataset: Dataset) -> Posterior:
     return _finish(counts / totals, n_iters=0)
 
 
-def _vote_log_scores(elog_v: np.ndarray, onehot: sparse.spmatrix) -> np.ndarray:
+def _vote_log_scores(elog_v: np.ndarray, onehot: sparse.csc_matrix) -> np.ndarray:
     """sum_j E[log v_{jkm, y_ij}] over each item's non-abstaining LFs.
 
-    ``elog_v`` has shape (K, M, L, K) and ``onehot`` is ``Dataset.onehot``,
-    or ``Dataset.onehot_t``, which is transposed per call as scipy would;
-    the result is a (K, M, N) view of the (N, K*M) product, same bits.
+    ``elog_v`` has shape (K, M, L, K) and ``onehot`` is ``Dataset.onehot``;
+    the result is a (K, M, N) view of the (N, K*M) product.
     """
     k, m = elog_v.shape[:2]
-    if onehot.format == "csr":
-        onehot = onehot.T
     return (onehot @ elog_v.reshape(k * m, -1).T).T.reshape(k, m, -1)
 
 

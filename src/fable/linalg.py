@@ -3,31 +3,33 @@
 The GP step of the label model needs, for every class/subtype pair, the
 posterior covariance ``(K^-1 + diag(omega))^-1`` together with its
 action on a vector and its diagonal.  Every kernel here is kept as a
-factor plus a diagonal, ``K = F F^T + diag(s)`` with F of shape (N, r),
-and for that form the Woodbury identity gives the posterior exactly
-through one r x r core per pair:
+factor plus a diagonal, ``K = F^T F + diag(s)`` with F of shape (r, N),
+one row f_a of N items per factor direction, and for that form the
+Woodbury identity gives the posterior exactly through one r x r core
+per pair:
 
-    Sigma_hat = diag(s t) + G C^-1 G^T,
-    t = 1 / (1 + s omega),  G = diag(t) F,  C = I + F^T diag(omega t) F.
+    Sigma_hat = diag(s t) + G^T C^-1 G,
+    t = 1 / (1 + s omega),  G = F diag(t),  C = I + F diag(omega t) F^T.
 
 C has eigenvalues >= 1, so the core stays well conditioned even when s
 is only the jitter, and no N x N matrix is formed or inverted.  Factors
 wider than a requested rank are cut to their leading singular
 directions first.
 
-Every batched operand is (P, N), one row of N items per pair, the
-cell-major layout the label model keeps its state in, so no solve
-transposes.  The cores and the quadratic forms f_i^T C_p^-1 f_i of the
-posterior diagonal are built in one of two forms, chosen from N and r
-alone.  A narrow factor, whose (N, r^2) matrix of pairwise row products
-Q_i = vec(f_i f_i^T) fits in ``_CHUNK_ELEMENTS``, gets all P cores as
-one product ``(omega t) Q`` and all quadratic forms as one product
-``vec(C_p^-1)^T Q^T``.  A wider factor, such as a 100-column embedding,
-where Q would cost r times the arithmetic of the products it replaces,
-solves omega's rows one at a time instead: each core is one (r, N) by
-(N, r) product and each row of quadratic forms one (r, r) by (r, N)
-product.  Both forms finish the variances the same way, t (t quad + s).
-A kernel builds Q and its (r, N) factor rows once, at its first solve.
+Every batched operand is (..., N), one solve per leading index, so the
+label model's C-ordered (K, M, N) cells are solved as they are and no
+solve transposes.  The cores and the quadratic forms f_i^T C_p^-1 f_i
+of the posterior diagonal, f_i being column i of F, are built in one
+of two forms, chosen from N and r alone.  A narrow factor, whose
+(r^2, N) matrix Q of pairwise row products f_a * f_b fits in
+``_CHUNK_ELEMENTS``, gets all P cores as one product ``(omega t) Q^T``
+and all quadratic forms as one product ``vec(C_p^-1)^T Q``.  A wider
+factor, such as a 100-feature embedding, where Q would cost r times the
+arithmetic of the products it replaces, solves one pair at a time
+instead: each core is one (r, N) by (N, r) product and each row of
+quadratic forms one (r, r) by (r, N) product.  Both forms finish the
+variances the same way, t (t quad + s).  A kernel builds Q once, at its
+first narrow solve.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ _PG_SMALL_TILT = 1e-8
 # added to the cosine kernel's diagonal, keeping it strictly positive definite
 _KERNEL_JITTER = 1e-4
 # the floats (1 MB) that the pair matrix Q of a narrow factor may hold;
-# a wider factor is solved one row of omega at a time, with r x N
-# temporaries.  ``metrics`` bounds its blocks of distance rows by the
-# same count
+# a wider factor is solved one pair at a time, with r x N temporaries.
+# ``metrics`` bounds its blocks of distance rows by the same count
 _CHUNK_ELEMENTS = 1 << 17
 
 
@@ -64,22 +65,23 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric PSD matrix ``factor @ factor.T + diag(noise)``.
+    """Symmetric PSD matrix ``rows.T @ rows + diag(noise)``.
 
-    ``factor`` has shape (N, r), so storage and matvec cost O(N * r);
-    nothing N x N is materialised unless ``values`` is asked for.
-    ``noise`` is the (N,) diagonal s, jitter included.  A kernel is not
-    modified after it is built, so ``rows`` and ``pairs`` are cached.
+    ``rows`` is the C-ordered (r, N) factor F, one row f_a of N items
+    per factor direction, so storage and matvec cost O(N * r); nothing
+    N x N is materialised unless ``values`` is asked for.  ``noise`` is
+    the (N,) diagonal s, jitter included.  A kernel is not modified
+    after it is built, so ``pairs`` is cached.
     """
 
-    factor: np.ndarray
+    rows: np.ndarray
     noise: np.ndarray
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, jitter: float = 0.0) -> "KernelMatrix":
         """Factor a dense symmetric matrix once by ``eigh``, clipping negative eigenvalues to 0.
 
-        The factor keeps one column per eigenvalue above rounding level,
+        The factor keeps one row per eigenvalue above rounding level,
         so its width is the numerical rank of ``matrix``.
         """
         m = np.asarray(matrix, dtype=float)
@@ -96,42 +98,37 @@ class KernelMatrix:
         # directions would widen every core without changing the kernel
         keep = evals > evals.max(initial=0.0) * m.shape[0] * np.finfo(float).eps
         return cls(
-            factor=evecs[:, keep] * np.sqrt(evals[keep]),
+            rows=np.multiply(np.sqrt(evals[keep])[:, None], evecs[:, keep].T, order="C"),
             noise=np.full(m.shape[0], float(jitter)),
         )
 
     @property
     def n(self) -> int:
-        return self.factor.shape[0]
+        return self.rows.shape[1]
 
     def truncated(self, rank: int) -> "KernelMatrix":
         """This kernel with its factor cut to the leading ``rank`` singular directions.
 
-        A factor with at most ``rank`` columns is kept as it is, so the
+        A factor with at most ``rank`` rows is kept as it is, so the
         kernel stays exact.
         """
         if rank < 1:
             raise ValueError("rank must be at least 1")
-        if self.factor.shape[1] <= rank:
+        if self.rows.shape[0] <= rank:
             return self
-        u, sv, _ = np.linalg.svd(self.factor, full_matrices=False)
-        return replace(self, factor=u[:, :rank] * sv[:rank])
+        u, sv, _ = np.linalg.svd(self.rows.T, full_matrices=False)
+        return replace(self, rows=np.multiply(sv[:rank, None], u[:, :rank].T, order="C"))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        return self.factor @ (self.factor.T @ v) + (self.noise * v.T).T
+        return self.rows.T @ (self.rows @ v) + (self.noise * v.T).T
 
     def diagonal(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.factor, self.factor) + self.noise
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The factor as contiguous (r, N) rows f_a."""
-        return np.ascontiguousarray(self.factor.T)
+        return np.einsum("rn,rn->n", self.rows, self.rows) + self.noise
 
     @cached_property
     def pairs(self) -> np.ndarray:
-        """Q^T: the (r^2, N) products f_a * f_b of the factor rows, N * r^2 floats."""
+        """Q: the (r^2, N) products f_a * f_b of the factor rows, N * r^2 floats."""
         r, n = self.rows.shape
         pairs = np.empty((r * r, n))
         for a in range(r):
@@ -141,7 +138,7 @@ class KernelMatrix:
     @property
     def values(self) -> np.ndarray:
         """Materialised dense matrix; only sensible for small N."""
-        base = self.factor @ self.factor.T
+        base = self.rows.T @ self.rows
         base[np.diag_indices(self.n)] += self.noise
         return base
 
@@ -150,12 +147,12 @@ class KernelMatrix:
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.n,):
             raise ValueError("weights must have one entry per row")
-        f = self.factor
-        second_moment = f.T @ (w[:, None] * f)
-        core = np.einsum("id,de,ie->i", f, second_moment, f)
+        f = self.rows
+        second_moment = (f * w) @ f.T
+        core = np.einsum("dn,de,en->n", f, second_moment, f)
         # off-diagonal entries are plain inner products; the diagonal also
         # carries the noise term, so patch that in.
-        inner_diag = np.einsum("ij,ij->i", f, f)
+        inner_diag = np.einsum("rn,rn->n", f, f)
         return core + w * ((inner_diag + self.noise) ** 2 - inner_diag ** 2)
 
 
@@ -164,7 +161,7 @@ def cosine_kernel(features: np.ndarray) -> KernelMatrix:
 
     All-zero feature rows have no direction, so they get similarity 0 to
     every other item and 1 to themselves, keeping the diagonal at
-    1 + jitter everywhere.
+    1 + jitter everywhere.  The factor rows are the normalised features.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -173,23 +170,23 @@ def cosine_kernel(features: np.ndarray) -> KernelMatrix:
         raise ValueError("features must be finite")
     norms = np.linalg.norm(x, axis=1)
     zero = norms == 0.0
-    normalized = x / np.where(zero, 1.0, norms)[:, None]
-    return KernelMatrix(factor=normalized, noise=zero.astype(float) + _KERNEL_JITTER)
+    rows = np.divide(x.T, np.where(zero, 1.0, norms), order="C")
+    return KernelMatrix(rows=rows, noise=zero.astype(float) + _KERNEL_JITTER)
 
 
 @dataclass(frozen=True)
 class SymmetricApprox:
-    """Posterior covariances (K^-1 + diag(omega_p))^-1, one per row p of omega.
+    """Posterior covariances (K^-1 + diag(omega_p))^-1, one per leading index p of omega.
 
-    ``scale`` holds t = 1 / (1 + s omega) in the shape of omega and
-    ``core_inv`` the inverted r x r cores, shape (P, r, r).  ``apply``
-    and ``diagonal`` work row by row and keep that shape, so a 1-D
-    omega gives 1-D results.  ``rank`` is r, the factor width used.
-    ``pairs`` is the prior's Q^T for a narrow factor (see the module
-    docstring) and None for a wide one, which ``diagonal`` solves one
-    row at a time.  ``apply`` allocates its result and one
-    temporary of shape (P, N), ``diagonal`` only its result; every other
-    temporary holds at most the larger of N * r floats and Q.
+    ``scale`` holds t = 1 / (1 + s omega) in omega's shape (..., N) and
+    ``core_inv`` the P inverted r x r cores, (P, r, r), one per solve.
+    ``apply`` and ``diagonal`` work solve by solve and keep omega's
+    shape.  ``rank`` is r, the factor width used.  ``pairs`` is the
+    prior's Q for a narrow factor (see the module docstring) and None
+    for a wide one, which ``diagonal`` solves one pair at a time.
+    ``apply`` allocates its result and one temporary of omega's size,
+    ``diagonal`` only its result; every other temporary holds at most
+    the larger of N * r floats and Q.
     """
 
     prior: KernelMatrix
@@ -202,27 +199,27 @@ class SymmetricApprox:
         v = np.asarray(vec, dtype=float)
         if v.shape != self.scale.shape:
             raise ValueError("vector shape must match omega")
-        f = self.prior.factor
+        f = self.prior.rows
         t = self.scale.reshape(-1, self.prior.n)
         tv = t * v.reshape(t.shape)
-        inner = np.matmul(self.core_inv, (tv @ f)[:, :, None])[:, :, 0]
-        out = inner @ f.T
+        inner = np.matmul(self.core_inv, (tv @ f.T)[:, :, None])[:, :, 0]
+        out = inner @ f
         out *= t
         tv *= self.prior.noise
         out += tv
         return out.reshape(v.shape)
 
     def diagonal(self) -> np.ndarray:
-        n, r = self.prior.factor.shape
+        f = self.prior.rows
+        r, n = f.shape
         t = self.scale.reshape(-1, n)
         # quad_pi = f_i^T C_p^-1 f_i, then t (t quad + s) in place
         if self.pairs is not None:
             quad = self.core_inv.reshape(t.shape[0], r * r) @ self.pairs
         else:
-            f_rows = self.prior.rows
             quad = np.empty_like(t)
             for row, core_inv in zip(quad, self.core_inv):
-                np.einsum("rn,rn->n", core_inv @ f_rows, f_rows, out=row)
+                np.einsum("rn,rn->n", core_inv @ f, f, out=row)
         quad *= t
         quad += self.prior.noise
         quad *= t
@@ -234,40 +231,43 @@ def lowrank_posterior(
     omega: np.ndarray,
     rank: int | None = None,
 ) -> SymmetricApprox:
-    """Exact (K^-1 + diag(omega))^-1 for every row of omega, without inverting K.
+    """Exact (K^-1 + diag(omega))^-1 for every leading index of omega, without inverting K.
 
-    ``omega`` has shape (N,) for one solve or (P, N) for P solves that
-    share the prior.  ``rank`` caps the factor width r first (see
-    ``KernelMatrix.truncated``); None keeps the whole factor.  Cost is
-    O(N * r^2) per row.  A narrow factor gets every core from one
-    product with its pair matrix Q, which holds at most 1 MB; a wider one
-    gets each row's core from its own product.  Either way no temporary
-    holds more than the larger of N * r floats and 1 MB, however many
-    rows omega has.
+    ``omega`` has shape (..., N): (N,) for one solve, or any leading
+    shape, such as the label model's (K, M, N) cells, for one solve per
+    leading index, all sharing the prior.  ``rank`` caps the factor
+    width r first (see ``KernelMatrix.truncated``); None keeps the whole
+    factor.  A ``rank`` below the factor width runs a thin SVD and
+    builds a new pair matrix on every call; ``fable_init`` truncates
+    once instead.  Cost is O(N * r^2) per solve.  A narrow factor gets
+    every core from one product with its pair matrix Q, which holds at
+    most 1 MB; a wider one gets each solve's core from its own product.
+    Either way no temporary holds more than the larger of N * r floats
+    and 1 MB, however many solves omega holds.
     """
     w = np.asarray(omega, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[-1] != prior.n:
+    if w.ndim < 1 or w.shape[-1] != prior.n:
         raise ValueError("omega must have one column per item")
     # a NaN fails both comparisons; the initial 0 passes an empty batch
     if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
         raise ValueError("omega must be finite and nonnegative")
     if rank is not None:
         prior = prior.truncated(rank)
-    f, f_rows = prior.factor, prior.rows
-    n, r = f.shape
-    rows = w.reshape(-1, n)
-    p = rows.shape[0]
-    t = rows * prior.noise
+    f = prior.rows
+    r, n = f.shape
+    cells = w.reshape(-1, n)
+    p = cells.shape[0]
+    t = cells * prior.noise
     t += 1.0
     np.divide(1.0, t, out=t)
-    weights = rows * t
+    weights = cells * t
     pairs = prior.pairs if n * r * r <= _CHUNK_ELEMENTS else None
     if pairs is not None:
         core = (weights @ pairs.T).reshape(p, r, r)
     else:
         core = np.empty((p, r, r))
         for row, weight in zip(core, weights):
-            np.matmul(f_rows * weight, f, out=row)
+            np.matmul(f * weight, f.T, out=row)
     core.reshape(p, r * r)[:, ::r + 1] += 1.0
     return SymmetricApprox(
         prior=prior,

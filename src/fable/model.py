@@ -12,8 +12,8 @@ forms for every block; only the mixture-weight blocks live here.  The
 Gaussian block solves all class/subtype pairs at once with the exact
 factor-plus-diagonal posterior in :mod:`fable.linalg`, so the kernel is
 never formed or inverted.  Every per-cell array is C-ordered (K, M, N),
-so it is the (K*M, N) rows that solve takes.  Each block makes one pass
-per cell quantity.
+and that solve takes the cells in that shape, one solve per (k, m).
+Each block makes one pass per cell quantity.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     """The shared majority-vote start plus uninformative draws for the GP block.
 
     The GP covariance starts at the cosine kernel itself, whose factor is
-    truncated to ``_GP_RANK`` columns when the features are wider;
+    truncated to ``_GP_RANK`` rows when the features are wider;
     m_hat and a are Uniform(0, 1), drawn per item from the stream that
     spread rho over subtypes, and the tilts c follow from m_hat and the
     kernel diagonal.  The confusion prior diagonal is N * M *
@@ -151,22 +151,21 @@ def fable_update_gp(state: FableState) -> FableState:
 
     E[omega_ikm] is the Polya-Gamma mean with shape E[pi] + gamma and
     tilt c; the right-hand side is E[pi] - E[upsilon] = (rho + 1)/xi - gamma.
-    One batched solve covers every class/subtype pair, one row each.
+    One batched solve covers every class/subtype pair, in the cells' shape.
     The new tilts c = sqrt(m_hat^2 + Sigma_hat_ii) are the only use of
     the covariance diagonal, so it is not stored.
     """
-    shape = state.m_hat.shape
     epi = state.rho + 1.0
     epi /= state.xi
-    omega = pg_mean(epi + state.gamma, state.c).reshape(-1, shape[-1])
+    omega = pg_mean(epi + state.gamma, state.c)
     post = lowrank_posterior(state.kernel, omega)
-    # only the solve reads E[omega]; freeing it here keeps one (K*M, N)
+    # only the solve reads E[omega]; freeing it here keeps one (K, M, N)
     # array fewer alive through apply and diagonal, where the block peaks
     del omega
-    rhs = np.subtract(epi, state.gamma, out=epi).reshape(-1, shape[-1])
-    state.m_hat = post.apply(rhs).reshape(shape)
+    rhs = np.subtract(epi, state.gamma, out=epi)
+    state.m_hat = post.apply(rhs)
     state.m_hat *= 0.5
-    c = post.diagonal().reshape(shape)
+    c = post.diagonal()
     c += np.square(state.m_hat)
     state.c = np.sqrt(c, out=c)
     return state
@@ -240,7 +239,7 @@ def fable_fit(
         ("lambda", fable_update_lambda),
     )
     post = _iterate(state, blocks, config.max_iters, config.tol, subtypes=config.subtypes,
-                    gp_rank=int(state.kernel.factor.shape[1]))
+                    gp_rank=int(state.kernel.rows.shape[0]))
     post.diagnostics["xi_clamps"] = state.xi_clamps
     # the floor is tested on every cell once at the start and once per sweep
     post.diagnostics["xi_clamp_rate"] = state.xi_clamps / ((post.n_iters + 1) * state.xi.size)

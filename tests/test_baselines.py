@@ -496,7 +496,7 @@ def test_vote_onehot_marks_one_column_per_vote():
 def test_vote_log_scores_match_mask_loop(case):
     votes, k, m, rng = case
     elog_v = np.log(rng.dirichlet(np.ones(k), size=(k, m, votes.shape[1])))
-    got = _vote_log_scores(elog_v, _dataset(votes, k=k).onehot_t)
+    got = _vote_log_scores(elog_v, _dataset(votes, k=k).onehot)
     assert got.shape == (k, m, votes.shape[0])
     assert np.allclose(got, _vote_log_scores_oracle(elog_v, votes), rtol=0, atol=1e-10)
 

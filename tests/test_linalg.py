@@ -203,6 +203,27 @@ def test_posterior_narrow_and_wide_forms_agree(rng, monkeypatch):
         assert np.allclose(wide.apply(rhs), narrow.apply(rhs), rtol=1e-13, atol=1e-13)
 
 
+def test_posterior_solves_cell_shaped_omega_as_its_rows(rng, monkeypatch):
+    # the label model passes its (K, M, N) cells as they are: one solve per (k, m)
+    kernel = cosine_kernel(rng.standard_normal((60, 4)))
+    omega = rng.uniform(0.0, 2.0, size=(3, 4, 60))
+    rhs = rng.standard_normal((3, 4, 60))
+    # the narrow form, then one float short of the pair matrix, the per-pair form
+    for budget in (60 * 4 * 4, 60 * 4 * 4 - 1):
+        monkeypatch.setattr(linalg, "_CHUNK_ELEMENTS", budget)
+        cells = lowrank_posterior(kernel, omega)
+        rows = lowrank_posterior(kernel, omega.reshape(12, 60))
+        assert (cells.pairs is None) == (budget < 60 * 4 * 4)
+        assert cells.scale.shape == cells.apply(rhs).shape == cells.diagonal().shape == omega.shape
+        assert np.array_equal(cells.scale, rows.scale.reshape(omega.shape))
+        assert np.array_equal(cells.core_inv, rows.core_inv)
+        assert np.array_equal(cells.apply(rhs), rows.apply(rhs.reshape(12, 60)).reshape(omega.shape))
+        assert np.array_equal(cells.diagonal(), rows.diagonal().reshape(omega.shape))
+    # a 0-d omega has no item axis, even against a one-item kernel
+    with pytest.raises(ValueError):
+        lowrank_posterior(cosine_kernel(np.ones((1, 2))), np.array(1.0))
+
+
 def reference_posterior(prior: KernelMatrix, omega: np.ndarray):
     """scale, core_inv, apply and diagonal written as plain expressions, each temporary a new array.
 
@@ -210,30 +231,29 @@ def reference_posterior(prior: KernelMatrix, omega: np.ndarray):
     and quadratic forms from the pair rows f_a * f_b; a wide one from one
     product per row of omega.  Both finish the variances as t (t quad + s).
     """
-    f = prior.factor
-    n, r = f.shape
-    rows = omega.reshape(-1, n)
-    t = 1.0 / (1.0 + prior.noise * rows)
-    weights = rows * t
-    f_rows = np.ascontiguousarray(f.T)
+    f = prior.rows
+    r, n = f.shape
+    cells = omega.reshape(-1, n)
+    t = 1.0 / (1.0 + prior.noise * cells)
+    weights = cells * t
     narrow = n * r * r <= linalg._CHUNK_ELEMENTS
     if narrow:
-        pair_rows = (f_rows[:, None, :] * f_rows[None, :, :]).reshape(r * r, n)
+        pair_rows = (f[:, None, :] * f[None, :, :]).reshape(r * r, n)
         core = (weights @ pair_rows.T).reshape(-1, r, r)
     else:
-        core = np.stack([(f_rows * weight) @ f for weight in weights])
+        core = np.stack([(f * weight) @ f.T for weight in weights])
     core_inv = np.linalg.inv(core + np.eye(r))
 
     def apply(v):
         tv = t * v.reshape(t.shape)
-        inner = np.matmul(core_inv, (tv @ f)[:, :, None])[:, :, 0]
-        return (prior.noise * tv + t * (inner @ f.T)).reshape(v.shape)
+        inner = np.matmul(core_inv, (tv @ f.T)[:, :, None])[:, :, 0]
+        return (prior.noise * tv + t * (inner @ f)).reshape(v.shape)
 
     def diagonal():
         if narrow:
             quad = core_inv.reshape(t.shape[0], r * r) @ pair_rows
         else:
-            quad = np.stack([np.einsum("rn,rn->n", c @ f_rows, f_rows) for c in core_inv])
+            quad = np.stack([np.einsum("rn,rn->n", c @ f, f) for c in core_inv])
         return np.maximum(t * (t * quad + prior.noise), 0.0).reshape(omega.shape)
 
     return t.reshape(omega.shape), core_inv, apply, diagonal
@@ -246,10 +266,10 @@ def test_posterior_in_place_forms_are_bit_identical(rng, r, p):
     # on the wide side each of the 70 rows takes its own products
     n = 2000
     zero_rows = rng.random(n) < 0.05
-    factor = rng.standard_normal((n, r)) / np.sqrt(r)
-    factor[zero_rows] = 0.0
+    rows = rng.standard_normal((r, n)) / np.sqrt(r)
+    rows[:, zero_rows] = 0.0
     # cosine_kernel's noise: the jitter, plus 1 on items with all-zero features
-    kernel = KernelMatrix(factor=factor, noise=zero_rows + linalg._KERNEL_JITTER)
+    kernel = KernelMatrix(rows=rows, noise=zero_rows + linalg._KERNEL_JITTER)
     shape = (n,) if p is None else (p, n)
     omega = rng.uniform(0.0, 3.0, size=shape)
     omega[rng.random(shape) < 0.2] = 0.0
@@ -271,14 +291,13 @@ def test_kernel_builds_its_solve_constants_once(rng):
     kernel = cosine_kernel(rng.standard_normal((50, 5)))
     rows, pairs = kernel.rows, kernel.pairs
     assert kernel.rows is rows and kernel.pairs is pairs
-    assert rows.flags.c_contiguous and np.array_equal(rows, kernel.factor.T)
+    assert rows.shape == (5, 50) and rows.flags.c_contiguous
     assert np.array_equal(pairs, (rows[:, None, :] * rows[None, :, :]).reshape(25, 50))
     post = lowrank_posterior(kernel, rng.uniform(size=(3, 50)))
     assert post.prior is kernel and post.pairs is pairs
     # a cut kernel has a new factor, so it builds its own constants, never its parent's
-    for cut in (kernel.truncated(2), lowrank_posterior(kernel, rng.uniform(size=50), rank=3).prior):
-        r = cut.factor.shape[1]
-        assert cut.rows.shape == (r, 50) and np.array_equal(cut.rows, cut.factor.T)
+    for r, cut in ((2, kernel.truncated(2)), (3, lowrank_posterior(kernel, rng.uniform(size=50), rank=3).prior)):
+        assert cut.rows.shape == (r, 50) and cut.rows.flags.c_contiguous
         assert cut.pairs.shape == (r * r, 50)
         assert not np.shares_memory(cut.rows, rows) and not np.shares_memory(cut.pairs, pairs)
     assert kernel.rows is rows and kernel.pairs is pairs
@@ -286,7 +305,7 @@ def test_kernel_builds_its_solve_constants_once(rng):
 
 def test_wide_diagonal_reads_the_rows_of_the_solve(rng):
     n, r, p = 2000, 40, 3
-    kernel = KernelMatrix(factor=rng.standard_normal((n, r)), noise=np.full(n, 1e-4))
+    kernel = KernelMatrix(rows=rng.standard_normal((r, n)), noise=np.full(n, 1e-4))
     post = lowrank_posterior(kernel, rng.uniform(size=(p, n)))
     assert post.pairs is None and "pairs" not in vars(kernel)
     rows = vars(kernel)["rows"]
@@ -304,7 +323,7 @@ def test_wide_diagonal_reads_the_rows_of_the_solve(rng):
 def test_wide_posterior_temporaries_stay_within_n_r_floats(rng):
     # one N x N covariance alone would be 25M floats; each temporary here holds N * r at most
     n, r, p = 5000, 100, 12
-    kernel = KernelMatrix(factor=rng.standard_normal((n, r)) / np.sqrt(r), noise=np.full(n, 1e-4))
+    kernel = KernelMatrix(rows=rng.standard_normal((r, n)) / np.sqrt(r), noise=np.full(n, 1e-4))
     omega = rng.uniform(0.0, 3.0, size=(p, n))
     v = rng.standard_normal((p, n))
 
@@ -319,7 +338,8 @@ def test_wide_posterior_temporaries_stay_within_n_r_floats(rng):
     assert post.pairs is None
     # scale, core_inv, and the result and (P, N) temporary of apply, and diagonal's result
     outputs = 4 * p * n + p * r * r
-    assert peak_floats <= outputs + 3 * n * r
+    # and one (r, N) product of one pair at a time: the kernel's rows are built before the solve
+    assert peak_floats <= outputs + n * r
 
 
 def test_posterior_rank_caps_wide_cosine_kernel(rng):
@@ -344,23 +364,23 @@ def test_posterior_rejects_rank_below_one(rng):
 def test_kernel_from_dense_clips_negative_eigenvalues():
     kernel = KernelMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(kernel.values, 0.5, atol=1e-12)
-    assert kernel.factor.shape == (2, 1)
+    assert kernel.rows.shape == (1, 2)
 
 
 def test_kernel_from_dense_factor_width_is_numerical_rank(rng):
     x = rng.standard_normal((20, 3))
     kernel = KernelMatrix.from_dense(x @ x.T, jitter=1e-3)
-    assert kernel.factor.shape == (20, 3)
+    assert kernel.rows.shape == (3, 20)
     assert np.allclose(kernel.values, x @ x.T + 1e-3 * np.eye(20), atol=1e-10)
     post = lowrank_posterior(kernel, rng.uniform(0.0, 2.0, size=20))
     assert post.rank == 3
     empty = KernelMatrix.from_dense(np.zeros((4, 4)), jitter=0.5)
-    assert empty.factor.shape == (4, 0)
+    assert empty.rows.shape == (0, 4)
     assert np.allclose(lowrank_posterior(empty, np.ones(4)).diagonal(), 0.5 / 1.5)
 
 
 def test_posterior_narrow_path_on_factors_with_no_signal(rng):
-    # no factor columns (r = 0) and all-zero features both leave only the noise s
+    # no factor rows (r = 0) and all-zero features both leave only the noise s
     kernels = (KernelMatrix.from_dense(np.zeros((5, 5)), jitter=0.5), cosine_kernel(np.zeros((5, 3))))
     for kernel in kernels:
         for omega in (rng.uniform(0.0, 2.0, size=5), rng.uniform(0.0, 2.0, size=(4, 5))):
