@@ -22,15 +22,9 @@ Sums over an item's cells run down axis 0 of a (K*M, N) view, adding
 the cells in order; sums over items run along the last axis, pairwise.
 Only :func:`_finish` transposes, to the (N, K) ``Posterior.probs``.
 
-Every vote statistic goes through one representation: the sparse one-hot
-indicator :attr:`fable.data.Dataset.onehot_t`, an (L*K, N) CSR matrix
-with a one in row j*K + y for each non-abstaining vote y_ij = y and
-nothing for an abstain.  Summing log confusion entries over an item's
-votes is then one product with its CSC transpose ``Dataset.onehot``,
-and the soft confusion counts are one product ``onehot_t @ rho.T``; the
-dataset builds both once, however many fits read them, so a sweep never
-loops over labeling functions or builds a transpose.  Storage is one
-entry per non-abstaining vote.
+Every vote statistic is one of the dataset's two vote products,
+:meth:`fable.data.Dataset.vote_sums` and
+:meth:`fable.data.Dataset.vote_counts`.
 """
 
 from __future__ import annotations
@@ -38,15 +32,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Dataset
 from .linalg import NumericalError, dirichlet_log_expectation
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "Posterior",
@@ -125,23 +115,13 @@ def _finish(qz, n_iters, elbo_trace=None, **diag) -> Posterior:
 def majority_vote(dataset: Dataset) -> Posterior:
     """Normalized vote counts per class; all-abstain items get a uniform row."""
     n_lf, k = dataset.n_lfs, dataset.num_classes
-    # summing the one-hot rows j*K + c over the LFs j counts the votes for c
-    counts = (dataset.onehot @ np.tile(np.eye(k), n_lf).T).T
+    # table[c, j, y] = [y = c], so its sum over an item's votes counts its votes for c
+    counts = dataset.vote_sums(np.tile(np.eye(k), n_lf).reshape(k, n_lf, k))
     totals = counts.sum(axis=0)
     silent = totals == 0
     counts[:, silent] = 1.0
     totals[silent] = k
     return _finish(counts / totals, n_iters=0)
-
-
-def _vote_log_scores(elog_v: np.ndarray, onehot: sparse.csc_matrix) -> np.ndarray:
-    """sum_j E[log v_{jkm, y_ij}] over each item's non-abstaining LFs.
-
-    ``elog_v`` has shape (K, M, L, K) and ``onehot`` is ``Dataset.onehot``;
-    the result is a (K, M, N) view of the (N, K*M) product.
-    """
-    k, m = elog_v.shape[:2]
-    return (onehot @ elog_v.reshape(k * m, -1).T).T.reshape(k, m, -1)
 
 
 def _normalize_log_scores(scores: np.ndarray) -> np.ndarray:
@@ -191,16 +171,15 @@ def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Po
     recorded trace is the observed-data log-likelihood at each
     iteration's parameters.
     """
-    onehot_t, onehot = dataset.onehot_t, dataset.onehot
     trace = []
 
     def em(state):
         qz = state.qz
         prior = qz.sum(axis=1) + _DS_SMOOTHING
         prior /= prior.sum()
-        counts = _DS_SMOOTHING + _confusion_counts(qz[:, None], onehot_t)[:, 0]
+        counts = _DS_SMOOTHING + dataset.vote_counts(qz)
         theta = counts / counts.sum(axis=2, keepdims=True)
-        scores = _vote_log_scores(np.log(theta)[:, None], onehot)[:, 0]
+        scores = dataset.vote_sums(np.log(theta))
         scores += np.log(prior)[:, None]
         top = scores.max(axis=0)
         state.qz = _normalize_log_scores(scores)
@@ -217,10 +196,9 @@ class SubtypeBccState:
 
     rho: C-ordered (K, M, N) joint q(z_i = k, g_i = m); nu: (K,) class
     Dirichlet; mu: (K, M, L, K) confusion Dirichlets; alpha, beta echo
-    their priors; onehot_t and onehot: the dataset's vote matrix
-    ``Dataset.onehot_t`` and its transpose ``Dataset.onehot``, not
-    copies.  The models differ only in their mixture weights pi, whose
-    posterior each subclass adds.
+    their priors; dataset: the fitted dataset, whose vote products the
+    sweeps read.  The models differ only in their mixture weights pi,
+    whose posterior each subclass adds.
     """
 
     rho: np.ndarray
@@ -228,8 +206,7 @@ class SubtypeBccState:
     mu: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    onehot_t: sparse.csr_matrix
-    onehot: sparse.csc_matrix
+    dataset: Dataset
 
     @property
     def qz(self) -> np.ndarray:
@@ -245,17 +222,6 @@ class EbccState(SubtypeBccState):
     """
 
     eta: np.ndarray
-
-
-def _confusion_counts(rho: np.ndarray, onehot_t: sparse.csr_matrix) -> np.ndarray:
-    """sum_i rho_ikm [y_ij = l] for each LF j, as a (K, M, L, K) array.
-
-    ``onehot_t`` is the dataset's vote matrix ``Dataset.onehot_t``; its
-    rows list the items in order, so the sums run in item order.
-    """
-    k, m, n = rho.shape
-    counts = onehot_t @ rho.reshape(k * m, n).T
-    return counts.T.reshape(k, m, -1, k)
 
 
 def _subtype_start(
@@ -287,8 +253,7 @@ def _subtype_start(
         mu=np.zeros((k, subtypes, dataset.n_lfs, k)),
         alpha=alpha,
         beta=beta,
-        onehot_t=dataset.onehot_t,
-        onehot=dataset.onehot,
+        dataset=dataset,
     )
     ebcc_update_tau(state)
     ebcc_update_confusion(state)
@@ -299,13 +264,12 @@ def _subtype_assignments(state: SubtypeBccState, elog_pi: np.ndarray) -> Subtype
     """rho_ikm propto exp(E[log tau_k] + E[log pi_ikm] + sum_j E[log v_jkm,y_ij]).
 
     ``elog_pi`` is a C-ordered (K, M, N) array, overwritten to become the
-    new rho, or a (K, M, 1) one every item shares.  The votes are read
-    from ``state.onehot``.
+    new rho, or a (K, M, 1) one every item shares.
     """
     elog_tau = dirichlet_log_expectation(state.nu)
     elog_v = dirichlet_log_expectation(state.mu)
     elog_pi += elog_tau[:, None, None]
-    votes = _vote_log_scores(elog_v, state.onehot)
+    votes = state.dataset.vote_sums(elog_v)
     out = elog_pi if elog_pi.shape == votes.shape else None
     state.rho = _normalize_log_scores(np.add(elog_pi, votes, out=out, order="C"))
     return state
@@ -335,8 +299,8 @@ def ebcc_update_pi(state: EbccState) -> EbccState:
 
 
 def ebcc_update_confusion(state: SubtypeBccState) -> SubtypeBccState:
-    """mu_jkm = beta_k + soft counts of LF j's votes, from ``state.onehot_t``."""
-    counts = _confusion_counts(state.rho, state.onehot_t)
+    """mu_jkm = beta_k + soft counts of LF j's votes."""
+    counts = state.dataset.vote_counts(state.rho)
     state.mu = np.add(state.beta[:, None, None, :], counts, order="C")
     return state
 

@@ -13,6 +13,12 @@ CSV input pass or fail the same checks, with DatasetError.
 ``save_json`` streams the canonical JSON form entry by entry rather than
 through ``json.dump``; the bytes are the same.
 
+A ``Dataset`` is the one owner of the vote matrix ``onehot_t``, an
+(L*K, N) CSR one-hot indicator with one entry, in row j*K + y, per
+non-abstaining vote y_ij = y.  Every vote statistic is one of its two
+products, ``vote_sums`` and ``vote_counts``; the matrix and its CSC
+transpose ``onehot`` are built once, however many fits read them.
+
 The synthetic benchmark has one fixed layout, four 2-D Gaussian classes
 with eight window LFs; a ``SyntheticSpec`` sets only its size, seed and
 LF widths.
@@ -154,11 +160,10 @@ class Dataset:
     def onehot_t(self) -> sparse.csr_matrix:
         """(L*K, N) indicator of the votes: row j*K + y is 1 where LF j voted y.
 
-        Abstains set nothing, so an item's column holds one entry per LF
-        that voted on it.  Each row lists its items in increasing order.
-        Sparse products do not check indices; construction did.  Built at
-        a dataset's first fit, which is where ``scipy.sparse`` is first
-        imported: a command that fits nothing never loads it.
+        Each row lists its items in increasing order.  Sparse products do
+        not check indices; construction did.  Built at a dataset's first
+        fit, which is where ``scipy.sparse`` is first imported: a command
+        that fits nothing never loads it.
         """
         from scipy import sparse
 
@@ -173,6 +178,16 @@ class Dataset:
     def onehot(self) -> sparse.csc_matrix:
         """(N, L*K) transpose of ``onehot_t``, a CSC view of its three arrays."""
         return self.onehot_t.T
+
+    def vote_sums(self, table: np.ndarray) -> np.ndarray:
+        """sum_j table[..., j, y_ij] over each item's votes: (..., L, K) to (..., N)."""
+        flat = table.reshape(-1, self.n_lfs * self.num_classes)
+        return (self.onehot @ flat.T).T.reshape(*table.shape[:-2], self.n_items)
+
+    def vote_counts(self, weights: np.ndarray) -> np.ndarray:
+        """sum_i weights[..., i] [y_ij = y], added in item order: (..., N) to (..., L, K)."""
+        flat = weights.reshape(-1, self.n_items)
+        return (self.onehot_t @ flat.T).T.reshape(*weights.shape[:-1], self.n_lfs, self.num_classes)
 
 
 def load_json(path, num_classes: int | None = None) -> Dataset:

@@ -24,10 +24,12 @@ of two forms, chosen from N and r alone.  A narrow factor, whose
 (r^2, N) matrix Q of pairwise row products f_a * f_b fits in
 ``_CHUNK_ELEMENTS``, gets all P cores as one product ``(omega t) Q^T``
 and all quadratic forms as one product ``vec(C_p^-1)^T Q``.  A wider
-factor, such as a 100-feature embedding, where Q would cost r times the
-arithmetic of the products it replaces, solves one pair at a time
+factor, such as a 100-feature embedding, solves one pair at a time
 instead: each core is one (r, N) by (N, r) product and each row of
-quadratic forms one (r, r) by (r, N) product.  Both forms finish the
+quadratic forms one (r, r) by (r, N) product.  Both forms do P r^2 N
+multiply-adds; Q costs memory, r^2 N floats or r times the factor,
+built once per kernel and streamed by each product, where the per-pair
+form streams the factor P times.  Both forms finish the
 variances the same way, t (t quad + s).  A kernel builds Q once, at its
 first narrow solve.
 """
@@ -162,15 +164,22 @@ def cosine_kernel(features: np.ndarray) -> KernelMatrix:
     All-zero feature rows have no direction, so they get similarity 0 to
     every other item and 1 to themselves, keeping the diagonal at
     1 + jitter everywhere.  The factor rows are the normalised features.
+    Each row is first scaled, exactly, by the power of two that brings its
+    largest magnitude into [0.5, 1), so the squares of its norm cannot
+    overflow or underflow at extreme but finite scales.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("features must be a nonempty 2-D array")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
-    norms = np.linalg.norm(x, axis=1)
+    _, exponent = np.frexp(np.maximum(x.max(axis=1, initial=0.0), -x.min(axis=1, initial=0.0)))
+    rows = np.ldexp(x.T, -exponent, order="C")
+    # sums of squares as np.linalg.norm forms them, item-major like the
+    # features, so each item's add in the same order; rows is the one copy
+    norms = np.sqrt(np.square(rows.T, order="C").sum(axis=1))
     zero = norms == 0.0
-    rows = np.divide(x.T, np.where(zero, 1.0, norms), order="C")
+    rows /= np.where(zero, 1.0, norms)
     return KernelMatrix(rows=rows, noise=zero.astype(float) + _KERNEL_JITTER)
 
 

@@ -23,10 +23,8 @@ from fable import (
 )
 from fable.baselines import (
     _A_PI,
-    _confusion_counts,
     _finish,
     _log_beta,
-    _vote_log_scores,
     ebcc_update_assignments,
     ebcc_update_confusion,
     ebcc_update_pi,
@@ -239,7 +237,7 @@ def _ebcc_elbo_oracle(state):
     value += float(
         ((state.beta[:, None, None, :] - 1.0) * elog_v).sum()
         - n_lf * m * _log_beta(state.beta).sum()
-        + (_confusion_counts(rho, state.onehot_t) * elog_v).sum()
+        + (state.dataset.vote_counts(rho) * elog_v).sum()
     )
     value -= float(xlogy(rho, rho).sum())
     value += float(_dirichlet_entropy_oracle(state.nu))
@@ -491,31 +489,42 @@ def test_vote_onehot_marks_one_column_per_vote():
     assert np.array_equal(onehot.toarray(), expected.T)
 
 
-@_ORACLE_SETTINGS
-@given(_votes())
-def test_vote_log_scores_match_mask_loop(case):
-    votes, k, m, rng = case
-    elog_v = np.log(rng.dirichlet(np.ones(k), size=(k, m, votes.shape[1])))
-    got = _vote_log_scores(elog_v, _dataset(votes, k=k).onehot)
-    assert got.shape == (k, m, votes.shape[0])
-    assert np.allclose(got, _vote_log_scores_oracle(elog_v, votes), rtol=0, atol=1e-10)
+# the lead shapes the fits pass: (K,) from majority vote and Dawid-Skene,
+# (K, M) from the subtype models
+_LEADS = st.booleans()
 
 
 @_ORACLE_SETTINGS
-@given(_votes())
-def test_confusion_counts_match_mask_loop(case):
+@given(_votes(), _LEADS)
+def test_vote_sums_match_mask_loop(case, per_class):
     votes, k, m, rng = case
-    rho = rng.dirichlet(np.ones(k * m), size=votes.shape[0]).T.reshape(k, m, -1)
+    lead = (k,) if per_class else (k, m)
+    elog_v = np.log(rng.dirichlet(np.ones(k), size=lead + (votes.shape[1],)))
+    got = _dataset(votes, k=k).vote_sums(elog_v)
+    assert got.shape == lead + (votes.shape[0],)
+    expected = _vote_log_scores_oracle(elog_v.reshape(k, -1, *elog_v.shape[-2:]), votes)
+    assert np.allclose(got, expected.reshape(got.shape), rtol=0, atol=1e-10)
+
+
+@_ORACLE_SETTINGS
+@given(_votes(), _LEADS)
+def test_vote_counts_match_mask_loop(case, per_class):
+    votes, k, m, rng = case
+    lead = (k,) if per_class else (k, m)
+    rho = rng.dirichlet(np.ones(np.prod(lead)), size=votes.shape[0]).T.reshape(*lead, -1)
     d = _dataset(votes, k=k)
-    got = _confusion_counts(rho, d.onehot_t)
-    assert np.array_equal(got, _confusion_counts(rho, d.onehot_t.tocsc()))  # CSR = CSC product, bit for bit
-    expected = _confusion_counts_oracle(rho, votes, k)
-    assert got.shape == expected.shape
-    assert np.allclose(got, expected, rtol=0, atol=1e-10)
+    got = d.vote_counts(rho)
+    csc = _dataset(votes, k=k)
+    csc.onehot_t = d.onehot_t.tocsc()
+    assert np.array_equal(got, csc.vote_counts(rho))  # CSR = CSC product, bit for bit
+    expected = _confusion_counts_oracle(rho.reshape(k, -1, rho.shape[-1]), votes, k)
+    assert got.shape == lead + expected.shape[2:]
+    assert np.allclose(got, expected.reshape(got.shape), rtol=0, atol=1e-10)
     # the ELBO's vote term, as counts against E[log v] and as per-item scores
-    elog_v = np.log(rng.dirichlet(np.ones(k), size=(k, m, votes.shape[1])))
+    elog_v = np.log(rng.dirichlet(np.ones(k), size=lead + (votes.shape[1],)))
     by_counts = (got * elog_v).sum()
-    by_items = (rho * _vote_log_scores_oracle(elog_v, votes)).sum()
+    scores = _vote_log_scores_oracle(elog_v.reshape(k, -1, *elog_v.shape[-2:]), votes)
+    by_items = (rho * scores.reshape(rho.shape)).sum()
     assert by_counts == pytest.approx(by_items, rel=1e-10, abs=1e-10)
 
 
@@ -563,12 +572,10 @@ def test_every_fit_reads_the_one_vote_matrix_of_its_dataset(small_synthetic, mon
     dawid_skene(d, max_iters=3)
     ebcc_fit(d, max_iters=3)
     fable_fit(d, FableConfig(max_iters=3))
-    assert ebcc_init(d).onehot_t is d.onehot_t
-    assert fable_init(d, FableConfig()).onehot_t is d.onehot_t
+    assert ebcc_init(d).dataset is d
+    assert fable_init(d, FableConfig()).dataset is d
     assert len(builds) == 1
-    # the (N, L*K) transpose the vote scores read is built once too, as a view
-    assert ebcc_init(d).onehot is d.onehot
-    assert fable_init(d, FableConfig()).onehot is d.onehot
+    # the (N, L*K) transpose the vote sums read is built once too, as a view
     assert d.onehot.shape == d.onehot_t.shape[::-1]
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(d.onehot, name), getattr(d.onehot_t, name)), name
@@ -583,13 +590,13 @@ def test_sweeps_leave_onehot_untouched(small_synthetic):
         (ebcc, ebcc_update_assignments, ebcc_update_confusion),
         (fable, fable_update_assignments, ebcc_update_confusion),
     ):
-        onehot_t = state.onehot_t
+        onehot_t = state.dataset.onehot_t
         before = (onehot_t.data.copy(), onehot_t.indices.copy(), onehot_t.indptr.copy())
         for _ in range(3):
             assign(state)
             confuse(state)
-        assert state.onehot_t is onehot_t
-        assert state.onehot is d.onehot
+        assert state.dataset is d
+        assert d.onehot_t is onehot_t
         for arr, old in zip((onehot_t.data, onehot_t.indices, onehot_t.indptr), before):
             assert np.array_equal(arr, old)
         fresh = _dataset(d.lf_labels, k=d.num_classes).onehot_t

@@ -23,7 +23,6 @@ from fable.baselines import (
     _A_PI,
     _BETA_OFFDIAG,
     _finish,
-    _vote_log_scores,
     ebcc_fit,
     ebcc_update_assignments,
     ebcc_update_confusion,
@@ -398,7 +397,7 @@ def _reference_assignments(state, elog_pi):
     elog_tau = dirichlet_log_expectation(state.nu)
     elog_v = dirichlet_log_expectation(state.mu)
     scores = elog_tau[:, None, None] + elog_pi
-    scores = scores + _vote_log_scores(elog_v, state.onehot)
+    scores = scores + state.dataset.vote_sums(elog_v)
     flat = scores.reshape(-1, scores.shape[-1])
     flat = flat - flat.max(axis=0)
     weights = np.exp(flat)
@@ -411,7 +410,7 @@ def _reference_assignments(state, elog_pi):
 def _reference_counts(state):
     # the CSC product with one column per item, as first written
     k, m, n = state.rho.shape
-    counts = state.onehot_t.tocsc() @ state.rho.reshape(k * m, n).T
+    counts = state.dataset.onehot_t.tocsc() @ state.rho.reshape(k * m, n).T
     return counts.T.reshape(k, m, -1, k)
 
 
@@ -546,7 +545,7 @@ def test_vote_products_match_the_transpose_scipy_builds_bit_for_bit():
         k, n_lf = d.num_classes, d.n_lfs
         elog_v = np.log(np.random.default_rng(seed).dirichlet(np.ones(k), size=(k, m, n_lf)))
         expected = (elog_v.reshape(k * m, -1) @ d.onehot_t).reshape(k, m, -1)
-        assert np.array_equal(_vote_log_scores(elog_v, d.onehot), expected)
+        assert np.array_equal(d.vote_sums(elog_v), expected)
         counts = np.tile(np.eye(k), n_lf) @ d.onehot_t
         totals = counts.sum(axis=0)
         counts[:, totals == 0], totals[totals == 0] = 1.0, k
