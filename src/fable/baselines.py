@@ -137,12 +137,13 @@ def _iterate(state, blocks, max_iters: int, tol: float, elbo_trace=None, **extra
     """Run the sweep on ``state`` until max |change in q(z)| < tol or ``max_iters`` sweeps.
 
     ``blocks`` is the sweep: ordered ``(name, update)`` pairs, each
-    update taking ``state``, which exposes q(z) as ``state.qz``.  The
-    diagnostics are the ``converged`` flag, the per-sweep
-    ``delta_trace``, the ``max_iters`` and ``tol`` the loop ran with,
-    ``extra``, and ``block_ms``: each block's milliseconds summed over
-    the sweeps, in sweep order.  Each fit builds its table per call, so
-    a wrapper patched over an update function is the one that runs.
+    update taking ``state``, which exposes q(z) as ``state.qz``,
+    updating it in place and returning None.  The diagnostics are the
+    ``converged`` flag, the per-sweep ``delta_trace``, the ``max_iters``
+    and ``tol`` the loop ran with, ``extra``, and ``block_ms``: each
+    block's milliseconds summed over the sweeps, in sweep order.  Each
+    fit builds its table per call, so a wrapper patched over an update
+    function is the one that runs.
     """
     qz = state.qz
     deltas = []
@@ -260,7 +261,7 @@ def _subtype_start(
     return state
 
 
-def _subtype_assignments(state: SubtypeBccState, elog_pi: np.ndarray) -> SubtypeBccState:
+def _subtype_assignments(state: SubtypeBccState, elog_pi: np.ndarray) -> None:
     """rho_ikm propto exp(E[log tau_k] + E[log pi_ikm] + sum_j E[log v_jkm,y_ij]).
 
     ``elog_pi`` is a C-ordered (K, M, N) array, overwritten to become the
@@ -272,7 +273,6 @@ def _subtype_assignments(state: SubtypeBccState, elog_pi: np.ndarray) -> Subtype
     votes = state.dataset.vote_sums(elog_v)
     out = elog_pi if elog_pi.shape == votes.shape else None
     state.rho = _normalize_log_scores(np.add(elog_pi, votes, out=out, order="C"))
-    return state
 
 
 def ebcc_init(dataset: Dataset, subtypes: int = 3, seed: int = 0) -> EbccState:
@@ -283,26 +283,23 @@ def ebcc_init(dataset: Dataset, subtypes: int = 3, seed: int = 0) -> EbccState:
     return state
 
 
-def ebcc_update_assignments(state: EbccState) -> EbccState:
+def ebcc_update_assignments(state: EbccState) -> None:
     """Assignments with the Dirichlet E[log pi_km] of the subtype weights eta."""
-    return _subtype_assignments(state, dirichlet_log_expectation(state.eta)[:, :, None])
+    _subtype_assignments(state, dirichlet_log_expectation(state.eta)[:, :, None])
 
 
-def ebcc_update_tau(state: SubtypeBccState) -> SubtypeBccState:
+def ebcc_update_tau(state: SubtypeBccState) -> None:
     state.nu = state.alpha + state.qz.sum(axis=1)
-    return state
 
 
-def ebcc_update_pi(state: EbccState) -> EbccState:
+def ebcc_update_pi(state: EbccState) -> None:
     state.eta = _A_PI + state.rho.sum(axis=2)
-    return state
 
 
-def ebcc_update_confusion(state: SubtypeBccState) -> SubtypeBccState:
+def ebcc_update_confusion(state: SubtypeBccState) -> None:
     """mu_jkm = beta_k + soft counts of LF j's votes."""
     counts = state.dataset.vote_counts(state.rho)
     state.mu = np.add(state.beta[:, None, None, :], counts, order="C")
-    return state
 
 
 def _log_beta(params: np.ndarray) -> np.ndarray:

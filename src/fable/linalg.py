@@ -56,8 +56,7 @@ _PG_SMALL_TILT = 1e-8
 # added to the cosine kernel's diagonal, keeping it strictly positive definite
 _KERNEL_JITTER = 1e-4
 # the floats (1 MB) that the pair matrix Q of a narrow factor may hold;
-# a wider factor is solved one pair at a time, with r x N temporaries.
-# ``metrics`` bounds its blocks of distance rows by the same count
+# a wider factor is solved one pair at a time, with r x N temporaries
 _CHUNK_ELEMENTS = 1 << 17
 
 
@@ -173,8 +172,9 @@ def cosine_kernel(features: np.ndarray) -> KernelMatrix:
         raise ValueError("features must be a nonempty 2-D array")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
-    _, exponent = np.frexp(np.maximum(x.max(axis=1, initial=0.0), -x.min(axis=1, initial=0.0)))
-    rows = np.ldexp(x.T, -exponent, order="C")
+    rows = x.T.copy()  # max and min over its D rows pass along the items, not item by item
+    top = np.maximum(rows.max(axis=0, initial=0.0), -rows.min(axis=0, initial=0.0))
+    np.ldexp(rows, -np.frexp(top)[1], out=rows)
     # sums of squares as np.linalg.norm forms them, item-major like the
     # features, so each item's add in the same order; rows is the one copy
     norms = np.sqrt(np.square(rows.T, order="C").sum(axis=1))

@@ -2,10 +2,9 @@
 
 The dependence score is a distance correlation computed in row chunks:
 no N x N distance matrix is formed, so its memory is O(N * chunk) with
-chunks of at most max(N, 2^17) floats (1 MB), the bound ``linalg`` uses.
-One pass over the feature distance rows serves every labeling function:
-each chunk is multiplied once by an (N, 2L) weight matrix, which adds
-O(N * L) memory.
+chunks of at most max(N, ``_CHUNK_ELEMENTS``) floats.  One pass over the
+feature distance rows serves every labeling function: each chunk is
+multiplied once by an (N, 2L) weight matrix, which adds O(N * L) memory.
 
 Importing this module loads no scipy module.  ``pearson_r`` imports
 ``scipy.special`` when it runs and computes its p-value in closed form
@@ -19,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import ABSTAIN, Dataset, DatasetError
-from .linalg import _CHUNK_ELEMENTS
 
 __all__ = [
     "accuracy",
@@ -28,6 +26,9 @@ __all__ = [
     "feature_lf_correlation",
     "pearson_r",
 ]
+
+# the floats (1 MB) one block of distance rows may hold; a block is at least one row
+_CHUNK_ELEMENTS = 1 << 17
 
 
 def _check_label_pair(predictions, gold):
@@ -184,8 +185,7 @@ def feature_lf_correlation(dataset: Dataset) -> float:
         raise DatasetError("feature/LF correlation needs gold labels")
     covered = dataset.lf_labels != ABSTAIN
     correct = (covered & (dataset.lf_labels == dataset.gold[:, None])).astype(float)
-    m = _as_sample_matrix(dataset.features)
-    return float(_indicator_dcors(m, covered, correct).sum()) / dataset.n_lfs
+    return float(_indicator_dcors(dataset.features, covered, correct).sum()) / dataset.n_lfs
 
 
 def _unit_centered(v: np.ndarray) -> np.ndarray:

@@ -123,17 +123,17 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     return state
 
 
-def fable_update_assignments(state: FableState) -> FableState:
+def fable_update_assignments(state: FableState) -> None:
     """Assignments with the Gamma E[log pi_ikm] = psi(rho + 1) - log(xi)."""
     from scipy.special import psi
 
     elog_pi = state.rho + 1.0
     psi(elog_pi, out=elog_pi)
     elog_pi -= np.log(state.xi)
-    return _subtype_assignments(state, elog_pi)
+    _subtype_assignments(state, elog_pi)
 
 
-def fable_update_pi(state: FableState) -> FableState:
+def fable_update_pi(state: FableState) -> None:
     """Gamma rate of q(pi), log 2 - m_hat / 2; its shape rho + 1 is not stored.
 
     The rate is clamped at ``_XI_FLOOR`` (counted in ``xi_clamps``) since
@@ -143,10 +143,9 @@ def fable_update_pi(state: FableState) -> FableState:
     np.subtract(np.log(2.0), xi, out=xi)
     state.xi_clamps += int(np.count_nonzero(xi < _XI_FLOOR))
     state.xi = np.maximum(xi, _XI_FLOOR, out=xi)
-    return state
 
 
-def fable_update_gp(state: FableState) -> FableState:
+def fable_update_gp(state: FableState) -> None:
     """Gaussian block: Sigma_hat = (Sigma^-1 + diag E[omega])^-1, m_hat = Sigma_hat rhs / 2.
 
     E[omega_ikm] is the Polya-Gamma mean with shape E[pi] + gamma and
@@ -168,18 +167,18 @@ def fable_update_gp(state: FableState) -> FableState:
     c = post.diagonal()
     c += np.square(state.m_hat)
     state.c = np.sqrt(c, out=c)
-    return state
 
 
-def fable_update_augmentation(state: FableState) -> FableState:
+def fable_update_augmentation(state: FableState) -> None:
     """Poisson means gamma from the Polya-Gamma tilts c.
 
     gamma_ikm = exp(psi(a_i) - m_hat/2) / (K * M * 2 cosh(c/2)).  The
     tilt c = sqrt(Sigma_hat_ii + m_hat^2) is never negative, so
     log 2 cosh(c/2) = c/2 + log1p(exp(-c)) and
     log gamma = psi(a) - log(K * M) - (m_hat + c)/2 - log1p(exp(-c)),
-    in which exp(-c) <= 1; log gamma is capped at 700 before its
-    exponential.  The 2 cosh(c/2) factor is
+    in which exp(-c) <= 1.  As c >= |m_hat|, log gamma <= psi(a) - log(K * M):
+    the lambda block's next a < exp(psi(a)) + 1 < a + 1, so a grows by less
+    than 1 per sweep and no exponential overflows.  The 2 cosh(c/2) factor is
     exp(-E[log sigmoid(-f)] - f/2): gamma approximates
     E[lambda] * sigmoid(-m_hat), the posterior count of the exponential
     slack each cell carries, which keeps the normaliser fixed point at
@@ -196,12 +195,10 @@ def fable_update_augmentation(state: FableState) -> FableState:
     np.subtract(item_shift, log_gamma, out=log_gamma)
     tail = np.negative(state.c)
     log_gamma -= np.log1p(np.exp(tail, out=tail), out=tail)
-    np.minimum(log_gamma, 700.0, out=log_gamma)
     state.gamma = np.exp(log_gamma, out=log_gamma)
-    return state
 
 
-def fable_update_lambda(state: FableState) -> FableState:
+def fable_update_lambda(state: FableState) -> None:
     """Gamma posterior of the normaliser: shape a_i = sum_km gamma_ikm + 1, rate K * M.
 
     The rate is a constant, the number of augmented Poisson cells per
@@ -213,7 +210,6 @@ def fable_update_lambda(state: FableState) -> FableState:
     """
     state.a = state.gamma.sum(axis=(0, 1))
     state.a += 1.0
-    return state
 
 
 def fable_fit(

@@ -53,15 +53,16 @@ def test_cosine_kernel_zero_rows():
 
 def test_cosine_kernel_ignores_extreme_feature_scales(rng):
     # squares of entries beyond ~1e154 overflow and below ~1e-154 underflow
-    x = rng.standard_normal((20, 5))
-    x[7] = 0.0
-    expected = cosine_kernel(x)
-    for scale in (2.0**600, 2.0**-600):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            k = cosine_kernel(x * scale)
-        assert np.array_equal(k.rows, expected.rows)
-        assert np.array_equal(k.noise, expected.noise)
+    for d in (1, 5, 100):
+        x = rng.standard_normal((20, d))
+        x[7] = 0.0
+        expected = cosine_kernel(x)
+        for scale in (2.0**600, 2.0**-600):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                k = cosine_kernel(x * scale)
+            assert np.array_equal(k.rows, expected.rows)
+            assert np.array_equal(k.noise, expected.noise)
 
 
 def test_cosine_kernel_is_symmetric_psd(rng):
