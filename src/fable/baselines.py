@@ -9,7 +9,8 @@ mean-field coordinate ascent with Dirichlet posteriors throughout.
 The start, class-prior, confusion and assignment updates form a core
 over :class:`SubtypeBccState` that the feature-aware model in
 :mod:`fable.model` shares; each model supplies only the posterior of its
-mixture weights pi.  Every iterative fit states its sweep as a table of
+mixture weights pi.  The start builds the model's own state class once
+and fills it in place.  Every iterative fit states its sweep as a table of
 named update blocks, built per call, and runs it through one loop,
 :func:`_iterate`, which times each block and stops on the largest change
 in q(z).  A sweep makes one pass per cell quantity, writing into the
@@ -199,12 +200,14 @@ class SubtypeBccState:
     Dirichlet; mu: (K, M, L, K) confusion Dirichlets; alpha, beta echo
     their priors; dataset: the fitted dataset, whose vote products the
     sweeps read.  The models differ only in their mixture weights pi,
-    whose posterior each subclass adds.
+    whose posterior each subclass adds.  :func:`_subtype_start` builds a
+    model's own state from rho, the priors and the dataset; the
+    ``init=False`` fields are filled by the start's blocks and draws.
     """
 
     rho: np.ndarray
-    nu: np.ndarray
-    mu: np.ndarray
+    nu: np.ndarray = field(init=False)
+    mu: np.ndarray = field(init=False)
     alpha: np.ndarray
     beta: np.ndarray
     dataset: Dataset
@@ -219,22 +222,28 @@ class SubtypeBccState:
 class EbccState(SubtypeBccState):
     """The subtype BCC state with per-class Dirichlet mixture weights.
 
-    eta: (K, M) subtype Dirichlets, each with the symmetric prior ``_A_PI``.
+    eta: (K, M) subtype Dirichlets, each with the symmetric prior
+    ``_A_PI``, filled by :func:`ebcc_init`.
     """
 
-    eta: np.ndarray
+    eta: np.ndarray = field(init=False)
 
 
 def _subtype_start(
-    dataset: Dataset, subtypes: int, beta_diag: float, rng: np.random.Generator
+    cls: type[SubtypeBccState],
+    dataset: Dataset,
+    subtypes: int,
+    beta_diag: float,
+    rng: np.random.Generator,
 ) -> SubtypeBccState:
-    """Majority-vote start: rho = MV posterior times a per-item Dirichlet draw.
+    """Majority-vote start of a ``cls`` state: rho = MV posterior times a per-item Dirichlet draw.
 
     The class prior alpha is the MV class masses, with count 1 for a class
     no vote gives mass; the confusion prior has ``beta_diag`` on its
-    diagonal and ``_BETA_OFFDIAG`` elsewhere.  Returns the core state
-    with nu and mu updated from that rho; the draw advances ``rng``, so a
-    caller can continue the same stream.
+    diagonal and ``_BETA_OFFDIAG`` elsewhere.  Returns the model's own
+    state, built once, with nu and mu updated from that rho; the caller
+    fills the fields of its mixture weights in place.  The draw advances
+    ``rng``, so a caller can continue the same stream.
     """
     if subtypes < 1:
         raise ValueError("need at least one subtype")
@@ -248,14 +257,7 @@ def _subtype_start(
     alpha[alpha == 0] = 1.0
     beta = np.full((k, k), _BETA_OFFDIAG)
     np.fill_diagonal(beta, beta_diag)
-    state = SubtypeBccState(
-        rho=rho,
-        nu=np.zeros(k),
-        mu=np.zeros((k, subtypes, dataset.n_lfs, k)),
-        alpha=alpha,
-        beta=beta,
-        dataset=dataset,
-    )
+    state = cls(rho=rho, alpha=alpha, beta=beta, dataset=dataset)
     ebcc_update_tau(state)
     ebcc_update_confusion(state)
     return state
@@ -276,9 +278,8 @@ def _subtype_assignments(state: SubtypeBccState, elog_pi: np.ndarray) -> None:
 
 
 def ebcc_init(dataset: Dataset, subtypes: int = 3, seed: int = 0) -> EbccState:
-    """The shared majority-vote start plus the subtype Dirichlets eta."""
-    core = _subtype_start(dataset, subtypes, _BETA_DIAG, np.random.default_rng(seed))
-    state = EbccState(**vars(core), eta=np.zeros((dataset.num_classes, subtypes)))
+    """The shared majority-vote start, built as an ``EbccState``, plus the Dirichlets eta."""
+    state = _subtype_start(EbccState, dataset, subtypes, _BETA_DIAG, np.random.default_rng(seed))
     ebcc_update_pi(state)
     return state
 

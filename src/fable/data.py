@@ -114,7 +114,7 @@ class Dataset:
             if self.gold is not None:
                 self.gold = _class_indices(self.gold, "gold labels")
             if self.num_classes is not None:
-                self.num_classes = int(self.num_classes)
+                self.num_classes = int(_class_indices(self.num_classes, "num_classes"))
             if self.ids is not None:
                 self.ids = tuple(str(i) for i in self.ids)
         except DatasetError:

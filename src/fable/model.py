@@ -18,7 +18,7 @@ Each block makes one pass per cell quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,20 +80,21 @@ class FableState(SubtypeBccState):
     posterior means; c: Polya-Gamma tilts sqrt(m_hat^2 + Sigma_hat_ii),
     written with m_hat by the GP block; gamma: Poisson means; a: (N,)
     Gamma shape of the normaliser q(lambda), whose rate is the constant
-    K * M; kernel: shared GP prior.
+    K * M; kernel: shared GP prior.  :func:`fable_init` builds it through
+    the shared start and fills the ``init=False`` fields in place.
     """
 
-    xi: np.ndarray
-    m_hat: np.ndarray
-    c: np.ndarray
-    gamma: np.ndarray
-    a: np.ndarray
-    kernel: KernelMatrix
+    xi: np.ndarray = field(init=False)
+    m_hat: np.ndarray = field(init=False)
+    c: np.ndarray = field(init=False)
+    gamma: np.ndarray = field(init=False)
+    a: np.ndarray = field(init=False)
+    kernel: KernelMatrix = field(init=False)
     xi_clamps: int = 0
 
 
 def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableState:
-    """The shared majority-vote start plus uninformative draws for the GP block.
+    """The shared start, built as a ``FableState``, plus uninformative draws for the GP block.
 
     The GP covariance starts at the cosine kernel itself, whose factor is
     truncated to ``_GP_RANK`` rows when the features are wider;
@@ -104,20 +105,13 @@ def fable_init(dataset: Dataset, config: FableConfig, seed: int = 0) -> FableSta
     """
     n, k, m = dataset.n_items, dataset.num_classes, config.subtypes
     rng = np.random.default_rng(seed)
-    core = _subtype_start(dataset, m, float(n) * m * _CONFUSION_SCALE, rng)
-    kernel = cosine_kernel(dataset.features).truncated(_GP_RANK)
-    m_hat = rng.uniform(size=(n, k, m)).transpose(1, 2, 0).copy()
-    c = np.square(m_hat)
-    c += kernel.diagonal()
-    state = FableState(
-        **vars(core),
-        xi=np.zeros((k, m, n)),
-        m_hat=m_hat,
-        c=np.sqrt(c, out=c),
-        gamma=np.zeros((k, m, n)),
-        a=rng.uniform(size=n),
-        kernel=kernel,
-    )
+    state = _subtype_start(FableState, dataset, m, float(n) * m * _CONFUSION_SCALE, rng)
+    state.kernel = cosine_kernel(dataset.features).truncated(_GP_RANK)
+    state.m_hat = rng.uniform(size=(n, k, m)).transpose(1, 2, 0).copy()
+    c = np.square(state.m_hat)
+    c += state.kernel.diagonal()
+    state.c = np.sqrt(c, out=c)
+    state.a = rng.uniform(size=n)
     fable_update_pi(state)
     fable_update_augmentation(state)
     return state

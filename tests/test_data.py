@@ -35,9 +35,14 @@ INSIDE_THREE_STD = 0.9973002039367398
         ({"lf_labels": [[ABSTAIN], [0]], "gold": [1, 0]}, 2),
         # whole-number floats are class indices
         ({"lf_labels": np.array([[1.0], [-1.0]]), "gold": np.array([1.0, 0.0])}, 2),
+        # a whole class count passes in any numeric or string form
+        ({"lf_labels": [[0], [1]], "num_classes": 3.0}, 3),
+        ({"lf_labels": [[0], [1]], "num_classes": "3"}, 3),
+        ({"lf_labels": [[0], [1]], "num_classes": np.int32(3)}, 3),
     ],
     ids=["full-coverage", "all-abstain-item", "gold-balance", "inferred-from-votes",
-         "inferred-from-gold", "whole-floats"],
+         "inferred-from-gold", "whole-floats", "float-num-classes", "digit-string-num-classes",
+         "int32-num-classes"],
 )
 def test_dataset_accepts_valid_fields(fields, num_classes):
     n = len(fields["lf_labels"])
@@ -75,12 +80,16 @@ def test_dataset_accepts_valid_fields(fields, num_classes):
         ({"gold": ["x", 0]}, "malformed"),
         ({"lf_labels": [[0, 1], [0]]}, "malformed"),
         ({"num_classes": "two"}, "malformed"),
+        ({"num_classes": 2.5}, "num_classes must be whole numbers"),
+        ({"num_classes": np.float64(2.9)}, "num_classes must be whole numbers"),
+        ({"num_classes": True}, "at least two classes"),
     ],
     ids=["vote-out-of-range", "vote-below-abstain", "zero-lfs", "gold-out-of-range",
          "gold-length", "duplicate-ids", "ids-length", "zero-items", "one-class",
          "nothing-to-infer", "nan-feature", "1d-features", "1d-votes", "half-vote",
          "half-gold", "1e30-vote", "huge-int-vote", "nan-vote", "string-vote",
-         "string-feature", "string-gold", "ragged-votes", "string-num-classes"],
+         "string-feature", "string-gold", "ragged-votes", "string-num-classes",
+         "half-num-classes", "float64-num-classes", "bool-num-classes"],
 )
 def test_dataset_rejects_invalid_fields(fields, message):
     base = {"features": np.zeros((2, 1)), "lf_labels": np.zeros((2, 1), dtype=int), "num_classes": 2}

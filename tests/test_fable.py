@@ -246,7 +246,7 @@ def test_augmentation_matches_the_log_cosh_form(small_synthetic):
         - np.log(2.0)
         - log_cosh
     )
-    expected = np.exp(np.minimum(log_gamma, 700.0))
+    expected = np.exp(log_gamma)
     fable_update_augmentation(state)
     assert np.all(expected > 0.0)
     assert np.allclose(state.gamma, expected, rtol=1e-13, atol=0.0)
@@ -463,7 +463,7 @@ def reference_fable_sweep(state):
         - (state.m_hat + state.c) / 2.0
         - np.log1p(np.exp(-state.c))
     )
-    state.gamma = np.exp(np.minimum(log_gamma, 700.0))
+    state.gamma = np.exp(log_gamma)
     cells = state.gamma.reshape(k * m, n)
     state.a = sum(cells[j] for j in range(k * m)) + 1.0
     return state.rho.sum(axis=1)

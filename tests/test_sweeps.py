@@ -9,7 +9,14 @@ from scipy.special import psi as digamma
 
 import fable.baselines
 import fable.model
-from fable import FableConfig, default_synthetic_spec, ebcc_fit, fable_fit, generate_synthetic
+from fable import (
+    FableConfig,
+    default_synthetic_spec,
+    ebcc_fit,
+    fable_fit,
+    fable_init,
+    generate_synthetic,
+)
 
 from conftest import random_dataset
 
@@ -109,6 +116,7 @@ def test_traced_peak_of_a_fit_is_a_fixed_number_of_cell_arrays():
     fits = (
         (lambda: fable_fit(d, FableConfig(max_iters=5, tol=0.0)), 10.5),
         (lambda: ebcc_fit(d, max_iters=5, tol=0.0), 3.9),
+        (lambda: fable_init(d, FableConfig()), 7.0),
     )
     for fit, bound in fits:
         fit()
