@@ -68,7 +68,7 @@ _BETA_OFFDIAG = 1.0
 _A_PI = 1.0
 
 
-@dataclass
+@dataclass(eq=False)
 class Posterior:
     """Result of aggregating labeling-function votes.
 
@@ -192,7 +192,7 @@ def dawid_skene(dataset: Dataset, max_iters: int = 500, tol: float = 1e-6) -> Po
     return _iterate(state, (("em", em),), max_iters, tol, elbo_trace=trace)
 
 
-@dataclass
+@dataclass(eq=False)
 class SubtypeBccState:
     """Variational posteriors shared by the subtype BCC models.
 
@@ -218,7 +218,7 @@ class SubtypeBccState:
         return self.rho.sum(axis=1)
 
 
-@dataclass
+@dataclass(eq=False)
 class EbccState(SubtypeBccState):
     """The subtype BCC state with per-class Dirichlet mixture weights.
 

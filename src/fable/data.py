@@ -354,13 +354,16 @@ def _class_stds(seed: int) -> np.ndarray:
 def default_synthetic_spec(size: int, seed: int, psi_range=None) -> SyntheticSpec:
     """The benchmark spec, every LF width 1 unless ``psi_range`` is given.
 
-    ``psi_range = (lo, hi)`` draws one width per LF uniformly from
-    [lo, hi], on a stream derived from ``seed`` that is separate from the
-    std and data-sampling streams; ``(w, w)`` makes every width exactly w.
+    ``psi_range = (lo, hi)``, with 0 < lo <= hi < inf, draws one width
+    per LF uniformly from [lo, hi], on a stream derived from ``seed``
+    that is separate from the std and data-sampling streams; ``(w, w)``
+    makes every width exactly w.
     """
     if psi_range is None:
         return SyntheticSpec(size=size, seed=seed, psi=(1.0,) * _CLASS_MEANS.size)
     lo, hi = psi_range
+    if not 0 < lo <= hi < np.inf:  # a NaN fails the chain
+        raise DatasetError(f"psi_range must satisfy 0 < lo <= hi < inf, got {psi_range}")
     psi = np.random.default_rng([seed, _PSI_STREAM]).uniform(lo, hi, size=_CLASS_MEANS.size)
     return SyntheticSpec(size=size, seed=seed, psi=tuple(psi))
 

@@ -28,16 +28,15 @@ factor, such as a 100-feature embedding, solves one pair at a time
 instead: each core is one (r, N) by (N, r) product and each row of
 quadratic forms one (r, r) by (r, N) product.  Both forms do P r^2 N
 multiply-adds; Q costs memory, r^2 N floats or r times the factor,
-built once per kernel and streamed by each product, where the per-pair
-form streams the factor P times.  Both forms finish the
-variances the same way, t (t quad + s).  A kernel builds Q once, at its
-first narrow solve.
+built by each narrow solve and streamed by its two products, where the
+per-pair form streams the factor P times.  Both forms finish the
+variances the same way, t (t quad + s).  Nothing is kept between
+solves: a kernel is only its factor and diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +63,7 @@ class NumericalError(RuntimeError):
     """A numerical routine produced non-finite or invalid intermediates."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Symmetric PSD matrix ``rows.T @ rows + diag(noise)``.
 
@@ -72,7 +71,7 @@ class KernelMatrix:
     per factor direction, so storage and matvec cost O(N * r); nothing
     N x N is materialised unless ``values`` is asked for.  ``noise`` is
     the (N,) diagonal s, jitter included.  A kernel is not modified
-    after it is built, so ``pairs`` is cached.
+    after it is built and keeps nothing else.
     """
 
     rows: np.ndarray
@@ -127,15 +126,6 @@ class KernelMatrix:
     def diagonal(self) -> np.ndarray:
         return np.einsum("rn,rn->n", self.rows, self.rows) + self.noise
 
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        """Q: the (r^2, N) products f_a * f_b of the factor rows, N * r^2 floats."""
-        r, n = self.rows.shape
-        pairs = np.empty((r * r, n))
-        for a in range(r):
-            np.multiply(self.rows, self.rows[a], out=pairs[a * r:(a + 1) * r])
-        return pairs
-
     @property
     def values(self) -> np.ndarray:
         """Materialised dense matrix; only sensible for small N."""
@@ -183,16 +173,16 @@ def cosine_kernel(features: np.ndarray) -> KernelMatrix:
     return KernelMatrix(rows=rows, noise=zero.astype(float) + _KERNEL_JITTER)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricApprox:
     """Posterior covariances (K^-1 + diag(omega_p))^-1, one per leading index p of omega.
 
     ``scale`` holds t = 1 / (1 + s omega) in omega's shape (..., N) and
     ``core_inv`` the P inverted r x r cores, (P, r, r), one per solve.
     ``apply`` and ``diagonal`` work solve by solve and keep omega's
-    shape.  ``rank`` is r, the factor width used.  ``pairs`` is the
-    prior's Q for a narrow factor (see the module docstring) and None
-    for a wide one, which ``diagonal`` solves one pair at a time.
+    shape.  ``rank`` is r, the factor width used.  ``pairs`` is the Q
+    that this solve built for a narrow factor (see the module docstring)
+    and None for a wide one, which ``diagonal`` solves one pair at a time.
     ``apply`` allocates its result and one temporary of omega's size,
     ``diagonal`` only its result; every other temporary holds at most
     the larger of N * r floats and Q.
@@ -246,11 +236,11 @@ def lowrank_posterior(
     shape, such as the label model's (K, M, N) cells, for one solve per
     leading index, all sharing the prior.  ``rank`` caps the factor
     width r first (see ``KernelMatrix.truncated``); None keeps the whole
-    factor.  A ``rank`` below the factor width runs a thin SVD and
-    builds a new pair matrix on every call; ``fable_init`` truncates
-    once instead.  Cost is O(N * r^2) per solve.  A narrow factor gets
-    every core from one product with its pair matrix Q, which holds at
-    most 1 MB; a wider one gets each solve's core from its own product.
+    factor.  A ``rank`` below the factor width runs a thin SVD on every
+    call; ``fable_init`` truncates once instead.  Cost is O(N * r^2) per
+    solve.  A narrow factor gets every core from one product with the
+    pair matrix Q that the solve builds, which holds at most 1 MB; a
+    wider one gets each solve's core from its own product.
     Either way no temporary holds more than the larger of N * r floats
     and 1 MB, however many solves omega holds.
     """
@@ -270,7 +260,7 @@ def lowrank_posterior(
     t += 1.0
     np.divide(1.0, t, out=t)
     weights = cells * t
-    pairs = prior.pairs if n * r * r <= _CHUNK_ELEMENTS else None
+    pairs = (f[:, None, :] * f).reshape(r * r, n) if n * r * r <= _CHUNK_ELEMENTS else None
     if pairs is not None:
         core = (weights @ pairs.T).reshape(p, r, r)
     else:

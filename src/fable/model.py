@@ -72,7 +72,7 @@ class FableConfig:
     tol: float = 1e-6
 
 
-@dataclass
+@dataclass(eq=False)
 class FableState(SubtypeBccState):
     """The subtype BCC state with GP-driven mixture weights, C-ordered (K, M, N) unless noted.
 

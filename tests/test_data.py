@@ -295,6 +295,10 @@ def test_synthetic_spec_validation():
             SyntheticSpec(size=100, seed=0, psi=(1.0,) * 7 + (bad,))
     with pytest.raises(DatasetError):
         default_synthetic_spec(size=3, seed=0)
+    # checked before the draw, so no seed can pass a bad range
+    for bad in ((-0.1, 5.0), (3.0, 1.0), (float("nan"), 1.0), (1.0, float("inf")), (0.0, 1.0)):
+        with pytest.raises(DatasetError, match="psi_range"):
+            default_synthetic_spec(size=100, seed=0, psi_range=bad)
 
 
 def test_default_spec_psi_broadcast():

@@ -303,18 +303,20 @@ def test_posterior_in_place_forms_are_bit_identical(rng, r, p):
 
 def test_kernel_builds_its_solve_constants_once(rng):
     kernel = cosine_kernel(rng.standard_normal((50, 5)))
-    rows, pairs = kernel.rows, kernel.pairs
-    assert kernel.rows is rows and kernel.pairs is pairs
+    rows = kernel.rows
     assert rows.shape == (5, 50) and rows.flags.c_contiguous
-    assert np.array_equal(pairs, (rows[:, None, :] * rows[None, :, :]).reshape(25, 50))
     post = lowrank_posterior(kernel, rng.uniform(size=(3, 50)))
-    assert post.prior is kernel and post.pairs is pairs
-    # a cut kernel has a new factor, so it builds its own constants, never its parent's
+    assert post.prior is kernel and kernel.rows is rows
+    assert np.array_equal(post.pairs, (rows[:, None, :] * rows[None, :, :]).reshape(25, 50))
+    # each narrow solve builds its own pair matrix; the kernel keeps only its factor and diagonal
+    again = lowrank_posterior(kernel, rng.uniform(size=(3, 50)))
+    assert np.array_equal(again.pairs, post.pairs) and not np.shares_memory(again.pairs, post.pairs)
+    assert set(vars(kernel)) == {"rows", "noise"}
+    # a cut kernel has a new factor, never its parent's
     for r, cut in ((2, kernel.truncated(2)), (3, lowrank_posterior(kernel, rng.uniform(size=50), rank=3).prior)):
         assert cut.rows.shape == (r, 50) and cut.rows.flags.c_contiguous
-        assert cut.pairs.shape == (r * r, 50)
-        assert not np.shares_memory(cut.rows, rows) and not np.shares_memory(cut.pairs, pairs)
-    assert kernel.rows is rows and kernel.pairs is pairs
+        assert not np.shares_memory(cut.rows, rows)
+    assert kernel.rows is rows and set(vars(kernel)) == {"rows", "noise"}
 
 
 def test_wide_diagonal_reads_the_rows_of_the_solve(rng):

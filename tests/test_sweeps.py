@@ -11,11 +11,15 @@ import fable.baselines
 import fable.model
 from fable import (
     FableConfig,
+    cosine_kernel,
     default_synthetic_spec,
     ebcc_fit,
+    ebcc_init,
     fable_fit,
     fable_init,
     generate_synthetic,
+    lowrank_posterior,
+    majority_vote,
 )
 
 from conftest import random_dataset
@@ -136,3 +140,23 @@ def test_traced_peak_of_a_fit_is_a_fixed_number_of_cell_arrays():
         assert max(peaks) <= bound, peaks
         assert max(peaks) - min(peaks) <= 0.01, peaks
         assert max(kept) - min(kept) <= 0.01, kept
+
+
+_ARRAY_HOLDERS = {
+    "Posterior": lambda d: majority_vote(d),
+    "SubtypeBccState": lambda d: fable.baselines._subtype_start(
+        fable.baselines.SubtypeBccState, d, 2, 1.0, np.random.default_rng(0)),
+    "EbccState": lambda d: ebcc_init(d, subtypes=2),
+    "FableState": lambda d: fable_init(d, FableConfig(subtypes=2)),
+    "KernelMatrix": lambda d: cosine_kernel(d.features),
+    "SymmetricApprox": lambda d: lowrank_posterior(cosine_kernel(d.features), np.ones((2, d.n_items))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ARRAY_HOLDERS))
+def test_dataclasses_that_hold_arrays_compare_by_identity(kind):
+    x = _ARRAY_HOLDERS[kind](random_dataset(0))
+    assert type(x).__name__ == kind
+    assert x == x
+    assert not x == copy.deepcopy(x)
+    hash(x)
