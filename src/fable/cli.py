@@ -1,7 +1,9 @@
 """Command-line interface: aggregate votes, generate benchmarks, run studies.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 unreadable or invalid
-data, 4 numerical failure or out of memory.  All commands are
+It parses arguments and writes run records and study CSVs; dataset and
+predictions files are :mod:`fable.data`'s.  Exit codes: 0 success, 2
+usage error (argparse), 3 unreadable or invalid data or a missing output
+directory, 4 numerical failure or out of memory.  All commands are
 deterministic given ``--seed``; the only non-deterministic output is the
 wall time recorded in run-record files.
 """
@@ -21,12 +23,11 @@ import numpy as np
 
 from .data import (
     DatasetError,
-    _write_json_object,
     default_synthetic_spec,
     generate_synthetic,
-    load_csv,
-    load_json,
+    load_dataset,
     save_json,
+    save_predictions,
 )
 from .linalg import NumericalError
 from .metrics import accuracy, f1_binary
@@ -82,51 +83,18 @@ class RunRecord:
             fh.write("\n")
 
 
-def _load_dataset(path_str: str):
-    path = Path(path_str)
-    if path.is_dir():
-        gold = path / "gold.csv"
-        return load_csv(
-            path / "features.csv",
-            path / "labels.csv",
-            gold_path=gold if gold.exists() else None,
-        )
-    return load_json(path)
-
-
-def _write_predictions(path, ids, posterior) -> None:
-    """Write ``{id: {"prediction", "probs"}}`` as ``json.dump(sort_keys=True, indent=2)`` would."""
-    predictions = posterior.predictions.tolist()
-    probs = posterior.probs.tolist()
-    # probs is never empty, so the list is joined inline; calling the
-    # general list helper of save_json per row made this writer slower
-    separator = ",\n      "
-    _write_json_object(
-        path,
-        (
-            (
-                ids[row],
-                f'{{\n    "prediction": {predictions[row]},\n'
-                f'    "probs": [\n      {separator.join(map(repr, probs[row]))}\n    ]\n  }}',
-            )
-            for row in sorted(range(len(ids)), key=ids.__getitem__)
-        ),
-    )
-
-
 def _fit_knobs(args) -> dict:
     """The knobs set by ``_add_fit_flags``, keyed as :func:`fit_method` takes them."""
     return {"max_iters": args.max_iters, "tol": args.tol, "subtypes": args.subtypes}
 
 
 def cmd_aggregate(args) -> int:
-    dataset = _load_dataset(args.dataset)
+    dataset = load_dataset(args.dataset)
     start = time.perf_counter()
     posterior = fit_method(dataset, args.method, seed=args.seed, **_fit_knobs(args))
     wall_ms = 1000.0 * (time.perf_counter() - start)
 
-    ids = dataset.ids or tuple(f"{i:08d}" for i in range(dataset.n_items))
-    _write_predictions(args.out, ids, posterior)
+    save_predictions(dataset, posterior, args.out)
     diag = posterior.diagnostics
     if diag.get("converged") is False:
         print(f"warning: {args.method} stopped after {posterior.n_iters} sweeps without converging "
@@ -323,6 +291,9 @@ def main(argv=None) -> int:
     if getattr(args, "psi_range", None) and args.psi_range[0] > args.psi_range[1]:
         parser.error(f"argument --psi-range: LO must not exceed HI, got {args.psi_range}")
     try:
+        for out in (args.out, getattr(args, "runs_out", None)):  # checked before any fit or write
+            if out is not None and not Path(out).parent.is_dir():
+                raise FileNotFoundError(f"no directory to write {out} in")
         return args.func(args)
     except (DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

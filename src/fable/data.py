@@ -1,4 +1,4 @@
-"""Dataset container, serialization, and the synthetic benchmark generator.
+"""Dataset container, its file formats, and the synthetic benchmark generator.
 
 A dataset couples per-item feature vectors with the votes of L labeling
 functions.  Votes live in {0..K-1} with ``ABSTAIN`` (-1) marking items a
@@ -10,8 +10,9 @@ Building a ``Dataset`` is the one place a dataset is checked: the
 loaders only parse their files and hand the raw arrays on, so JSON and
 CSV input pass or fail the same checks, with DatasetError.
 
-``save_json`` streams the canonical JSON form entry by entry rather than
-through ``json.dump``; the bytes are the same.
+Every dataset and predictions file is read and written here.  The two
+writers key items by the same ids and stream the JSON entry by entry
+rather than through ``json.dump``; the bytes are the same.
 
 A ``Dataset`` is the one owner of the vote matrix ``onehot_t``, an
 (L*K, N) CSR one-hot indicator with one entry, in row j*K + y, per
@@ -27,6 +28,7 @@ LF widths.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -41,8 +43,10 @@ __all__ = [
     "ABSTAIN",
     "DatasetError",
     "Dataset",
+    "load_dataset",
     "load_json",
     "save_json",
+    "save_predictions",
     "load_csv",
     "SyntheticSpec",
     "default_synthetic_spec",
@@ -260,6 +264,11 @@ def _write_json_object(path, entries) -> None:
         fh.write("\n}\n")
 
 
+def _item_ids(dataset: Dataset) -> tuple[str, ...]:
+    """The dataset's own ids, else zero-padded row indices: the keys of both writers."""
+    return dataset.ids or tuple(f"{i:08d}" for i in range(dataset.n_items))
+
+
 def save_json(dataset: Dataset, path) -> None:
     """Write the canonical JSON form (sorted ids, two-space indent).
 
@@ -268,10 +277,8 @@ def save_json(dataset: Dataset, path) -> None:
     plus a newline.  Loading the result reproduces the dataset exactly;
     saving it again reproduces the file byte for byte.
     """
-    ids = dataset.ids
-    if ids is None:
-        ids = tuple(f"{i:08d}" for i in range(dataset.n_items))
-    elif list(ids) != sorted(ids):
+    ids = _item_ids(dataset)
+    if list(ids) != sorted(ids):
         raise DatasetError("item ids must be lexicographically sorted to save")
     gold = dataset.gold.tolist() if dataset.gold is not None else [None] * dataset.n_items
     entries = (
@@ -289,6 +296,25 @@ def save_json(dataset: Dataset, path) -> None:
     _write_json_object(path, entries)
 
 
+def save_predictions(dataset: Dataset, posterior, path) -> None:
+    """Write ``{id: {"prediction", "probs"}}`` sorted by id; ``posterior`` needs only those two arrays."""
+    ids, predictions, probs = _item_ids(dataset), posterior.predictions.tolist(), posterior.probs.tolist()
+    _write_json_object(path, (
+        (ids[row], f'{{\n    "prediction": {predictions[row]},\n'
+                   f'    "probs": {_json_list(map(repr, probs[row]), "    ")}\n  }}')
+        for row in sorted(range(len(ids)), key=ids.__getitem__)
+    ))
+
+
+def load_dataset(path) -> Dataset:
+    """Read a JSON file, or a directory of ``features.csv``, ``labels.csv`` and optional ``gold.csv``."""
+    path = Path(path)
+    if not path.is_dir():
+        return load_json(path)
+    gold = path / "gold.csv"
+    return load_csv(path / "features.csv", path / "labels.csv", gold if gold.exists() else None)
+
+
 def load_csv(
     features_path,
     labels_path,
@@ -304,10 +330,13 @@ def load_csv(
     ``features_path``.
     """
     try:
-        features = np.loadtxt(features_path, delimiter=",", ndmin=2, dtype=float)
-        votes = np.loadtxt(labels_path, delimiter=",", ndmin=2, dtype=float)
-        gold = None if gold_path is None else np.loadtxt(gold_path, delimiter=",", ndmin=1, dtype=float)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            # numpy only warns about a file with no rows; it is as unparseable as a bad one
+            warnings.simplefilter("error", UserWarning)
+            features = np.loadtxt(features_path, delimiter=",", ndmin=2, dtype=float)
+            votes = np.loadtxt(labels_path, delimiter=",", ndmin=2, dtype=float)
+            gold = None if gold_path is None else np.loadtxt(gold_path, delimiter=",", ndmin=1, dtype=float)
+    except (OSError, ValueError, UserWarning) as exc:
         raise DatasetError(f"could not parse CSV input ({exc})") from exc
     return Dataset(
         features=features,

@@ -6,14 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fable import ABSTAIN, f1_binary, load_json, save_json, studies
+from fable import ABSTAIN, Dataset, f1_binary, load_json, save_json, studies
 from fable.baselines import _finish
-from fable.cli import _write_predictions, main
+from fable.cli import main
+from fable.data import save_predictions
 
 from conftest import random_dataset
 
@@ -446,8 +448,9 @@ def test_predictions_writer_matches_json_dump(tmp_path, k):
     with open(oracle, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    dataset = Dataset(features=np.zeros((len(ids), 1)), lf_labels=np.zeros((len(ids), 1)), num_classes=k, ids=ids)
     out = tmp_path / "out.json"
-    _write_predictions(out, ids, posterior)
+    save_predictions(dataset, posterior, out)
     assert out.read_bytes() == oracle.read_bytes()
     assert json.loads(out.read_text()) == payload
 
@@ -462,6 +465,49 @@ def test_aggregate_csv_directory_input(tmp_path):
     code = main(["aggregate", "--method", "mv", "--dataset", str(d), "--out", str(out)])
     assert code == 0
     assert len(json.loads(out.read_text())) == 3
+
+
+@pytest.mark.parametrize("empty", ["features", "labels", "gold"])
+def test_aggregate_empty_csv_is_one_line_data_error(tmp_path, capsys, empty):
+    d = tmp_path / "dataset"
+    d.mkdir()
+    files = {"features": "0.0,1.0\n1.0,0.0\n", "labels": "0,0\n1,1\n", "gold": "0\n1\n"}
+    for name, text in files.items():
+        (d / f"{name}.csv").write_text("" if name == empty else text)
+    out = tmp_path / "preds.json"
+    # every warning an error, as under python -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["aggregate", "--method", "mv", "--dataset", str(d), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["aggregate", "bench-size"])
+def test_missing_output_directory_fits_nothing(tmp_path, capsys, monkeypatch, command):
+    data = run_synth(tmp_path, size=40)
+    fits, fit = [], studies.fit_method
+
+    def spy(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr("fable.cli.fit_method", spy)
+    monkeypatch.setattr("fable.studies.fit_method", spy)
+    argv = {
+        "aggregate": ["aggregate", "--method", "mv", "--dataset", str(data),
+                      "--out", str(tmp_path / "nodir" / "p.json")],
+        "bench-size": ["bench-size", "--sizes", "40", "--runs", "1", "--methods", "mv",
+                       "--out", str(tmp_path / "s.csv"), "--runs-out", str(tmp_path / "nodir" / "r.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fits == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [data.name]
 
 
 def test_study_corr_writes_one_row_per_trial(tmp_path, capsys):

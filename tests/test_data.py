@@ -1,6 +1,8 @@
 """Dataset container, JSON/CSV round-trips, and the synthetic generator."""
 
 import json
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +16,10 @@ from fable import (
     generate_synthetic,
     load_csv,
     load_json,
+    majority_vote,
     save_json,
 )
-from fable.data import _CLASS_MEANS, _class_stds
+from fable.data import _CLASS_MEANS, _class_stds, save_predictions
 
 # probability that a Gaussian draw lands within +-1 (resp. +-3) stds of
 # its own mean, which is exactly the own-class coverage of a window LF
@@ -285,6 +288,38 @@ def test_load_csv_rejects_fractional_votes(tmp_path):
         load_json(path)
     assert str(from_csv.value) == "labeling-function votes must be whole numbers"
     assert str(from_json.value) == f"{path}: {from_csv.value}"
+
+
+@pytest.mark.parametrize("empty", ["features", "labels", "gold"])
+def test_load_csv_rejects_empty_input_without_warnings(tmp_path, empty):
+    files = {"features": "0.5,1.0\n2.0,-1.0\n", "labels": "0,-1\n1,1\n", "gold": "0\n1\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text("" if name == empty else text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DatasetError, match="could not parse CSV input") as err:
+            load_csv(tmp_path / "features.csv", tmp_path / "labels.csv", gold_path=tmp_path / "gold.csv")
+    assert caught == []
+    assert f"{empty}.csv" in str(err.value)
+
+
+def test_writers_key_items_alike(tmp_path):
+    # an id-less dataset: both files use the same zero-padded row indices
+    dataset = generate_synthetic(default_synthetic_spec(size=12, seed=0))
+    save_json(dataset, tmp_path / "d.json")
+    save_predictions(dataset, majority_vote(dataset), tmp_path / "p.json")
+    ids = list(json.loads((tmp_path / "d.json").read_text()))
+    assert ids == list(json.loads((tmp_path / "p.json").read_text()))
+    assert ids == [f"{i:08d}" for i in range(12)]
+    # unsorted ids: each item keeps its own row, written in id order
+    unsorted = Dataset(features=np.zeros((3, 1)), lf_labels=np.zeros((3, 1)), num_classes=2, ids=("b", "c", "a"))
+    posterior = SimpleNamespace(predictions=np.array([0, 1, 0]), probs=np.array([[0.75, 0.25], [0.5, 0.5], [1.0, 0.0]]))
+    save_predictions(unsorted, posterior, tmp_path / "u.json")
+    written = json.loads((tmp_path / "u.json").read_text())
+    assert list(written) == ["a", "b", "c"]
+    assert written["a"] == {"prediction": 0, "probs": [1.0, 0.0]}
+    assert written["b"] == {"prediction": 0, "probs": [0.75, 0.25]}
+    assert written["c"] == {"prediction": 1, "probs": [0.5, 0.5]}
 
 
 def test_synthetic_spec_validation():
