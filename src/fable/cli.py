@@ -2,10 +2,10 @@
 
 It parses arguments and writes run records and study CSVs; dataset and
 predictions files are :mod:`fable.data`'s.  Exit codes: 0 success, 2
-usage error (argparse), 3 unreadable or invalid data or a missing output
-directory, 4 numerical failure or out of memory.  All commands are
-deterministic given ``--seed``; the only non-deterministic output is the
-wall time recorded in run-record files.
+usage error (argparse), 3 unreadable or invalid data or an output path
+that is a directory or lies in none, 4 numerical failure or out of
+memory.  All commands are deterministic given ``--seed``; the only
+non-deterministic output is the wall time recorded in run-record files.
 """
 
 from __future__ import annotations
@@ -294,6 +294,8 @@ def main(argv=None) -> int:
         for out in (args.out, getattr(args, "runs_out", None)):  # checked before any fit or write
             if out is not None and not Path(out).parent.is_dir():
                 raise FileNotFoundError(f"no directory to write {out} in")
+            if out is not None and Path(out).is_dir():
+                raise IsADirectoryError(f"{out} is a directory, not a file to write")
         return args.func(args)
     except (DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,8 @@ rather than through ``json.dump``; the bytes are the same.
 A ``Dataset`` is the one owner of the vote matrix ``onehot_t``, an
 (L*K, N) CSR one-hot indicator with one entry, in row j*K + y, per
 non-abstaining vote y_ij = y.  Every vote statistic is one of its two
-products, ``vote_sums`` and ``vote_counts``; the matrix and its CSC
-transpose ``onehot`` are built once, however many fits read them.
+products, ``vote_sums`` (a table times it) and ``vote_counts`` (it
+times item weights); it is built once, however many fits read it.
 
 The synthetic benchmark has one fixed layout, four 2-D Gaussian classes
 with eight window LFs; a ``SyntheticSpec`` sets only its size, seed and
@@ -178,15 +178,10 @@ class Dataset:
         indptr = np.concatenate(([0], np.cumsum(voted.sum(axis=1))))
         return sparse.csc_matrix((np.ones(rows.size), rows, indptr), shape=(n_lf * k, n)).tocsr()
 
-    @cached_property
-    def onehot(self) -> sparse.csc_matrix:
-        """(N, L*K) transpose of ``onehot_t``, a CSC view of its three arrays."""
-        return self.onehot_t.T
-
     def vote_sums(self, table: np.ndarray) -> np.ndarray:
         """sum_j table[..., j, y_ij] over each item's votes: (..., L, K) to (..., N)."""
         flat = table.reshape(-1, self.n_lfs * self.num_classes)
-        return (self.onehot @ flat.T).T.reshape(*table.shape[:-2], self.n_items)
+        return (flat @ self.onehot_t).reshape(*table.shape[:-2], self.n_items)
 
     def vote_counts(self, weights: np.ndarray) -> np.ndarray:
         """sum_i weights[..., i] [y_ij = y], added in item order: (..., N) to (..., L, K)."""

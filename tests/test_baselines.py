@@ -31,7 +31,7 @@ from fable.baselines import (
     ebcc_update_tau,
 )
 from fable.data import ABSTAIN
-from fable.linalg import dirichlet_log_expectation
+from fable.linalg import NumericalError, dirichlet_log_expectation
 from fable.model import FableConfig, fable_fit, fable_init, fable_update_assignments
 
 from conftest import random_dataset
@@ -67,6 +67,14 @@ def test_majority_vote_all_abstain_is_uniform():
 def test_majority_vote_tie_break_is_lowest_class():
     post = majority_vote(_dataset([[0, 1]]))
     assert post.predictions[0] == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_finish_rejects_non_finite_class_probabilities(bad):
+    qz = np.full((2, 3), 0.5)
+    qz[1, 2] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        _finish(qz, n_iters=1)
 
 
 # -------------------------------------------------------------- dawid-skene
@@ -484,9 +492,6 @@ def test_vote_onehot_marks_one_column_per_vote():
     assert onehot_t.shape == (9, 3)
     assert onehot_t.nnz == 5
     assert np.array_equal(onehot_t.toarray(), expected)
-    onehot = _dataset(votes, k=3).onehot
-    assert onehot.format == "csc"
-    assert np.array_equal(onehot.toarray(), expected.T)
 
 
 # the lead shapes the fits pass: (K,) from majority vote and Dawid-Skene,
@@ -574,11 +579,6 @@ def test_every_fit_reads_the_one_vote_matrix_of_its_dataset(small_synthetic, mon
     fable_fit(d, FableConfig(max_iters=3))
     assert ebcc_init(d).dataset is d
     assert fable_init(d, FableConfig()).dataset is d
-    assert len(builds) == 1
-    # the (N, L*K) transpose the vote sums read is built once too, as a view
-    assert d.onehot.shape == d.onehot_t.shape[::-1]
-    for name in ("data", "indices", "indptr"):
-        assert np.shares_memory(getattr(d.onehot, name), getattr(d.onehot_t, name)), name
     assert len(builds) == 1
 
 

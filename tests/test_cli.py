@@ -16,6 +16,7 @@ from fable import ABSTAIN, Dataset, f1_binary, load_json, save_json, studies
 from fable.baselines import _finish
 from fable.cli import main
 from fable.data import save_predictions
+from fable.linalg import NumericalError
 
 from conftest import random_dataset
 
@@ -146,19 +147,26 @@ def test_aggregate_malformed_dataset_is_data_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b"\xff\xfe\x00garbage", b"[" * 200000 + b"]" * 200000],
-    ids=["not-utf8", "nested-too-deep"],
+    "content, reason",
+    [
+        (b"\xff\xfe\x00garbage", "malformed JSON ("),
+        (b"[" * 200000 + b"]" * 200000, "malformed JSON ("),
+        # well-formed JSON that is not an object of item objects
+        (b"[]", "expected a nonempty object of items"),
+        (b"{}", "expected a nonempty object of items"),
+        (b'{"a": [0, 1]}', "item 'a' is not an object"),
+    ],
+    ids=["not-utf8", "nested-too-deep", "top-level-array", "no-items", "item-not-an-object"],
 )
-def test_aggregate_unreadable_json_is_data_error(tmp_path, capsys, content):
+def test_aggregate_unreadable_json_is_data_error(tmp_path, capsys, content, reason):
     data = tmp_path / "bad.json"
     data.write_bytes(content)
     out = tmp_path / "preds.json"
     code = main(["aggregate", "--method", "mv", "--dataset", str(data), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith(f"error: {data}: malformed JSON (") and err.count("\n") == 1
-    assert not out.exists()
+    assert err.startswith(f"error: {data}: {reason}") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [data.name]
 
 
 # one field of the first item replaced; the second item stays well formed
@@ -485,9 +493,16 @@ def test_aggregate_empty_csv_is_one_line_data_error(tmp_path, capsys, empty):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["aggregate", "bench-size"])
-def test_missing_output_directory_fits_nothing(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, target", [
+    pytest.param("aggregate", "nodir/out", id="aggregate"),
+    pytest.param("bench-size", "nodir/out", id="bench-size"),
+    # an existing directory is no file to write either
+    pytest.param("aggregate", "outdir", id="aggregate-out-is-a-directory"),
+    pytest.param("bench-size", "outdir", id="bench-size-runs-out-is-a-directory"),
+])
+def test_missing_output_directory_fits_nothing(tmp_path, capsys, monkeypatch, command, target):
     data = run_synth(tmp_path, size=40)
+    (tmp_path / "outdir").mkdir()
     fits, fit = [], studies.fit_method
 
     def spy(*args, **kwargs):
@@ -498,16 +513,17 @@ def test_missing_output_directory_fits_nothing(tmp_path, capsys, monkeypatch, co
     monkeypatch.setattr("fable.studies.fit_method", spy)
     argv = {
         "aggregate": ["aggregate", "--method", "mv", "--dataset", str(data),
-                      "--out", str(tmp_path / "nodir" / "p.json")],
+                      "--out", str(tmp_path / target)],
         "bench-size": ["bench-size", "--sizes", "40", "--runs", "1", "--methods", "mv",
-                       "--out", str(tmp_path / "s.csv"), "--runs-out", str(tmp_path / "nodir" / "r.csv")],
+                       "--out", str(tmp_path / "s.csv"), "--runs-out", str(tmp_path / target)],
     }[command]
     capsys.readouterr()
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fits == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == [data.name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([data.name, "outdir"])
+    assert not any((tmp_path / "outdir").iterdir())
 
 
 def test_study_corr_writes_one_row_per_trial(tmp_path, capsys):
@@ -550,6 +566,7 @@ _COUNT_FLAG_CASES = [
     pytest.param("aggregate", "--tol", "-1", id="aggregate-tol--1"),
     pytest.param("aggregate", "--tol", "nan", id="aggregate-tol-nan"),
     pytest.param("aggregate", "--tol", "inf", id="aggregate-tol-inf"),
+    pytest.param("aggregate", "--tol", "abc", id="aggregate-tol-abc"),
     pytest.param("bench-size", "--runs", "0", id="bench-size-runs-0"),
     # sizes below the four classes of the synthetic benchmark, and widths out of range
     pytest.param("synth", "--size", "3", id="synth-size-3"),
@@ -615,6 +632,20 @@ def test_out_of_memory_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
     assert main(["synth", "--size", "10000000000000", "--out", str(out)]) == 4
     assert capsys.readouterr().err == "error: out of memory (Unable to allocate 10000000000000 items)\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [NumericalError, np.linalg.LinAlgError, FloatingPointError])
+def test_numerical_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("the fit broke down")
+
+    data = run_synth(tmp_path, size=40)
+    monkeypatch.setattr("fable.cli.fit_method", fail)
+    out = tmp_path / "p.json"
+    capsys.readouterr()
+    assert main(["aggregate", "--method", "fable", "--dataset", str(data), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "numerical error: the fit broke down\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [data.name]
 
 
 def test_bench_size_summarizes_methods_by_size(tmp_path):
@@ -691,6 +722,19 @@ def test_bench_size_rejects_bad_sizes():
     with pytest.raises(SystemExit) as err:
         main(["bench-size", "--sizes", "10,abc", "--out", "x.csv"])
     assert err.value.code == 2
+
+
+def test_fit_method_rejects_an_unknown_method(small_synthetic):
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        studies.fit_method(small_synthetic, "nope")
+
+
+def test_size_study_rejects_an_unknown_method_before_any_fit(monkeypatch):
+    fits = []
+    monkeypatch.setattr(studies, "fit_method", lambda *args, **kwargs: fits.append(args))
+    with pytest.raises(ValueError, match="unknown methods: \\['nope'\\]"):
+        studies.size_study(sizes=[40], runs=1, methods=("mv", "nope"))
+    assert fits == []
 
 
 def test_module_entry_point(tmp_path):

@@ -540,7 +540,7 @@ def test_fable_sweep_matches_reference_bit_for_bit():
 
 
 def test_vote_products_match_the_transpose_scipy_builds_bit_for_bit():
-    # before the dataset kept its transposed view, scipy built one per product
+    # a table times the vote matrix, which scipy evaluates through its transposed view
     for seed, d, m in _oracle_cases():
         k, n_lf = d.num_classes, d.n_lfs
         elog_v = np.log(np.random.default_rng(seed).dirichlet(np.ones(k), size=(k, m, n_lf)))

@@ -115,7 +115,7 @@ def test_traced_peak_of_a_fit_is_a_fixed_number_of_cell_arrays():
     # fails either bound, and repeated fits trace the same peak and leave
     # the same memory behind, so a process's RSS climb is not a leak
     d = generate_synthetic(default_synthetic_spec(size=5000, seed=0))
-    d.onehot  # the vote matrix is built once per dataset, before tracing
+    d.onehot_t  # the vote matrix is built once per dataset, before tracing
     cell = d.num_classes * 3 * d.n_items * 8
     fits = (
         (lambda: fable_fit(d, FableConfig(max_iters=5, tol=0.0)), 10.5),
